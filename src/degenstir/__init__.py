@@ -30,6 +30,7 @@ from .errors import (
     NonzeroConstantTerm,
     PoleAtLambda,
     PrecisionExceeded,
+    RouteDisagreement,
     ValuationTooHigh,
     ZeroDivisorSeries,
     ZeroPrecision,
@@ -37,12 +38,9 @@ from .errors import (
 from .field import (
     FieldElem,
     LambdaPoly,
-    Rational,
     as_elem,
     as_rational,
     const,
-    field_arith,
-    instantiate,
     lam_elem,
     one,
     poly_gcd,
@@ -70,11 +68,6 @@ from .identities import (
 )
 from .series import Series
 from .stirling import (
-    KIND_FIRST,
-    KIND_FIRST_TRUNCATED,
-    KIND_SECOND,
-    KIND_SECOND_TRUNCATED,
-    StirlingTriangle,
     build_triangle,
     stirling1_degen,
     stirling1r_gf,

@@ -5,8 +5,8 @@ The order-alpha Bernoulli generating function is (t/(e(t)-1))^alpha times
 the deformed exponential of x.  The truncated variant replaces e(t)-1 by
 the exponential with its first r coefficients removed and the numerator t
 by t^(r), per power of the order.  Division eats r orders of precision per
-power, so the internal build precision carries an alpha*r allowance plus a
-guard of two orders.
+power, so the internal build precision carries an alpha*r allowance.  The
+plain values are the r = 1 case and are computed as such.
 
 Partial Bell polynomials are computed twice on purpose, from the defining
 series and by direct enumeration of the partition multiplicity vectors; the
@@ -24,38 +24,10 @@ from functools import lru_cache
 
 from .combinat import partitions_exact
 from .core import degen_exp, one_falling
-from .errors import InputTooShort, PrecisionExceeded
+from .errors import InputTooShort, RouteDisagreement
 from .field import FieldElem, as_elem, const
 from .series import Series
-from .stirling import _exp_block, _pad
-
-
-@lru_cache(maxsize=None)
-def _bern_base(precision: int, lam) -> Series:
-    """t/(e(t)-1), known to the requested precision."""
-    p = precision + 1
-    numer = Series.t_power(1, p, lam)
-    denom = degen_exp(1, p, lam) - 1
-    return numer.div(denom)
-
-
-@lru_cache(maxsize=None)
-def _bern_series(alpha: int, x: FieldElem, precision: int, lam) -> Series:
-    s = _bern_base(precision, lam) ** alpha
-    if not x.is_zero:
-        s = s.mul(degen_exp(x, precision, lam))
-    return s
-
-
-def degen_bernoulli(n: int, alpha: int, x=0, N=None, lam=None) -> FieldElem:
-    """Order-alpha value: n! [t^n] (t/(e(t)-1))^alpha e^x(t); x = 0 gives
-    the plain numbers, alpha = 0 the unit sequence."""
-    N = n if N is None else N
-    if n > N:
-        raise PrecisionExceeded("index %d exceeds requested precision %d" % (n, N))
-    x = as_elem(x, lam)
-    ser = _bern_series(alpha, x, _pad(N), x.lam)
-    return ser.coeff(n) * math.factorial(n)
+from .stirling import _check_precision, _exp_block, _pad
 
 
 @lru_cache(maxsize=None)
@@ -70,13 +42,19 @@ def _trunc_bern_series(r: int, alpha: int, x: FieldElem, precision: int, lam) ->
 
 
 def trunc_degen_bernoulli(n: int, r: int, alpha: int, x=0, N=None, lam=None) -> FieldElem:
-    """Truncated order-alpha value; r = 1 reduces to ``degen_bernoulli``."""
+    """Truncated order-alpha value; r = 1 gives ``degen_bernoulli``."""
     N = n if N is None else N
-    if n > N:
-        raise PrecisionExceeded("index %d exceeds requested precision %d" % (n, N))
+    _check_precision(n, N)
     x = as_elem(x, lam)
-    ser = _trunc_bern_series(r, alpha, x, _pad(N + 2), x.lam)
+    ser = _trunc_bern_series(r, alpha, x, _pad(N), x.lam)
     return ser.coeff(n) * math.factorial(n)
+
+
+def degen_bernoulli(n: int, alpha: int, x=0, N=None, lam=None) -> FieldElem:
+    """Order-alpha value: n! [t^n] (t/(e(t)-1))^alpha e^x(t), the r = 1
+    truncated value; x = 0 gives the plain numbers, alpha = 0 the unit
+    sequence."""
+    return trunc_degen_bernoulli(n, 1, alpha, x, N, lam)
 
 
 def _prepare_xs(xs, lam):
@@ -134,7 +112,7 @@ def bell_partial(n: int, k: int, xs, lam=None) -> FieldElem:
     a = bell_partial_enum(n, k, xs, lam)
     b = bell_partial_gf(n, k, xs, lam)
     if a != b:
-        raise RuntimeError("internal error: Bell routes disagree at (%d, %d)" % (n, k))
+        raise RouteDisagreement("internal error: Bell routes disagree at (%d, %d)" % (n, k))
     return a
 
 
@@ -169,5 +147,5 @@ def k_lambda(n: int, xs, lam=None) -> FieldElem:
     a = k_lambda_bell(n, xs, lam)
     b = k_lambda_series(n, xs, lam)
     if a != b:
-        raise RuntimeError("internal error: reciprocal routes disagree at n=%d" % (n,))
+        raise RouteDisagreement("internal error: reciprocal routes disagree at n=%d" % (n,))
     return a

@@ -21,31 +21,12 @@ from fractions import Fraction
 from . import identities
 from .bernoulli import bell_partial, degen_bernoulli, k_lambda, trunc_degen_bernoulli
 from .errors import DegenstirError
-from .field import as_rational, rational_str
-from .stirling import (
-    KIND_FIRST,
-    KIND_FIRST_TRUNCATED,
-    KIND_SECOND,
-    KIND_SECOND_TRUNCATED,
-    build_triangle,
-    stirling1_degen,
-    stirling1r_gf,
-    stirling2_degen,
-    stirling2r_gf,
-)
-
-FAMILIES = ("stirling1", "stirling2", "stirling2r", "stirling1r",
-            "bernoulli", "trunc-bernoulli", "bell", "klambda")
-
-_TRIANGLE_KINDS = {
-    "stirling2": KIND_SECOND,
-    "stirling1": KIND_FIRST,
-    "stirling2r": KIND_SECOND_TRUNCATED,
-    "stirling1r": KIND_FIRST_TRUNCATED,
-}
-
+from .field import rational_str
+from .stirling import FAMILIES as STIRLING_FAMILIES
+from .stirling import build_triangle, family_entry
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+_RATIONAL_FLAGS = ("--lambda", "--x", "--xs")
 
 
 def _rational(text: str) -> Fraction:
@@ -114,13 +95,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (attribute, least value, message); attributes a command lacks or leaves
+# unset are skipped
+_LEAST = (
+    ("r", 1, "--r must be at least 1"),
+    ("r_max", 1, "--r must be at least 1"),
+    ("alpha", 1, "--alpha must be at least 1"),
+    ("alpha_max", 1, "--alpha must be at least 1"),
+    ("n_max", 0, "--n-max must be nonnegative"),
+    ("k_max", 0, "--k-max must be nonnegative"),
+    ("n", 0, "--n must be nonnegative"),
+    ("k", 0, "--k must be nonnegative"),
+)
+
+
 def _validate(args, parser):
-    if getattr(args, "r", 1) is not None and getattr(args, "r", 1) < 1:
-        parser.error("--r must be at least 1")
-    if getattr(args, "alpha", 1) is not None and getattr(args, "alpha", 1) < 1:
-        parser.error("--alpha must be at least 1")
-    if getattr(args, "n_max", 0) is not None and getattr(args, "n_max", 0) < 0:
-        parser.error("--n-max must be nonnegative")
+    for attr, least, message in _LEAST:
+        value = getattr(args, attr, None)
+        if value is not None and value < least:
+            parser.error(message)
 
 
 def _pick_precision(args, derived: int) -> int:
@@ -138,44 +131,56 @@ def _default_xs(args, length: int):
     return [Fraction(1)] * length
 
 
-def _sequence_rows(args, n_max):
-    """(n, column, value) rows for the non-triangle families."""
-    rows = []
-    if args.family == "bernoulli":
-        for n in range(n_max + 1):
-            v = degen_bernoulli(n, args.alpha, args.x, N=_pick_precision(args, n), lam=args.lam)
-            rows.append((n, args.alpha, v))
-    elif args.family == "trunc-bernoulli":
-        for n in range(n_max + 1):
-            v = trunc_degen_bernoulli(n, args.r, args.alpha, args.x,
-                                      N=_pick_precision(args, n), lam=args.lam)
-            rows.append((n, args.alpha, v))
-    elif args.family == "bell":
-        k_max = n_max if args.k_max is None else args.k_max
-        xs = _default_xs(args, n_max)
-        for n in range(n_max + 1):
-            for k in range(min(n, k_max) + 1):
-                rows.append((n, k, bell_partial(n, k, xs, lam=args.lam)))
-    else:  # klambda
-        xs = _default_xs(args, n_max)
-        for n in range(n_max + 1):
-            rows.append((n, 0, k_lambda(n, xs, lam=args.lam)))
-    return rows
+def _triangle_rows(args, value):
+    # the Stirling families: their values come from build_triangle
+    return build_triangle(args.family, args.n_max, args.k_max, args.r, args.lam,
+                          N=_pick_precision(args, args.n_max))
+
+
+def _order_rows(args, value):
+    return [(n, args.alpha, value(args, n, 0, _pick_precision(args, n)))
+            for n in range(args.n_max + 1)]
+
+
+def _bell_rows(args, value):
+    k_max = args.n_max if args.k_max is None else args.k_max
+    return [(n, k, value(args, n, k, None))
+            for n in range(args.n_max + 1) for k in range(min(n, k_max) + 1)]
+
+
+def _sequence_rows(args, value):
+    return [(n, 0, value(args, n, 0, None)) for n in range(args.n_max + 1)]
+
+
+def _stirling_value(a, n, k, N):
+    return family_entry(a.family, n, k, a.r, N, a.lam)
+
+
+# family -> (value(args, n, k, N), table rows(args, value)).  The Stirling
+# families are those of the stirling module; the rows of the Bernoulli
+# families carry the order alpha in the column, those of klambda 0.
+FAMILIES = {
+    **dict.fromkeys(STIRLING_FAMILIES, (_stirling_value, _triangle_rows)),
+    "bernoulli": (lambda a, n, k, N: degen_bernoulli(n, a.alpha, a.x, N, a.lam),
+                  _order_rows),
+    "trunc-bernoulli": (lambda a, n, k, N: trunc_degen_bernoulli(n, a.r, a.alpha, a.x, N,
+                                                                 a.lam),
+                        _order_rows),
+    "bell": (lambda a, n, k, N: bell_partial(n, k, _default_xs(a, max(n, 1)), a.lam),
+             _bell_rows),
+    "klambda": (lambda a, n, k, N: k_lambda(n, _default_xs(a, max(n, 1)), a.lam),
+                _sequence_rows),
+}
 
 
 def _run_table(args) -> int:
-    kind = _TRIANGLE_KINDS.get(args.family)
-    if kind is not None:
-        tri = build_triangle(kind, args.n_max, args.k_max, args.r, args.lam,
-                             N=_pick_precision(args, args.n_max))
-        rows = list(tri.rows())
-    else:
-        rows = _sequence_rows(args, args.n_max)
+    value, rows = FAMILIES[args.family]
+    rows = rows(args, value)
     lam_label = "symbolic" if args.lam is None else rational_str(args.lam)
     if args.format == "csv":
         print("n,k,value")
-        for n, k, value in rows:
-            print("%d,%d,%s" % (n, k, value))
+        for n, k, v in rows:
+            print("%d,%d,%s" % (n, k, v))
     else:
         obj = {
             "family": args.family,
@@ -187,26 +192,8 @@ def _run_table(args) -> int:
 
 
 def _run_eval(args) -> int:
-    n, k = args.n, args.k
-    prec = _pick_precision(args, n)
-    fam = args.family
-    if fam == "stirling2":
-        value = stirling2_degen(n, k, N=prec, lam=args.lam)
-    elif fam == "stirling1":
-        value = stirling1_degen(n, k, N=prec, lam=args.lam)
-    elif fam == "stirling2r":
-        value = stirling2r_gf(n, k, args.r, N=prec, lam=args.lam)
-    elif fam == "stirling1r":
-        value = stirling1r_gf(n, k, args.r, N=prec, lam=args.lam)
-    elif fam == "bernoulli":
-        value = degen_bernoulli(n, args.alpha, args.x, N=prec, lam=args.lam)
-    elif fam == "trunc-bernoulli":
-        value = trunc_degen_bernoulli(n, args.r, args.alpha, args.x, N=prec, lam=args.lam)
-    elif fam == "bell":
-        value = bell_partial(n, k, _default_xs(args, max(n, 1)), lam=args.lam)
-    else:
-        value = k_lambda(n, _default_xs(args, max(n, 1)), lam=args.lam)
-    print(str(value))
+    value, _ = FAMILIES[args.family]
+    print(str(value(args, args.n, args.k, _pick_precision(args, args.n))))
     return 0
 
 
@@ -221,9 +208,21 @@ def _run_verify(args) -> int:
     return 0 if identities.all_derived_equal(reports) else 1
 
 
+def _join_negative_values(argv):
+    # argparse reads a value such as -1/2 after a flag as another flag, so it
+    # is joined to its flag in the --flag=-1/2 form that argparse accepts
+    out = []
+    for token in argv:
+        if out and out[-1] in _RATIONAL_FLAGS and re.match(r"-\d", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     _validate(args, parser)
     try:
         if args.command == "table":

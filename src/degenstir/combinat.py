@@ -16,10 +16,6 @@ def compositions(total: int, parts: int, min_part: int = 0):
             yield (first,) + rest
 
 
-def weak_compositions(total: int, parts: int):
-    return compositions(total, parts, 0)
-
-
 def partitions_exact(total: int, parts: int, max_part=None):
     """Yield nonincreasing tuples of exactly ``parts`` positive integers
     summing to total."""

@@ -47,3 +47,7 @@ class InputTooShort(DegenstirError):
 
 class DomainViolation(DegenstirError):
     """Identity parameters fall outside the stated domain."""
+
+
+class RouteDisagreement(DegenstirError):
+    """Two independent routes to the same value returned different results."""

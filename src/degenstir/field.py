@@ -1,10 +1,9 @@
 """Exact scalars: rationals, polynomials in the deformation parameter,
 and the field of rational functions they generate.
 
-Three layers, all immutable and exact:
+Two layers over the stdlib ``fractions.Fraction`` rationals, all immutable
+and exact:
 
-* ``Rational``: arbitrary-precision rationals (stdlib ``fractions.Fraction``,
-  which already keeps a positive denominator and a reduced fraction).
 * ``LambdaPoly``: dense univariate polynomials in the deformation parameter
   over the rationals, lowest degree first, no trailing zeros.
 * ``FieldElem``: a quotient of two ``LambdaPoly`` values kept in canonical
@@ -24,8 +23,6 @@ import math
 from fractions import Fraction
 
 from .errors import BothZero, DivisionByZero, ModeMismatch, PoleAtLambda
-
-Rational = Fraction
 
 
 def as_rational(value) -> Fraction:
@@ -294,10 +291,6 @@ class FieldElem:
         return cls(lam=None, num=num, den=den)
 
     @property
-    def is_symbolic(self) -> bool:
-        return self.lam is None
-
-    @property
     def is_zero(self) -> bool:
         if self.lam is None:
             return self.num.is_zero
@@ -430,11 +423,6 @@ class FieldElem:
             raise PoleAtLambda("denominator vanishes at %s" % rational_str(lam0))
         return self.num.evaluate(lam0) / dv
 
-    def at_lambda(self, lam0) -> "FieldElem":
-        """Same evaluation, but wrapped as an instantiated-mode element."""
-        lam0 = as_rational(lam0)
-        return FieldElem.from_rational(self.instantiate(lam0), lam0)
-
     def as_fraction(self) -> Fraction:
         """Unwrap a constant; raises for genuinely symbolic values."""
         if self.lam is not None:
@@ -504,23 +492,3 @@ def as_elem(value, lam=None) -> FieldElem:
         return value
     return FieldElem.from_rational(value, lam)
 
-
-_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-}
-
-
-def field_arith(a: FieldElem, b: FieldElem, op: str) -> FieldElem:
-    """One-shot arithmetic entry point; op is one of add, sub, mul, div."""
-    try:
-        fn = _OPS[op]
-    except KeyError:
-        raise ValueError("unknown op %r" % (op,)) from None
-    return fn(a, b)
-
-
-def instantiate(e: FieldElem, lam0) -> Fraction:
-    return e.instantiate(lam0)

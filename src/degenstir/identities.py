@@ -14,15 +14,16 @@ coefficient index it needs plus the valuation cost of any division.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import degen_bernoulli, trunc_degen_bernoulli
-from .combinat import weak_compositions
+from .combinat import compositions
 from .core import gen_falling, lam_elem, one_falling
 from .errors import DomainViolation
-from .field import FieldElem, as_elem, const, one
+from .field import FieldElem, const, one
 from .stirling import stirling1_degen, stirling2_degen, stirling2r_gf
 
 AS_DERIVED = "as-derived"
@@ -82,7 +83,7 @@ def verify_thm3(n: int, k: int, r: int, lam=None) -> IdentityReport:
     lhs = Fraction(math.factorial(k), math.factorial(big)) * \
         stirling2r_gf(big, k, r, N=big, lam=lam)
     rhs = const(0, lam)
-    for comp in weak_compositions(n, k):
+    for comp in compositions(n, k, 0):
         term = const(1, lam)
         for j in comp:
             term = term * stirling2r_gf(j + r, 1, r, N=j + r, lam=lam)
@@ -279,83 +280,61 @@ def verify_beta_closed(n: int, r: int, x, lam=None):
     )
 
 
-DEFAULT_RANGES = {
-    "thm3": {"n_max": 6, "k_max": 3, "r_max": 3},
-    "thm4": {"n_max": 10},
-    "thm5": {"n_max": 6, "k_max": 3},
-    "thm6": {"n_max": 6},
-    "thm7": {"n_max": 6, "k_max": 3},
-    "thm8": {"n_max": 6, "k_max": 2},
-    "delta": {"n_max": 6, "r_max": 3, "alpha_max": 3},
-    "expansion": {"n_max": 6, "r_max": 3},
-    "beta-closed": {"r_max": 3},
+def _verify_thm5_both(n: int, k: int, lam=None):
+    return verify_thm5(n, k, lam), verify_thm5(n, k, lam, AS_PRINTED)
+
+
+def _n_by_k(b):
+    return itertools.product(range(b["n_max"] + 1), range(b["k_max"] + 1))
+
+
+# tag -> (verifier, default bounds, grid).  A grid maps the bounds to the
+# verifier's positional arguments, in report order; a verifier returns one
+# report or a tuple of variants.
+IDENTITIES = {
+    "thm3": (verify_thm3, {"n_max": 6, "k_max": 3, "r_max": 3},
+             lambda b: ((n, k, r) for r in range(1, b["r_max"] + 1)
+                        for k in range(b["k_max"] + 1) for n in range(b["n_max"] + 1))),
+    "thm4": (verify_thm4, {"n_max": 10}, lambda b: ((n,) for n in range(b["n_max"] + 1))),
+    "thm5": (_verify_thm5_both, {"n_max": 6, "k_max": 3}, _n_by_k),
+    "thm6": (verify_thm6, {"n_max": 6},
+             lambda b: ((n, k) for n in range(1, b["n_max"] + 1) for k in range(1, n + 1))),
+    "thm7": (verify_thm7, {"n_max": 6, "k_max": 3}, _n_by_k),
+    "thm8": (verify_thm8, {"n_max": 6, "k_max": 2}, _n_by_k),
+    # the n bound is the span beyond alpha*r, since the identity's domain
+    # floor moves with the other two parameters
+    "delta": (verify_delta, {"n_max": 6, "r_max": 3, "alpha_max": 3},
+              lambda b: ((alpha, r, n) for alpha in range(1, b["alpha_max"] + 1)
+                         for r in range(1, b["r_max"] + 1)
+                         for n in range(alpha * r, alpha * r + b["n_max"] + 1))),
+    "expansion": (verify_expansion, {"n_max": 6, "r_max": 3},
+                  lambda b: ((n, r, x) for r in range(1, b["r_max"] + 1)
+                             for n in range(b["n_max"] + 1) for x in range(n + 1))),
+    "beta-closed": (verify_beta_closed, {"r_max": 3},
+                    lambda b: ((n, r, x) for r in range(1, b["r_max"] + 1)
+                               for n in range(3) for x in range(n + 1))),
 }
 
-IDENTITY_TAGS = tuple(DEFAULT_RANGES)
+DEFAULT_RANGES = {tag: bounds for tag, (_, bounds, _) in IDENTITIES.items()}
+
+IDENTITY_TAGS = tuple(IDENTITIES)
 
 
 def sweep(identity: str, n_max=None, k_max=None, r_max=None, alpha_max=None,
           lam=None):
     """Run one identity over a parameter grid and return the report list.
 
-    Unset bounds fall back to the per-identity defaults.  For ``delta`` the
-    n bound is the span beyond alpha*r, since the identity's domain floor
-    moves with the other two parameters.
+    Unset bounds fall back to the per-identity defaults.
     """
-    if identity not in DEFAULT_RANGES:
+    if identity not in IDENTITIES:
         raise ValueError("unknown identity %r" % (identity,))
-    bounds = dict(DEFAULT_RANGES[identity])
-    if n_max is not None:
-        bounds["n_max"] = n_max
-    if k_max is not None:
-        bounds["k_max"] = k_max
-    if r_max is not None:
-        bounds["r_max"] = r_max
-    if alpha_max is not None:
-        bounds["alpha_max"] = alpha_max
-
+    verify, bounds, grid = IDENTITIES[identity]
+    given = {"n_max": n_max, "k_max": k_max, "r_max": r_max, "alpha_max": alpha_max}
+    bounds = dict(bounds, **{key: v for key, v in given.items() if v is not None})
     reports = []
-    if identity == "thm3":
-        for r in range(1, bounds["r_max"] + 1):
-            for k in range(bounds["k_max"] + 1):
-                for n in range(bounds["n_max"] + 1):
-                    reports.append(verify_thm3(n, k, r, lam))
-    elif identity == "thm4":
-        for n in range(bounds["n_max"] + 1):
-            reports.extend(verify_thm4(n, lam))
-    elif identity == "thm5":
-        for n in range(bounds["n_max"] + 1):
-            for k in range(bounds["k_max"] + 1):
-                reports.append(verify_thm5(n, k, lam))
-                reports.append(verify_thm5(n, k, lam, AS_PRINTED))
-    elif identity == "thm6":
-        for n in range(1, bounds["n_max"] + 1):
-            for k in range(1, n + 1):
-                reports.append(verify_thm6(n, k, lam))
-    elif identity == "thm7":
-        for n in range(bounds["n_max"] + 1):
-            for k in range(bounds["k_max"] + 1):
-                reports.append(verify_thm7(n, k, lam))
-    elif identity == "thm8":
-        for n in range(bounds["n_max"] + 1):
-            for k in range(bounds["k_max"] + 1):
-                reports.extend(verify_thm8(n, k, lam))
-    elif identity == "delta":
-        for alpha in range(1, bounds["alpha_max"] + 1):
-            for r in range(1, bounds["r_max"] + 1):
-                floor = alpha * r
-                for n in range(floor, floor + bounds["n_max"] + 1):
-                    reports.append(verify_delta(alpha, r, n, lam))
-    elif identity == "expansion":
-        for r in range(1, bounds["r_max"] + 1):
-            for n in range(bounds["n_max"] + 1):
-                for x in range(n + 1):
-                    reports.append(verify_expansion(n, r, x, lam))
-    else:  # beta-closed
-        for r in range(1, bounds["r_max"] + 1):
-            for n in range(3):
-                for x in range(n + 1):
-                    reports.extend(verify_beta_closed(n, r, x, lam))
+    for args in grid(bounds):
+        out = verify(*args, lam=lam)
+        reports.extend(out if isinstance(out, tuple) else (out,))
     return reports
 
 

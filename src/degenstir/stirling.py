@@ -4,7 +4,8 @@ The second-kind numbers are n! times the t^n coefficients of the k-th power
 of the deformed exponential minus one, over k!; the first-kind numbers use
 the deformed logarithm instead.  The truncated variants remove the first r
 coefficients of the base series before powering, which pushes the valuation
-of the k-th power up to k*r.
+of the k-th power up to k*r.  The plain kinds are the r = 1 case and are
+computed as such.
 
 For the truncated second kind three independent routes are implemented:
 
@@ -19,7 +20,6 @@ command lean on that redundancy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -49,11 +49,6 @@ def _exp_block_pow(k: int, r: int, precision: int, lam) -> Series:
 
 
 @lru_cache(maxsize=None)
-def _exp_minus_one_pow(k: int, precision: int, lam) -> Series:
-    return (degen_exp(1, precision, lam) - 1) ** k
-
-
-@lru_cache(maxsize=None)
 def _log_block(r: int, precision: int, lam) -> Series:
     g = degen_log(precision, lam)
     z = const(0, lam)
@@ -71,19 +66,13 @@ def _check_precision(n: int, N: int):
 
 
 def stirling2_degen(n: int, k: int, N=None, lam=None) -> FieldElem:
-    """Second kind: n! [t^n] (e(t) - 1)^k / k!."""
-    N = n if N is None else N
-    _check_precision(n, N)
-    ser = _exp_minus_one_pow(k, _pad(N), lam)
-    return ser.coeff(n) * Fraction(math.factorial(n), math.factorial(k))
+    """Second kind: n! [t^n] (e(t) - 1)^k / k!, the r = 1 truncated number."""
+    return stirling2r_gf(n, k, 1, N, lam)
 
 
 def stirling1_degen(n: int, k: int, N=None, lam=None) -> FieldElem:
-    """First kind: n! [t^n] (log-series)^k / k!."""
-    N = n if N is None else N
-    _check_precision(n, N)
-    ser = _log_block_pow(k, 1, _pad(N), lam)
-    return ser.coeff(n) * Fraction(math.factorial(n), math.factorial(k))
+    """First kind: n! [t^n] (log-series)^k / k!, the r = 1 truncated number."""
+    return stirling1r_gf(n, k, 1, N, lam)
 
 
 def stirling2r_gf(n: int, k: int, r: int, N=None, lam=None) -> FieldElem:
@@ -148,63 +137,43 @@ def stirling2r_binomial(n: int, k: int, r: int, lam=None) -> FieldElem:
     return total / math.factorial(k)
 
 
-KIND_SECOND = "second-degenerate"
-KIND_FIRST = "first-degenerate"
-KIND_SECOND_TRUNCATED = "second-truncated"
-KIND_FIRST_TRUNCATED = "first-truncated"
-
-_KINDS = (KIND_SECOND, KIND_FIRST, KIND_SECOND_TRUNCATED, KIND_FIRST_TRUNCATED)
-
-
-@dataclass(frozen=True)
-class StirlingTriangle:
-    """A computed block of Stirling-style numbers.
-
-    ``entries`` maps (n, m) to the value, where m is the second index of the
-    quantity itself: k for the plain kinds, k*r for the truncated kinds.
-    Iteration order is n ascending then m ascending.
-    """
-
-    kind: str
-    r: int
-    n_max: int
-    entries: dict
-
-    def rows(self):
-        for (n, m), value in self.entries.items():
-            yield n, m, value
-
-    def to_csv_lines(self):
-        lines = ["n,k,value"]
-        lines.extend("%d,%d,%s" % (n, m, value) for n, m, value in self.rows())
-        return lines
-
-    def to_json_rows(self):
-        return [[n, m, str(value)] for n, m, value in self.rows()]
+# family -> (core, truncated?).  The plain kinds are the r = 1 case of the
+# truncated cores.  The lambdas look their core up when called, so that a
+# wrapper later bound over a module attribute (a profiler's, say) sees every
+# entry.
+FAMILIES = {
+    "stirling1": (lambda *a: stirling1r_gf(*a), False),
+    "stirling2": (lambda *a: stirling2r_gf(*a), False),
+    "stirling2r": (lambda *a: stirling2r_gf(*a), True),
+    "stirling1r": (lambda *a: stirling1r_gf(*a), True),
+}
 
 
-def build_triangle(kind: str, n_max: int, k_max=None, r: int = 1, lam=None,
-                   N=None) -> StirlingTriangle:
-    """Compute a triangle.  Plain kinds emit the classical region k <= n;
-    truncated kinds emit every power up to k_max so the vanishing cells
-    below the staircase (n < k*r) appear as explicit zeros."""
-    if kind not in _KINDS:
-        raise ValueError("unknown triangle kind %r" % (kind,))
-    if kind in (KIND_SECOND, KIND_FIRST):
+def _family(family: str):
+    if family not in FAMILIES:
+        raise ValueError("unknown Stirling family %r" % (family,))
+    return FAMILIES[family]
+
+
+def family_entry(family: str, n: int, k: int, r: int = 1, N=None, lam=None) -> FieldElem:
+    """Entry (n, k) of a Stirling family, k being the power; the plain kinds
+    take r = 1 whatever r is given."""
+    core, truncated = _family(family)
+    return core(n, k, r if truncated else 1, N, lam)
+
+
+def build_triangle(family: str, n_max: int, k_max=None, r: int = 1, lam=None,
+                   N=None):
+    """Rows (n, m, value) of a Stirling family, n ascending then m ascending,
+    where m is the second index of the quantity itself: k for the plain
+    kinds, k*r for the truncated kinds.  Plain kinds emit the classical
+    region k <= n; truncated kinds emit every power up to k_max so the
+    vanishing cells below the staircase (n < k*r) appear as explicit zeros."""
+    _, truncated = _family(family)
+    if not truncated:
         r = 1
     k_max = n_max if k_max is None else k_max
     N = n_max if N is None else N
-    truncated = kind in (KIND_SECOND_TRUNCATED, KIND_FIRST_TRUNCATED)
-    entries = {}
-    for n in range(n_max + 1):
-        for k in range(k_max + 1 if truncated else min(k_max, n) + 1):
-            if kind == KIND_SECOND:
-                value = stirling2_degen(n, k, N, lam)
-            elif kind == KIND_FIRST:
-                value = stirling1_degen(n, k, N, lam)
-            elif kind == KIND_SECOND_TRUNCATED:
-                value = stirling2r_gf(n, k, r, N, lam)
-            else:
-                value = stirling1r_gf(n, k, r, N, lam)
-            entries[(n, k * r)] = value
-    return StirlingTriangle(kind=kind, r=r, n_max=n_max, entries=entries)
+    return [(n, k * r, family_entry(family, n, k, r, N, lam))
+            for n in range(n_max + 1)
+            for k in range(k_max + 1 if truncated else min(k_max, n) + 1)]

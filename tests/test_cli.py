@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from degenstir import cli
+from degenstir import bernoulli, cli
 from degenstir.field import const
 from degenstir.identities import IdentityReport
 
@@ -92,17 +92,51 @@ def test_verify_exit_one_on_a_failing_derived_report(capsys, monkeypatch):
     assert json.loads(out)[0]["equal"] is False
 
 
+USAGE_ERRORS = (
+    "eval stirling2 --n 3 --k oops",
+    "eval stirling2 --n 2 --lambda 0.5",
+    "table stirling2 --n-max 3 --r 0",
+    # negative indices: each used to escape as a traceback with exit 1
+    "eval stirling2 --n -1",
+    "eval stirling2 --n 3 --k -1",
+    "eval bell --n -1",
+    "eval bell --n 3 --k -1",
+    "eval klambda --n -1",
+    "eval bernoulli --n -1",
+    # each used to print an empty result and exit 0
+    "table stirling2 --n-max 3 --k-max -2",
+    "table bell --n-max 3 --k-max -1",
+    "verify --identity delta --r 0",
+    "verify --identity delta --alpha 0",
+    "verify --identity thm7 --k-max -1",
+)
+
+
 def test_usage_errors_exit_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["eval", "stirling2", "--n", "3", "--k", "oops"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["eval", "stirling2", "--n", "2", "--lambda", "0.5"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["table", "stirling2", "--n-max", "3", "--r", "0"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    for argv in USAGE_ERRORS:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv.split())
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err and "Traceback" not in err, argv
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("table trunc-bernoulli --n-max 3 --r 2", "--lambda", "-1/2"),
+    ("table trunc-bernoulli --n-max 3 --r 2", "--x", "-1/2"),
+    ("table klambda --n-max 2", "--xs", "-1,2"),
+])
+def test_split_negative_rationals_parse_like_the_joined_form(capsys, command, flag, value):
+    split = run_cli(capsys, *command.split(), flag, value)
+    assert split == run_cli(capsys, *command.split(), "%s=%s" % (flag, value))
+    assert split[0] == 0 and split[1].startswith("n,k,value")
+
+
+def test_route_disagreement_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(bernoulli, "bell_partial_gf", lambda *a, **kw: const(7))
+    code, out, err = run_cli(capsys, "eval", "bell", "--n", "3", "--k", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Bell routes disagree" in err
 
 
 def test_computation_errors_exit_two(capsys):

@@ -5,8 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 from degenstir import (
-    KIND_SECOND,
-    KIND_SECOND_TRUNCATED,
     PrecisionExceeded,
     build_triangle,
     const,
@@ -135,21 +133,22 @@ def test_first_kind_truncated():
             assert stirling1r_gf(n, k, 2, N=max(n, 1)) == 0
 
 
-def test_triangle_construction_and_serialization():
-    tri = build_triangle(KIND_SECOND, 4, lam=F(0))
-    lines = tri.to_csv_lines()
-    assert lines[0] == "n,k,value"
-    assert "4,2,7" in lines
-    assert tri.entries[(3, 3)] == 1
-    tri2 = build_triangle(KIND_SECOND_TRUNCATED, 6, k_max=2, r=2)
-    assert tri2.entries[(3, 2)] == (1 - LAM) * (1 - 2 * LAM)
-    rows = tri2.to_json_rows()
-    assert rows[0] == [0, 0, "1"]
-    keys = list(tri2.entries)
+def test_triangle_construction():
+    rows = build_triangle("stirling2", 4, lam=F(0))
+    entries = {(n, m): v for n, m, v in rows}
+    assert entries[(4, 2)] == 7
+    assert entries[(3, 3)] == 1
+    rows2 = build_triangle("stirling2r", 6, k_max=2, r=2)
+    entries2 = {(n, m): v for n, m, v in rows2}
+    assert entries2[(3, 2)] == (1 - LAM) * (1 - 2 * LAM)
+    assert rows2[0] == (0, 0, 1)
+    keys = [(n, m) for n, m, _ in rows2]
     assert keys == sorted(keys)
+    with pytest.raises(ValueError):
+        build_triangle("bell", 4)
 
 
 def test_diagonal_is_one_for_plain_kinds():
-    tri = build_triangle(KIND_SECOND, 6)
+    entries = {(n, m): v for n, m, v in build_triangle("stirling2", 6)}
     for n in range(7):
-        assert tri.entries[(n, n)] == 1
+        assert entries[(n, n)] == 1
