@@ -42,11 +42,9 @@ from .field import (
     as_rational,
     const,
     lam_elem,
-    one,
     poly_gcd,
     poly_str,
     rational_str,
-    zero,
 )
 from .identities import (
     AS_DERIVED,

@@ -3,10 +3,10 @@ polynomials, and the reciprocal-series polynomials.
 
 The order-alpha Bernoulli generating function is (t/(e(t)-1))^alpha times
 the deformed exponential of x.  The truncated variant replaces e(t)-1 by
-the exponential with its first r coefficients removed and the numerator t
-by t^(r), per power of the order.  Division eats r orders of precision per
-power, so the internal build precision carries an alpha*r allowance.  The
-plain values are the r = 1 case and are computed as such.
+the Stirling module's cached block (the exponential without its first r
+coefficients) and t by t^r, per power of the order.  Division eats r orders
+of precision per power, so the internal build precision carries an alpha*r
+allowance.  The plain values are the r = 1 case and are computed as such.
 
 Partial Bell polynomials are computed twice on purpose, from the defining
 series and by direct enumeration of the partition multiplicity vectors; the
@@ -27,14 +27,14 @@ from .core import degen_exp, one_falling
 from .errors import InputTooShort, RouteDisagreement
 from .field import FieldElem, as_elem, const
 from .series import Series
-from .stirling import _check_precision, _exp_block, _pad
+from .stirling import _block_pow, _check_precision, _pad
 
 
 @lru_cache(maxsize=None)
 def _trunc_bern_series(r: int, alpha: int, x: FieldElem, precision: int, lam) -> Series:
     p = precision + alpha * r
     numer = Series.t_power(alpha * r, p, lam)
-    denom = _exp_block(r, p, lam) ** alpha
+    denom = _block_pow(2, alpha, r, p, lam)
     q = numer.div(denom)
     if not x.is_zero:
         q = q.mul(degen_exp(x, precision, lam))

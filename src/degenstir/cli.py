@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--xs", type=_xs_list, default=None,
                        help="comma-separated rationals for bell/klambda (default: all ones)")
         p.add_argument("--precision", type=int, default=None,
-                       help="override the derived working precision (warns when lower)")
+                       help="override the derived working precision (warns when lower; "
+                            "not for bell/klambda)")
 
     table = sub.add_parser("table", help="stream a triangle or sequence")
     table.add_argument("family", choices=FAMILIES)
@@ -114,6 +115,8 @@ def _validate(args, parser):
         value = getattr(args, attr, None)
         if value is not None and value < least:
             parser.error(message)
+    if getattr(args, "precision", None) is not None and not FAMILIES[args.family][2]:
+        parser.error("--precision does not apply to %s" % args.family)
 
 
 def _pick_precision(args, derived: int) -> int:
@@ -138,8 +141,8 @@ def _triangle_rows(args, value):
 
 
 def _order_rows(args, value):
-    return [(n, args.alpha, value(args, n, 0, _pick_precision(args, n)))
-            for n in range(args.n_max + 1)]
+    N = _pick_precision(args, args.n_max)
+    return [(n, args.alpha, value(args, n, 0, N)) for n in range(args.n_max + 1)]
 
 
 def _bell_rows(args, value):
@@ -156,25 +159,27 @@ def _stirling_value(a, n, k, N):
     return family_entry(a.family, n, k, a.r, N, a.lam)
 
 
-# family -> (value(args, n, k, N), table rows(args, value)).  The Stirling
-# families are those of the stirling module; the rows of the Bernoulli
-# families carry the order alpha in the column, those of klambda 0.
+# family -> (value(args, n, k, N), table rows(args, value), takes --precision?).
+# The Stirling families are those of the stirling module; the rows of the
+# Bernoulli families carry the order alpha in the column, those of klambda 0.
+# bell and klambda size their series from n alone, so --precision is refused
+# for them.
 FAMILIES = {
-    **dict.fromkeys(STIRLING_FAMILIES, (_stirling_value, _triangle_rows)),
+    **dict.fromkeys(STIRLING_FAMILIES, (_stirling_value, _triangle_rows, True)),
     "bernoulli": (lambda a, n, k, N: degen_bernoulli(n, a.alpha, a.x, N, a.lam),
-                  _order_rows),
+                  _order_rows, True),
     "trunc-bernoulli": (lambda a, n, k, N: trunc_degen_bernoulli(n, a.r, a.alpha, a.x, N,
                                                                  a.lam),
-                        _order_rows),
+                        _order_rows, True),
     "bell": (lambda a, n, k, N: bell_partial(n, k, _default_xs(a, max(n, 1)), a.lam),
-             _bell_rows),
+             _bell_rows, False),
     "klambda": (lambda a, n, k, N: k_lambda(n, _default_xs(a, max(n, 1)), a.lam),
-                _sequence_rows),
+                _sequence_rows, False),
 }
 
 
 def _run_table(args) -> int:
-    value, rows = FAMILIES[args.family]
+    value, rows, _ = FAMILIES[args.family]
     rows = rows(args, value)
     lam_label = "symbolic" if args.lam is None else rational_str(args.lam)
     if args.format == "csv":
@@ -192,7 +197,7 @@ def _run_table(args) -> int:
 
 
 def _run_eval(args) -> int:
-    value, _ = FAMILIES[args.family]
+    value, _, _ = FAMILIES[args.family]
     print(str(value(args, args.n, args.k, _pick_precision(args, args.n))))
     return 0
 

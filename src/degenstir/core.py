@@ -19,13 +19,7 @@ from .series import Series
 
 def falling_factorial(x, n: int, lam=None) -> FieldElem:
     """Descending product with unit step: x(x-1)...(x-n+1); empty product is 1."""
-    x = as_elem(x, lam)
-    out = const(1, x.lam)
-    cur = x
-    for _ in range(n):
-        out = out * cur
-        cur = cur - 1
-    return out
+    return gen_falling(x, n, 1, lam)
 
 
 def gen_falling(x, n: int, step=None, lam=None) -> FieldElem:
@@ -44,12 +38,9 @@ def gen_falling(x, n: int, step=None, lam=None) -> FieldElem:
     return out
 
 
-@lru_cache(maxsize=None)
 def one_falling(n: int, lam=None) -> FieldElem:
-    """The unit-argument descending product (1)(1-s)...(1-(n-1)s), memoized."""
-    if n == 0:
-        return const(1, lam)
-    return one_falling(n - 1, lam) * (const(1, lam) - (n - 1) * lam_elem(lam))
+    """The unit-argument descending product (1)(1-s)...(1-(n-1)s)."""
+    return int_falling(1, n, lam)
 
 
 @lru_cache(maxsize=None)
@@ -78,15 +69,11 @@ def _degen_exp_cached(x: FieldElem, precision: int) -> Series:
     return Series(coeffs)
 
 
+@lru_cache(maxsize=None)
 def degen_log(precision: int, lam=None) -> Series:
     """Deformed logarithm of 1 + t: the compositional inverse of the
     deformed exponential minus one.  Constant term zero; every coefficient
     is a polynomial in the parameter."""
-    return _degen_log_cached(precision, lam)
-
-
-@lru_cache(maxsize=None)
-def _degen_log_cached(precision: int, lam) -> Series:
     coeffs = [const(0, lam)]
     if precision >= 1:
         s = lam_elem(lam)

@@ -110,12 +110,6 @@ class LambdaPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        out = P_ONE
-        for _ in range(k):
-            out = out * self
-        return out
-
     def evaluate(self, point: Fraction) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -468,14 +462,6 @@ class FieldElem:
 
 def const(value, lam=None) -> FieldElem:
     return FieldElem.from_rational(value, lam)
-
-
-def zero(lam=None) -> FieldElem:
-    return FieldElem.from_rational(0, lam)
-
-
-def one(lam=None) -> FieldElem:
-    return FieldElem.from_rational(1, lam)
 
 
 def lam_elem(lam=None) -> FieldElem:

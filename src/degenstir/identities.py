@@ -21,9 +21,9 @@ from fractions import Fraction
 
 from .bernoulli import degen_bernoulli, trunc_degen_bernoulli
 from .combinat import compositions
-from .core import gen_falling, lam_elem, one_falling
+from .core import falling_factorial, gen_falling, lam_elem, one_falling
 from .errors import DomainViolation
-from .field import FieldElem, const, one
+from .field import FieldElem, as_elem, const
 from .stirling import stirling1_degen, stirling2_degen, stirling2r_gf
 
 AS_DERIVED = "as-derived"
@@ -60,19 +60,11 @@ def _recip_step_product(k: int, lam):
     product of 1 with the reciprocal parameter as step, all over k+1.
 
     Clearing denominators term by term shows this equals
-    (s-1)(s-2)...(s-k)/(k+1), which is the form used when the parameter is
-    pinned to zero and the reciprocal step does not exist.
+    (s-1)(s-2)...(s-k)/(k+1), which is the form computed: it is a
+    polynomial, and it stays defined when the parameter is pinned to zero
+    and the reciprocal step does not exist.
     """
-    if lam is None or lam != 0:
-        s = lam_elem(lam)
-        recip = one(lam) / s
-        val = s ** k * gen_falling(1, k + 1, step=recip, lam=lam)
-    else:
-        val = const(1, lam)
-        s = lam_elem(lam)
-        for i in range(1, k + 1):
-            val = val * (s - i)
-    return val / (k + 1)
+    return falling_factorial(lam_elem(lam) - 1, k) / (k + 1)
 
 
 def verify_thm3(n: int, k: int, r: int, lam=None) -> IdentityReport:
@@ -246,8 +238,7 @@ def verify_expansion(n: int, r: int, x, lam=None) -> IdentityReport:
         coef = Fraction(math.comb(n, j) * math.factorial(j), math.factorial(j + r))
         rhs = rhs + coef * one_falling(j + r, lam) * \
             trunc_degen_bernoulli(n - j, r, 1, x, N=n - j, lam=lam)
-    return _report("expansion", {"n": n, "r": r, "x": str(const(x, lam) if not isinstance(x, FieldElem) else x)},
-                   lhs, rhs)
+    return _report("expansion", {"n": n, "r": r, "x": str(as_elem(x, lam))}, lhs, rhs)
 
 
 def verify_beta_closed(n: int, r: int, x, lam=None):
@@ -257,7 +248,7 @@ def verify_beta_closed(n: int, r: int, x, lam=None):
     version is the asserted variant, the display is reported as printed."""
     if n not in (0, 1, 2):
         raise DomainViolation("closed forms exist for n in {0, 1, 2}")
-    x_e = const(x, lam) if not isinstance(x, FieldElem) else x
+    x_e = as_elem(x, lam)
     lhs = trunc_degen_bernoulli(n, r, 1, x_e, N=n, lam=lam)
     lead = const(math.factorial(r), lam) / one_falling(r, lam)
     params = {"n": n, "r": r, "x": str(x_e)}

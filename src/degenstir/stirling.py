@@ -4,8 +4,8 @@ The second-kind numbers are n! times the t^n coefficients of the k-th power
 of the deformed exponential minus one, over k!; the first-kind numbers use
 the deformed logarithm instead.  The truncated variants remove the first r
 coefficients of the base series before powering, which pushes the valuation
-of the k-th power up to k*r.  The plain kinds are the r = 1 case and are
-computed as such.
+of the k-th power up to k*r.  Both kinds share one block-and-power core,
+and the plain kinds are its r = 1 case.
 
 For the truncated second kind three independent routes are implemented:
 
@@ -36,33 +36,32 @@ def _pad(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _exp_block(r: int, precision: int, lam) -> Series:
-    """Deformed exponential with every coefficient below t^r removed."""
-    e = degen_exp(1, precision, lam)
+def _block(kind: int, r: int, precision: int, lam) -> Series:
+    """The kind's base series (the deformed exponential for the second kind,
+    the deformed logarithm of 1 + t for the first) with every coefficient
+    below t^r removed.  For r >= 1 this drops the exponential's constant 1;
+    the logarithm's constant term is 0 already."""
+    base = degen_exp(1, precision, lam) if kind == 2 else degen_log(precision, lam)
     z = const(0, lam)
-    return Series(tuple(z if k < r else e.coeffs[k] for k in range(precision + 1)))
+    return Series(tuple(z if i < r else base.coeffs[i] for i in range(precision + 1)))
 
 
 @lru_cache(maxsize=None)
-def _exp_block_pow(k: int, r: int, precision: int, lam) -> Series:
-    return _exp_block(r, precision, lam) ** k
-
-
-@lru_cache(maxsize=None)
-def _log_block(r: int, precision: int, lam) -> Series:
-    g = degen_log(precision, lam)
-    z = const(0, lam)
-    return Series(tuple(z if 0 < k < r else g.coeffs[k] for k in range(precision + 1)))
-
-
-@lru_cache(maxsize=None)
-def _log_block_pow(k: int, r: int, precision: int, lam) -> Series:
-    return _log_block(r, precision, lam) ** k
+def _block_pow(kind: int, k: int, r: int, precision: int, lam) -> Series:
+    return _block(kind, r, precision, lam) ** k
 
 
 def _check_precision(n: int, N: int):
     if n > N:
         raise PrecisionExceeded("index %d exceeds requested precision %d" % (n, N))
+
+
+def _entry(kind: int, n: int, k: int, r: int, N, lam) -> FieldElem:
+    # n! [t^n] block^k / k!
+    N = n if N is None else N
+    _check_precision(n, N)
+    ser = _block_pow(kind, k, r, _pad(N), lam)
+    return ser.coeff(n) * Fraction(math.factorial(n), math.factorial(k))
 
 
 def stirling2_degen(n: int, k: int, N=None, lam=None) -> FieldElem:
@@ -77,18 +76,12 @@ def stirling1_degen(n: int, k: int, N=None, lam=None) -> FieldElem:
 
 def stirling2r_gf(n: int, k: int, r: int, N=None, lam=None) -> FieldElem:
     """Truncated second kind via the defining series (the power route)."""
-    N = n if N is None else N
-    _check_precision(n, N)
-    ser = _exp_block_pow(k, r, _pad(N), lam)
-    return ser.coeff(n) * Fraction(math.factorial(n), math.factorial(k))
+    return _entry(2, n, k, r, N, lam)
 
 
 def stirling1r_gf(n: int, k: int, r: int, N=None, lam=None) -> FieldElem:
     """Truncated first kind via the defining series."""
-    N = n if N is None else N
-    _check_precision(n, N)
-    ser = _log_block_pow(k, r, _pad(N), lam)
-    return ser.coeff(n) * Fraction(math.factorial(n), math.factorial(k))
+    return _entry(1, n, k, r, N, lam)
 
 
 def stirling2r_composition(n: int, k: int, r: int, lam=None) -> FieldElem:

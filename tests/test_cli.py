@@ -154,3 +154,26 @@ def test_precision_override_warns_when_low(capsys):
                            "--precision", "2")
     assert code == 2
     assert "below the derived safe bound" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "eval bell --n 3 --k 2 --precision 1",
+    "table bell --n-max 3 --precision 1",
+    "eval klambda --n 3 --precision 9",
+    "table klambda --n-max 3 --precision 9",
+])
+def test_precision_is_refused_for_families_without_a_working_precision(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: --precision does not apply" in err
+    assert "Traceback" not in err
+
+
+def test_order_table_warns_once_with_its_n_max_bound(capsys):
+    code, out, err = run_cli(capsys, "table", "trunc-bernoulli", "--n-max", "12",
+                             "--r", "2", "--alpha", "2", "--precision", "5")
+    assert code == 2 and out == ""
+    assert err == ("warning: --precision 5 is below the derived safe bound 12\n"
+                   "error: index 6 exceeds requested precision 5\n")

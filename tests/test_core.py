@@ -10,7 +10,6 @@ from degenstir import (
     falling_factorial,
     gen_falling,
     lam_elem,
-    one,
     one_falling,
 )
 
@@ -28,7 +27,7 @@ def test_gen_falling_examples():
     assert gen_falling(1, 3) == (1 - LAM) * (1 - 2 * LAM)
     for k in range(6):
         # clearing denominators of the reciprocal-step product leaves a polynomial
-        recip = one() / LAM
+        recip = const(1) / LAM
         cleared = LAM ** k * gen_falling(1, k + 1, step=recip)
         expect = const(1)
         for i in range(1, k + 1):
@@ -76,7 +75,7 @@ def test_degen_log_definitional_route_and_polynomiality():
     # coefficient n also equals s^(n-1) (1)_{n,1/s} / n!; both the equality
     # and the canonical denominator 1 must hold for n up to 32
     lg = degen_log(32)
-    recip = one() / LAM
+    recip = const(1) / LAM
     for n in range(1, 33):
         definitional = LAM ** (n - 1) * gen_falling(1, n, step=recip) / math.factorial(n)
         c = lg.coeff(n)
