@@ -1,0 +1,6 @@
+"""``python -m degenstir``: the command-line front end."""
+
+from .cli import run_main
+
+if __name__ == "__main__":
+    run_main()

@@ -3,10 +3,12 @@ polynomials, and the reciprocal-series polynomials.
 
 The order-alpha Bernoulli generating function is (t/(e(t)-1))^alpha times
 the deformed exponential of x.  The truncated variant replaces e(t)-1 by
-the Stirling module's cached block (the exponential without its first r
-coefficients) and t by t^r, per power of the order.  Division eats r orders
-of precision per power, so the internal build precision carries an alpha*r
-allowance.  The plain values are the r = 1 case and are computed as such.
+the Stirling module's block (the exponential without its first r
+coefficients) and t by t^r, per power of the order.  The quotient
+t^r / block is built once, r orders above the requested precision because
+the division eats r orders, and its powers are cached as a ladder at the
+requested precision: power alpha is power alpha-1 times the quotient.  The
+plain values are the r = 1 case and are computed as such.
 
 Partial Bell polynomials are computed twice on purpose, from the defining
 series and by direct enumeration of the partition multiplicity vectors; the
@@ -27,15 +29,27 @@ from .core import degen_exp, one_falling
 from .errors import InputTooShort, RouteDisagreement
 from .field import FieldElem, as_elem, const
 from .series import Series
-from .stirling import _block_pow, _check_precision, _pad
+from .stirling import _block, _check_precision, _climb, _pad
+
+
+@lru_cache(maxsize=None)
+def _bern_rungs(r: int, precision: int, lam) -> list:
+    # the powers of t^r / block computed so far; _climb extends the list
+    return [Series.one(precision, lam)]
+
+
+def _bern_quot(r: int, alpha: int, precision: int, lam) -> Series:
+    """(t^r / block)^alpha at ``precision``, from its cached ladder.  Rung 1
+    is built at precision + r, and dividing by the block, whose valuation
+    is r, brings it down to ``precision``."""
+    p = precision + r
+    return _climb(_bern_rungs(r, precision, lam), alpha,
+                  lambda: Series.t_power(r, p, lam).div(_block(2, r, p, lam)))
 
 
 @lru_cache(maxsize=None)
 def _trunc_bern_series(r: int, alpha: int, x: FieldElem, precision: int, lam) -> Series:
-    p = precision + alpha * r
-    numer = Series.t_power(alpha * r, p, lam)
-    denom = _block_pow(2, alpha, r, p, lam)
-    q = numer.div(denom)
+    q = _bern_quot(r, alpha, precision, lam)
     if not x.is_zero:
         q = q.mul(degen_exp(x, precision, lam))
     return q

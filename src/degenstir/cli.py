@@ -93,6 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="sweep bound for the order")
     ver.add_argument("--lambda", dest="lam", type=_lambda_mode, default=None,
                      metavar="p/q|symbolic")
+    # _validate reports through the subcommand's own parser, so its errors
+    # carry that subcommand's usage line like argparse's own errors do
+    for p in (table, ev, ver):
+        p.set_defaults(subparser=p)
     return parser
 
 
@@ -110,13 +114,13 @@ _LEAST = (
 )
 
 
-def _validate(args, parser):
+def _validate(args):
     for attr, least, message in _LEAST:
         value = getattr(args, attr, None)
         if value is not None and value < least:
-            parser.error(message)
+            args.subparser.error(message)
     if getattr(args, "precision", None) is not None and not FAMILIES[args.family][2]:
-        parser.error("--precision does not apply to %s" % args.family)
+        args.subparser.error("--precision does not apply to %s" % args.family)
 
 
 def _pick_precision(args, derived: int) -> int:
@@ -228,7 +232,7 @@ def _join_negative_values(argv):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
-    _validate(args, parser)
+    _validate(args)
     try:
         if args.command == "table":
             return _run_table(args)

@@ -5,7 +5,9 @@ of the deformed exponential minus one, over k!; the first-kind numbers use
 the deformed logarithm instead.  The truncated variants remove the first r
 coefficients of the base series before powering, which pushes the valuation
 of the k-th power up to k*r.  Both kinds share one block-and-power core,
-and the plain kinds are its r = 1 case.
+and the plain kinds are its r = 1 case.  A table needs every power
+k = 0..n of one block, so the powers are cached as a ladder: power k is
+power k-1 times the block, one series product per new power.
 
 For the truncated second kind three independent routes are implemented:
 
@@ -35,7 +37,6 @@ def _pad(n: int) -> int:
     return n + (-n) % 8
 
 
-@lru_cache(maxsize=None)
 def _block(kind: int, r: int, precision: int, lam) -> Series:
     """The kind's base series (the deformed exponential for the second kind,
     the deformed logarithm of 1 + t for the first) with every coefficient
@@ -46,9 +47,33 @@ def _block(kind: int, r: int, precision: int, lam) -> Series:
     return Series(tuple(z if i < r else base.coeffs[i] for i in range(precision + 1)))
 
 
+def _climb(rungs: list, k: int, first) -> Series:
+    """Rung k of a ladder of powers held in ``rungs``, a list that starts at
+    the unit series (rung 0) and grows in place.  Rung 1 is ``first()``;
+    every higher rung is the rung below it times rung 1.  Missing rungs are
+    filled in a loop from the highest rung held, never by one call per rung,
+    so a deep power does not exhaust the stack.  A zero rung stands for
+    every rung above it, which are zero as well, so the list never grows
+    past the first zero however deep the power asked for."""
+    if k >= 1 and len(rungs) == 1:
+        rungs.append(first())
+    while len(rungs) <= k:
+        if rungs[-1].valuation() is None:
+            return rungs[-1]
+        rungs.append(rungs[-1].mul(rungs[1]))
+    return rungs[k]
+
+
 @lru_cache(maxsize=None)
+def _block_rungs(kind: int, r: int, precision: int, lam) -> list:
+    # the powers of one block computed so far; _climb extends the list
+    return [Series.one(precision, lam)]
+
+
 def _block_pow(kind: int, k: int, r: int, precision: int, lam) -> Series:
-    return _block(kind, r, precision, lam) ** k
+    """The k-th power of the block, from its cached ladder of powers."""
+    return _climb(_block_rungs(kind, r, precision, lam), k,
+                  lambda: _block(kind, r, precision, lam))
 
 
 def _check_precision(n: int, N: int):

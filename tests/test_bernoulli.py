@@ -8,11 +8,14 @@ import pytest
 
 from degenstir import (
     InputTooShort,
+    Series,
+    as_elem,
     bell_partial,
     bell_partial_enum,
     bell_partial_gf,
     const,
     degen_bernoulli,
+    degen_exp,
     k_lambda,
     k_lambda_bell,
     k_lambda_series,
@@ -21,6 +24,8 @@ from degenstir import (
     stirling2_degen,
     trunc_degen_bernoulli,
 )
+from degenstir.bernoulli import _bern_rungs, _trunc_bern_series
+from degenstir.stirling import _block
 from oracles import bernoulli_numbers
 
 LAM = lam_elem()
@@ -62,6 +67,27 @@ def test_truncation_depth_one_reduces_to_plain():
     for x in (1, F(1, 2)):
         for n in range(5):
             assert trunc_degen_bernoulli(n, 1, 1, x) == degen_bernoulli(n, 1, x)
+
+
+def _one_division_series(r, alpha, x, precision, lam):
+    # t^(alpha r) / block^alpha built at precision + alpha r, where the
+    # division leaves the requested precision
+    p = precision + alpha * r
+    q = Series.t_power(alpha * r, p, lam).div(_block(2, r, p, lam).pow(alpha))
+    if not x.is_zero:
+        q = q.mul(degen_exp(x, precision, lam))
+    return q
+
+
+@pytest.mark.parametrize("lam", [None, F(-5, 3)])
+def test_quotient_ladder_equals_the_one_division_form(lam):
+    _bern_rungs.cache_clear()
+    _trunc_bern_series.cache_clear()
+    for r in (1, 2, 3):
+        for alpha in (3, 1, 2):
+            for x in (as_elem(0, lam), as_elem(F(1, 2), lam)):
+                assert _trunc_bern_series(r, alpha, x, 6, lam) == \
+                    _one_division_series(r, alpha, x, 6, lam), (r, alpha, str(x))
 
 
 def _closed_beta2_derived(r, x):

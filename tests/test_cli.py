@@ -1,6 +1,9 @@
 """Command-line behaviour: formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -119,6 +122,32 @@ def test_usage_errors_exit_two(capsys):
         assert exc.value.code == 2, argv
         out, err = capsys.readouterr()
         assert out == "" and "error:" in err and "Traceback" not in err, argv
+
+
+@pytest.mark.parametrize("argv,command", [
+    ("eval stirling2 --n 3 --r 0", "eval"),
+    ("table bell --n-max 3 --precision 1", "table"),
+])
+def test_checks_after_parsing_report_with_the_subcommand_usage(capsys, argv, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: degenstir %s " % command)
+    assert "\ndegenstir %s: error: " % command in err
+
+
+def test_module_entry_point_reaches_a_deep_power():
+    # python -m degenstir, with the source tree on the path and no install;
+    # power 1500 sits far up the block ladder, which must not recurse per rung
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "degenstir", "eval", "stirling2", "--n", "8", "--k", "1500",
+         "--lambda", "1/3", "--precision", "8"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 @pytest.mark.parametrize("command,flag,value", [

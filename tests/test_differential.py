@@ -10,6 +10,8 @@ from argparse import Namespace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenstir import cli
 
@@ -52,6 +54,34 @@ def test_pinned_equals_instantiated_symbolic(family):
     for args, n, k in CASES[family]:
         symbolic = value(Namespace(**vars(args), lam=None), n, k, None)
         for lam0 in PINNED:
+            pinned = value(Namespace(**vars(args), lam=lam0), n, k, None)
+            assert pinned.lam == lam0
+            assert symbolic.instantiate(lam0) == pinned.instantiate(lam0), \
+                (family, vars(args), n, k, lam0)
+
+
+# lambda0 = +-p/q with 2 <= p, q <= 9.  Reduced forms with numerator 1, such
+# as 2/4 = 1/2 or 3/3 = 1, are the poles 1/i and are filtered out.
+_RANDOM_LAMBDA = st.builds(
+    lambda sign, p, q: sign * F(p, q),
+    st.sampled_from((1, -1)), st.integers(2, 9), st.integers(2, 9),
+).filter(lambda lam0: abs(lam0.numerator) >= 2)
+
+RANDOM_CASES = {
+    "stirling2r": _grid("stirling2r", 6, (1, 2, 3)),
+    "stirling1r": _grid("stirling1r", 6, (1, 2, 3)),
+    "trunc-bernoulli": _grid("trunc-bernoulli", 6, (1, 2, 3), (1, 2, 3), (F(0), F(1, 2)),
+                             False),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam0=_RANDOM_LAMBDA)
+def test_pinned_equals_instantiated_symbolic_at_random_lambda(lam0):
+    for family, cases in RANDOM_CASES.items():
+        value = cli.FAMILIES[family][0]
+        for args, n, k in cases:
+            symbolic = value(Namespace(**vars(args), lam=None), n, k, None)
             pinned = value(Namespace(**vars(args), lam=lam0), n, k, None)
             assert pinned.lam == lam0
             assert symbolic.instantiate(lam0) == pinned.instantiate(lam0), \

@@ -6,6 +6,7 @@ import pytest
 
 from degenstir import (
     PrecisionExceeded,
+    Series,
     build_triangle,
     const,
     falling_factorial,
@@ -18,6 +19,8 @@ from degenstir import (
     stirling2r_composition,
     stirling2r_gf,
 )
+from degenstir import stirling
+from degenstir.stirling import _block, _block_pow
 from oracles import classic_stirling1, classic_stirling2
 
 LAM = lam_elem()
@@ -152,3 +155,38 @@ def test_diagonal_is_one_for_plain_kinds():
     entries = {(n, m): v for n, m, v in build_triangle("stirling2", 6)}
     for n in range(7):
         assert entries[(n, n)] == 1
+
+
+@pytest.mark.parametrize("lam", [None, F(-5, 3)])
+def test_block_power_ladder_equals_the_repeated_product(lam):
+    stirling._block_rungs.cache_clear()
+    for kind in (1, 2):
+        for r in (1, 2, 3):
+            # the highest power first, then lower ones and the unit
+            for k in (6, 2, 0, 5, 1, 3, 4):
+                assert _block_pow(kind, k, r, 8, lam) == _block(kind, r, 8, lam).pow(k), \
+                    (kind, r, k)
+
+
+def test_ladder_stops_growing_at_its_first_zero_rung():
+    # at precision 8 every power of the r = 1 block above the 8th is zero
+    lam = F(1, 3)
+    stirling._block_rungs.cache_clear()
+    assert _block_pow(2, 5000, 1, 8, lam) == Series.zero(8, lam)
+    assert len(stirling._block_rungs(2, 1, 8, lam)) == 10
+
+
+def test_triangle_builds_each_block_power_with_one_product(monkeypatch):
+    # repeated products from scratch would take 0 + 1 + ... + 16 = 136
+    n_max = 16
+    stirling._block_rungs.cache_clear()
+    mul = Series.mul
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Series, "mul", counted)
+    build_triangle("stirling2", n_max)
+    assert len(calls) <= n_max + 1
