@@ -29,7 +29,7 @@ from .core import degen_exp, one_falling
 from .errors import InputTooShort, RouteDisagreement
 from .field import FieldElem, as_elem, const
 from .series import Series
-from .stirling import _block, _check_precision, _climb, _pad
+from .stirling import _block, _climb, _working_precision
 
 
 @lru_cache(maxsize=None)
@@ -57,10 +57,8 @@ def _trunc_bern_series(r: int, alpha: int, x: FieldElem, precision: int, lam) ->
 
 def trunc_degen_bernoulli(n: int, r: int, alpha: int, x=0, N=None, lam=None) -> FieldElem:
     """Truncated order-alpha value; r = 1 gives ``degen_bernoulli``."""
-    N = n if N is None else N
-    _check_precision(n, N)
     x = as_elem(x, lam)
-    ser = _trunc_bern_series(r, alpha, x, _pad(N), x.lam)
+    ser = _trunc_bern_series(r, alpha, x, _working_precision(n, N), x.lam)
     return ser.coeff(n) * math.factorial(n)
 
 

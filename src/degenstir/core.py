@@ -1,20 +1,32 @@
 """Primitive sequences and generating functions of the deformed calculus.
 
-The deformed exponential is the series whose t^k coefficient is the
-descending product x(x-s)(x-2s)...(x-(k-1)s) over k!, where the step s is
-the deformation parameter; at s = 0 the products collapse to x^k and the
-classical exponential returns.  Its compositional inverse, the deformed
-logarithm of 1 + t, has t^n coefficient (s-1)(s-2)...(s-n+1)/n!, a
-polynomial in the parameter, so it stays meaningful for every pinned
-rational value including zero.
+All are built from one product, the descending factorial with step l (the
+deformation parameter), (x)_{n,l} = x(x-l)...(x-(n-1)l), which one loop,
+``_descending``, multiplies out.  The deformed exponential is
+e_l^x(t) = sum_n (x)_{n,l} t^n/n!, the classical one at l = 0.  Its
+compositional inverse, the deformed logarithm of 1 + t, has t^n coefficient
+l^(n-1) (1)_{n,1/l}/n! = (l-1)(l-2)...(l-n+1)/n!, a polynomial in the
+parameter, so it stays meaningful at every pinned rational value, zero
+included.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .field import FieldElem, as_elem, const, lam_elem
 from .series import Series
+
+
+def _descending(x: FieldElem, n: int, step) -> list:
+    """The descending products x(x-s)...(x-(k-1)s) of every length k = 0..n,
+    where s is ``step``; each is one product on the one before it."""
+    out = [const(1, x.lam)]
+    for _ in range(n):
+        out.append(out[-1] * x)
+        x = x - step
+    return out
 
 
 def falling_factorial(x, n: int, lam=None) -> FieldElem:
@@ -29,13 +41,7 @@ def gen_falling(x, n: int, step=None, lam=None) -> FieldElem:
     explicit element (for example its reciprocal) to shift by something else.
     """
     x = as_elem(x, lam)
-    s = lam_elem(x.lam) if step is None else step
-    out = const(1, x.lam)
-    cur = x
-    for _ in range(n):
-        out = out * cur
-        cur = cur - s
-    return out
+    return _descending(x, n, lam_elem(x.lam) if step is None else step)[-1]
 
 
 def one_falling(n: int, lam=None) -> FieldElem:
@@ -46,9 +52,7 @@ def one_falling(n: int, lam=None) -> FieldElem:
 @lru_cache(maxsize=None)
 def int_falling(base: int, n: int, lam=None) -> FieldElem:
     """Descending product for a small integer argument, memoized."""
-    if n == 0:
-        return const(1, lam)
-    return int_falling(base, n - 1, lam) * (const(base, lam) - (n - 1) * lam_elem(lam))
+    return gen_falling(base, n, lam=lam)
 
 
 def degen_exp(x, precision: int, lam=None) -> Series:
@@ -58,28 +62,14 @@ def degen_exp(x, precision: int, lam=None) -> Series:
 
 @lru_cache(maxsize=None)
 def _degen_exp_cached(x: FieldElem, precision: int) -> Series:
-    s = lam_elem(x.lam)
-    coeffs = [const(1, x.lam)]
-    acc = coeffs[0]
-    cur = x
-    for k in range(1, precision + 1):
-        acc = acc * cur / k
-        cur = cur - s
-        coeffs.append(acc)
-    return Series(coeffs)
+    prods = _descending(x, precision, lam_elem(x.lam))
+    return Series(p / math.factorial(k) for k, p in enumerate(prods))
 
 
-@lru_cache(maxsize=None)
 def degen_log(precision: int, lam=None) -> Series:
     """Deformed logarithm of 1 + t: the compositional inverse of the
     deformed exponential minus one.  Constant term zero; every coefficient
     is a polynomial in the parameter."""
-    coeffs = [const(0, lam)]
-    if precision >= 1:
-        s = lam_elem(lam)
-        acc = const(1, lam)
-        coeffs.append(acc)
-        for n in range(2, precision + 1):
-            acc = acc * (s - (n - 1)) / n
-            coeffs.append(acc)
-    return Series(coeffs)
+    prods = _descending(lam_elem(lam) - 1, precision - 1, 1)
+    coeffs = [p / math.factorial(n) for n, p in enumerate(prods, 1)]
+    return Series([const(0, lam)] + coeffs[:precision])

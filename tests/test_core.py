@@ -9,6 +9,7 @@ from degenstir import (
     degen_log,
     falling_factorial,
     gen_falling,
+    int_falling,
     lam_elem,
     one_falling,
 )
@@ -52,6 +53,20 @@ def test_one_falling_matches_product():
         for i in range(n):
             direct = direct * (1 - i * LAM)
         assert one_falling(n) == direct
+
+
+def test_deep_descending_product_returns():
+    # far beyond the recursion limit: the product is one loop, not a call per factor
+    lam0 = F(1, 3)
+    deep = gen_falling(1, 3000, lam=lam0)
+    assert int_falling(1, 3000, lam0) == deep
+    assert one_falling(3000, lam0) == deep
+    assert deep == 0  # the factor 1 - 3/3 vanishes
+    lam0 = F(2, 7)  # no factor 1 - i*2/7 vanishes
+    direct = F(1)
+    for i in range(3000):
+        direct *= 1 - i * lam0
+    assert int_falling(1, 3000, lam0) == direct != 0
 
 
 def test_degen_exp_coefficients():

@@ -1,5 +1,8 @@
 """Stirling triangles: both kinds, truncation, and the three-route check."""
 
+import os
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -190,3 +193,31 @@ def test_triangle_builds_each_block_power_with_one_product(monkeypatch):
     monkeypatch.setattr(Series, "mul", counted)
     build_triangle("stirling2", n_max)
     assert len(calls) <= n_max + 1
+
+
+def test_threads_climbing_one_cold_ladder_agree_with_one_thread():
+    # without a guard on growth two threads append the same rung
+    expect = [stirling2r_gf(16, k, 1, N=16) for k in range(17)]
+    workers = (os.cpu_count() or 1) + 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            stirling._block_rungs.cache_clear()
+            barrier = threading.Barrier(workers)
+            results = [None] * workers
+
+            def climb(i):
+                barrier.wait(timeout=60)
+                results[i] = [stirling2r_gf(16, k, 1, N=16) for k in range(17)]
+
+            threads = [threading.Thread(target=climb, args=(i,)) for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [expect] * workers
+            assert len(stirling._block_rungs(2, 1, 16, None)) == 17
+    finally:
+        sys.setswitchinterval(interval)
