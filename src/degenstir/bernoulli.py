@@ -11,7 +11,8 @@ requested precision: power alpha is power alpha-1 times the quotient.  The
 plain values are the r = 1 case and are computed as such.
 
 Partial Bell polynomials are computed twice on purpose, from the defining
-series and by direct enumeration of the partition multiplicity vectors; the
+series (whose powers are a ladder too, kept for the last few series) and by
+direct enumeration of the partition multiplicity vectors; the
 reciprocal-series polynomials likewise come from an alternating Bell sum
 and from a plain series reciprocal.  The pairs must agree and the public
 entry points check that they do.
@@ -101,8 +102,17 @@ def bell_partial_enum(n: int, k: int, xs, lam=None) -> FieldElem:
     return total
 
 
+# A table row n asks for every power k <= n of one series, so its powers are
+# a ladder; the next row's series is longer, so only the last few are kept.
+@lru_cache(maxsize=4)
+def _bell_rungs(coeffs: tuple) -> list:
+    # the powers of the series with these coefficients; _climb extends the list
+    return [Series.one(len(coeffs) - 1, coeffs[0].lam)]
+
+
 def bell_partial_gf(n: int, k: int, xs, lam=None) -> FieldElem:
-    """Partial Bell polynomial from the defining series power."""
+    """Partial Bell polynomial from the defining series power, read off a
+    ladder of the powers of that series."""
     xs, mode = _prepare_xs(xs, lam)
     if 1 <= k <= n:
         _require_xs(xs, n - k + 1)
@@ -115,7 +125,8 @@ def bell_partial_gf(n: int, k: int, xs, lam=None) -> FieldElem:
             coeffs.append(xs[l - 1] / math.factorial(l))
         else:
             coeffs.append(z)
-    ser = Series(coeffs) ** k
+    coeffs = tuple(coeffs)
+    ser = _climb(_bell_rungs(coeffs), k, lambda: Series(coeffs))
     return ser.coeff(n) * Fraction(math.factorial(n), math.factorial(k))
 
 

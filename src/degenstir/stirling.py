@@ -4,14 +4,20 @@ The second-kind numbers are n! times the t^n coefficients of the k-th power
 of the deformed exponential minus one, over k!; the first-kind numbers use
 the deformed logarithm instead.  The truncated variants remove the first r
 coefficients of the base series before powering, which pushes the valuation
-of the k-th power up to k*r.  Both kinds share one block-and-power core,
-and the plain kinds are its r = 1 case.  A table needs every power
-k = 0..n of one block, so the powers are cached as a ladder: power k is
-power k-1 times the block, one series product per new power.
+of the k-th power up to k*r.  The plain kinds are the r = 1 case.
+
+Every entry is read from one cached triangle per (kind, r, parameter),
+filled by the triangle recurrence in n (see ``_Triangle``), column by
+column: entry (n, k) grows only the columns 0..k, and only down to row n.
+The defining series stays as the independent route: the block (the base
+series without its orders below t^r) and a cached ladder of its powers,
+each power one product on the power below it.  The tests check the
+triangle against that ladder, and the truncated Bernoulli values build
+their quotient t^r / block on the same block.
 
 For the truncated second kind three independent routes are implemented:
 
-* ``stirling2r_gf``           coefficient extraction from the power series,
+* ``stirling2r_gf``           the recurrence-filled triangle,
 * ``stirling2r_composition``  brute-force sum over compositions with parts >= r,
 * ``stirling2r_binomial``     an alternating binomial multiple sum.
 
@@ -27,16 +33,18 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import compositions
-from .core import degen_exp, degen_log, int_falling, one_falling
+from .core import degen_exp, degen_log, falling_factorial, int_falling, one_falling
 from .errors import PrecisionExceeded
-from .field import FieldElem, const
+from .field import FieldElem, const, lam_elem
 from .series import Series
 
 
 def _working_precision(n: int, N) -> int:
     """Series precision for coefficient n of a request for N orders (None:
     n), rounded up to a multiple of 8 so that nearby requests share one
-    cached ladder (without it the pinned-sweep benchmark ran ~17% slower)."""
+    cached truncated-Bernoulli ladder (without it the pinned-sweep
+    benchmark ran ~9% slower).  A Stirling entry, read off its triangle,
+    only has its index checked here."""
     N = n if N is None else N
     if n > N:
         raise PrecisionExceeded("index %d exceeds requested precision %d" % (n, N))
@@ -84,15 +92,77 @@ def _block_rungs(kind: int, r: int, precision: int, lam) -> list:
 
 
 def _block_pow(kind: int, k: int, r: int, precision: int, lam) -> Series:
-    """The k-th power of the block, from its cached ladder of powers."""
+    """The k-th power of the block, from its cached ladder of powers: the
+    defining-series route that the triangle is checked against."""
     return _climb(_block_rungs(kind, r, precision, lam), k,
                   lambda: _block(kind, r, precision, lam))
 
 
+class _Triangle:
+    """The truncated Stirling numbers S(m, j) of one kind, r and parameter,
+    filled by the triangle recurrence in n
+
+        S(m+1, j) = (j*a - m*b) S(m, j) + C(m, r-1) c S(m-r+1, j-1),
+
+    where a, b, c are 1, l, (1)_{r,l} for the second kind and l, 1,
+    (l-1)(l-2)...(l-r+1) for the first.  Column j lists S(0..m, j) and
+    grows downward; ``fill`` grows only the columns an entry needs."""
+
+    __slots__ = ("r", "zero", "a", "b", "c", "cols", "factors", "coefs")
+
+    def __init__(self, kind: int, r: int, lam):
+        lam_e, one = lam_elem(lam), const(1, lam)
+        if kind == 2:
+            self.a, self.b, self.c = one, lam_e, one_falling(r, lam)
+        else:
+            self.a, self.b, self.c = lam_e, one, falling_factorial(lam_e - 1, r - 1)
+        self.r = r
+        self.zero = const(0, lam)
+        self.cols = []     # column j: S(0..m, j)
+        self.factors = []  # column j: j*a - m*b, the factor of its next row
+        self.coefs = []    # row m: C(m, r-1) c; unused at r = 1, where it is 1
+
+    def fill(self, n: int, k: int):
+        """Grow the columns 0..k down to row n; the caller holds ``_growing``."""
+        r, cols, zero = self.r, self.cols, self.zero
+        while r > 1 and len(self.coefs) < n:
+            self.coefs.append(self.c * math.comb(len(self.coefs), r - 1))
+        for j in range(k + 1):
+            if j == len(cols):
+                # S(0, 0) = 1, and rows 0..j*r-1 of column j >= 1 are 0
+                cols.append([const(1, zero.lam)] if j == 0 else [zero] * (j * r))
+                self.factors.append(self.a * j - self.b * (len(cols[j]) - 1))
+            col, f = cols[j], self.factors[j]
+            while len(col) <= n:
+                m = len(col) - 1
+                v = zero if col[m].is_zero else f * col[m]
+                left = cols[j - 1][m - r + 1] if j else zero
+                if not left.is_zero:
+                    v = v + (left if r == 1 else self.coefs[m] * left)
+                col.append(v)
+                f = f - self.b
+            self.factors[j] = f
+
+
+@lru_cache(maxsize=None)
+def _triangle(kind: int, r: int, lam) -> _Triangle:
+    return _Triangle(kind, r, lam)
+
+
 def _entry(kind: int, n: int, k: int, r: int, N, lam) -> FieldElem:
-    # n! [t^n] block^k / k!
-    ser = _block_pow(kind, k, r, _working_precision(n, N), lam)
-    return ser.coeff(n) * Fraction(math.factorial(n), math.factorial(k))
+    # n! [t^n] block^k / k!, read off the triangle; N is only checked
+    _working_precision(n, N)
+    if n < 0 or k < 0 or r < 1:
+        raise ValueError("Stirling entries need n, k >= 0 and r >= 1, got "
+                         "n=%d, k=%d, r=%d" % (n, k, r))
+    if k * r > n:
+        return const(0, lam)
+    tri = _triangle(kind, r, lam)
+    cols = tri.cols
+    if k >= len(cols) or n >= len(cols[k]):
+        with _growing:
+            tri.fill(n, k)
+    return cols[k][n]
 
 
 def stirling2_degen(n: int, k: int, N=None, lam=None) -> FieldElem:
@@ -106,12 +176,12 @@ def stirling1_degen(n: int, k: int, N=None, lam=None) -> FieldElem:
 
 
 def stirling2r_gf(n: int, k: int, r: int, N=None, lam=None) -> FieldElem:
-    """Truncated second kind via the defining series (the power route)."""
+    """Truncated second kind, n! [t^n] block^k / k!, from its triangle."""
     return _entry(2, n, k, r, N, lam)
 
 
 def stirling1r_gf(n: int, k: int, r: int, N=None, lam=None) -> FieldElem:
-    """Truncated first kind via the defining series."""
+    """Truncated first kind, n! [t^n] block^k / k!, from its triangle."""
     return _entry(1, n, k, r, N, lam)
 
 

@@ -24,6 +24,7 @@ from degenstir import (
     stirling2_degen,
     trunc_degen_bernoulli,
 )
+from degenstir import bernoulli
 from degenstir.bernoulli import _bern_rungs, _trunc_bern_series
 from degenstir.stirling import _block
 from oracles import bernoulli_numbers
@@ -134,6 +135,30 @@ def test_bell_routes_agree_on_symbolic_inputs():
     for n in range(11):
         for k in range(n + 1):
             assert bell_partial_enum(n, k, xs) == bell_partial_gf(n, k, xs)
+
+
+def test_bell_row_climbs_one_ladder(monkeypatch):
+    xs = [LAM + l for l in range(1, 11)]
+    mul = Series.mul
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Series, "mul", counted)
+    bernoulli._bell_rungs.cache_clear()
+    for n in range(11):
+        before = len(calls)
+        row = [bell_partial_gf(n, k, xs) for k in range(n + 1)]
+        # from scratch the row would take 0 + 1 + ... + n products
+        assert len(calls) - before <= n
+        ser = Series([const(0)] + [xs[l - 1] / math.factorial(l) for l in range(1, n + 1)])
+        for k, value in enumerate(row):
+            assert value == ser.pow(k).coeff(n) * F(math.factorial(n), math.factorial(k))
+    # one ladder per row, and only the last few rows are kept
+    info = bernoulli._bell_rungs.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize < 11
 
 
 def test_bell_input_too_short():

@@ -1,5 +1,6 @@
 """Stirling triangles: both kinds, truncation, and the three-route check."""
 
+import math
 import os
 import sys
 import threading
@@ -8,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from degenstir import (
+    FieldElem,
     PrecisionExceeded,
     Series,
     build_triangle,
@@ -15,6 +17,7 @@ from degenstir import (
     falling_factorial,
     gen_falling,
     lam_elem,
+    one_falling,
     stirling1_degen,
     stirling1r_gf,
     stirling2_degen,
@@ -195,29 +198,105 @@ def test_triangle_builds_each_block_power_with_one_product(monkeypatch):
     assert len(calls) <= n_max + 1
 
 
-def test_threads_climbing_one_cold_ladder_agree_with_one_thread():
-    # without a guard on growth two threads append the same rung
-    expect = [stirling2r_gf(16, k, 1, N=16) for k in range(17)]
+@pytest.mark.parametrize("lam", [None, F(-5, 3), F(0), F(7, 2)])
+def test_recurrence_triangle_equals_the_block_power_ladder(lam):
+    stirling._triangle.cache_clear()
+    # the highest (n, k) first, then the rest in a scrambled order
+    cells = [(n, k) for n in range(15) for k in range(15)]
+    cells = cells[::-1][:1] + cells[::7] + cells[3::7] + cells[5::7] + cells
+    for kind, entry in ((1, stirling1r_gf), (2, stirling2r_gf)):
+        for r in (1, 2, 3, 4):
+            for n, k in cells:
+                ladder = _block_pow(kind, k, r, 16, lam).coeff(n) * \
+                    F(math.factorial(n), math.factorial(k))
+                assert entry(n, k, r, N=16, lam=lam) == ladder, (kind, r, n, k)
+
+
+def test_an_entry_grows_only_the_columns_up_to_its_own():
+    lam = F(2, 7)
+    stirling._triangle.cache_clear()
+    # S(n, 1) is the descending product (1)_{n,l} at r = 1
+    assert stirling2r_gf(3000, 1, 1, N=3000, lam=lam) == one_falling(3000, lam)
+    tri = stirling._triangle(2, 1, lam)
+    assert [len(col) for col in tri.cols] == [3001, 3001]
+    # k*r > n: zero, without a cache lookup or any growth
+    info = stirling._triangle.cache_info()
+    assert stirling2r_gf(8, 1500, 1, N=8, lam=lam) == 0
+    assert stirling2r_gf(5, 3, 2, N=5, lam=lam) == 0
+    assert stirling._triangle.cache_info() == info
+    assert [len(col) for col in tri.cols] == [3001, 3001]
+
+
+def test_entries_refuse_negative_indices_and_r_below_one():
+    for n, k, r in ((-1, 0, 1), (3, -1, 1), (3, 1, 0)):
+        with pytest.raises(ValueError):
+            stirling2r_gf(n, k, r, N=3)
+        with pytest.raises(ValueError):
+            stirling1r_gf(n, k, r, N=3)
+
+
+def test_triangle_makes_about_one_product_per_cell(monkeypatch):
+    # measured: 156 products for the 153 cells; the ladder route makes 866
+    n_max = 16
+    stirling._triangle.cache_clear()
+    mul = FieldElem.__mul__
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElem, "__mul__", counted)
+    monkeypatch.setattr(FieldElem, "__rmul__", counted)
+    assert len(build_triangle("stirling2", n_max)) == 153
+    assert len(calls) <= 156
+
+
+def _threads_agree_with_one_thread(clear, work, check):
+    expect = work()
     workers = (os.cpu_count() or 1) + 1
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(3):
-            stirling._block_rungs.cache_clear()
+            clear()
             barrier = threading.Barrier(workers)
             results = [None] * workers
 
-            def climb(i):
+            def run(i):
                 barrier.wait(timeout=60)
-                results[i] = [stirling2r_gf(16, k, 1, N=16) for k in range(17)]
+                results[i] = work()
 
-            threads = [threading.Thread(target=climb, args=(i,)) for i in range(workers)]
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
             assert results == [expect] * workers
-            assert len(stirling._block_rungs(2, 1, 16, None)) == 17
+            check()
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_threads_filling_one_cold_triangle_agree_with_one_thread():
+    # without a guard on growth two threads append the same row
+    def check():
+        tri = stirling._triangle(2, 1, None)
+        assert [len(col) for col in tri.cols] == [17] * 17
+
+    _threads_agree_with_one_thread(
+        stirling._triangle.cache_clear,
+        lambda: [stirling2r_gf(n, k, 1, N=16) for n in range(17) for k in range(n + 1)],
+        check)
+
+
+def test_threads_climbing_one_cold_ladder_agree_with_one_thread():
+    # without a guard on growth two threads append the same rung
+    def check():
+        assert len(stirling._block_rungs(2, 1, 16, None)) == 17
+
+    _threads_agree_with_one_thread(
+        stirling._block_rungs.cache_clear,
+        lambda: [_block_pow(2, k, 1, 16, None) for k in range(17)],
+        check)
