@@ -3,12 +3,13 @@ polynomials, and the reciprocal-series polynomials.
 
 The order-alpha Bernoulli generating function is (t/(e(t)-1))^alpha times
 the deformed exponential of x.  The truncated variant replaces e(t)-1 by
-the Stirling module's block (the exponential without its first r
-coefficients) and t by t^r, per power of the order.  The quotient
-t^r / block is built once, r orders above the requested precision because
-the division eats r orders, and its powers are cached as a ladder at the
-requested precision: power alpha is power alpha-1 times the quotient.  The
-plain values are the r = 1 case and are computed as such.
+the block (the exponential without its first r coefficients) and t by t^r,
+per power of the order.  The block's alpha-th power is
+alpha! sum_n S_r(n, alpha) t^n / n!, column alpha of the truncated
+second-kind Stirling triangle, so the quotient (t^r / block)^alpha is one
+division of the unit series by that column shifted down by alpha r orders.
+It is cached per order and precision, apart from x.  The plain values are
+the r = 1 case and are computed as such.
 
 Partial Bell polynomials are computed twice on purpose, from the defining
 series (whose powers are a ladder too, kept for the last few series) and by
@@ -30,22 +31,20 @@ from .core import degen_exp, one_falling
 from .errors import InputTooShort, RouteDisagreement
 from .field import FieldElem, as_elem, const
 from .series import Series
-from .stirling import _block, _climb, _working_precision
+from .stirling import _climb, _working_precision, stirling2r_gf
 
 
 @lru_cache(maxsize=None)
-def _bern_rungs(r: int, precision: int, lam) -> list:
-    # the powers of t^r / block computed so far; _climb extends the list
-    return [Series.one(precision, lam)]
-
-
 def _bern_quot(r: int, alpha: int, precision: int, lam) -> Series:
-    """(t^r / block)^alpha at ``precision``, from its cached ladder.  Rung 1
-    is built at precision + r, and dividing by the block, whose valuation
-    is r, brings it down to ``precision``."""
-    p = precision + r
-    return _climb(_bern_rungs(r, precision, lam), alpha,
-                  lambda: Series.t_power(r, p, lam).div(_block(2, r, p, lam)))
+    """(t^r / block)^alpha at ``precision``: the unit series over
+    block^alpha / t^(alpha r), whose t^m coefficient is
+    alpha! S_r(m + alpha r, alpha) / (m + alpha r)!."""
+    scale = math.factorial(alpha)
+    lo = alpha * r
+    denom = Series(stirling2r_gf(lo + m, alpha, r, lam=lam)
+                   * Fraction(scale, math.factorial(lo + m))
+                   for m in range(precision + 1))
+    return Series.one(precision, lam).div(denom)
 
 
 @lru_cache(maxsize=None)

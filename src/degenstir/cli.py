@@ -233,6 +233,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     _validate(args)
+    # an exact value can run past Python's cap on int-to-str digits (4300 by
+    # default; no cap before 3.10.7), so lift it and give the caller theirs back
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         if args.command == "table":
             return _run_table(args)
@@ -242,6 +247,9 @@ def main(argv=None) -> int:
     except DegenstirError as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def run_main():

@@ -8,12 +8,13 @@ of the k-th power up to k*r.  The plain kinds are the r = 1 case.
 
 Every entry is read from one cached triangle per (kind, r, parameter),
 filled by the triangle recurrence in n (see ``_Triangle``), column by
-column: entry (n, k) grows only the columns 0..k, and only down to row n.
-The defining series stays as the independent route: the block (the base
-series without its orders below t^r) and a cached ladder of its powers,
-each power one product on the power below it.  The tests check the
-triangle against that ladder, and the truncated Bernoulli values build
-their quotient t^r / block on the same block.
+column: entry (n, k) grows only the columns 0..k, and column j only down to
+row n - (k - j) r, the rows that entry reads.  Column k of the second
+kind, read as k! sum_n S(n, k) t^n / n!, is the k-th power of the block, so
+the truncated Bernoulli values read the denominator of their quotient off
+the same triangle.  The defining series stays as the independent route: ``_block``
+is the base series without its orders below t^r, and the tests check the
+triangle against its powers.
 
 For the truncated second kind three independent routes are implemented:
 
@@ -42,8 +43,8 @@ from .series import Series
 def _working_precision(n: int, N) -> int:
     """Series precision for coefficient n of a request for N orders (None:
     n), rounded up to a multiple of 8 so that nearby requests share one
-    cached truncated-Bernoulli ladder (without it the pinned-sweep
-    benchmark ran ~9% slower).  A Stirling entry, read off its triangle,
+    cached truncated-Bernoulli quotient (without it the pinned-sweep
+    benchmark ran ~10% slower).  A Stirling entry, read off its triangle,
     only has its index checked here."""
     N = n if N is None else N
     if n > N:
@@ -72,7 +73,8 @@ def _climb(rungs: list, k: int, first) -> Series:
     so a deep power does not exhaust the stack.  A zero rung stands for
     every rung above it, which are zero as well, so the list never grows
     past the first zero however deep the power asked for.  Growth holds
-    ``_growing``, so threads never append one rung twice; reads take no lock."""
+    ``_growing``, so threads never append one rung twice; reads take no lock.
+    The partial Bell polynomials are its one user, one ladder per row."""
     if k < len(rungs):
         return rungs[k]
     with _growing:
@@ -83,19 +85,6 @@ def _climb(rungs: list, k: int, first) -> Series:
                 return rungs[-1]
             rungs.append(rungs[-1].mul(rungs[1]))
         return rungs[k]
-
-
-@lru_cache(maxsize=None)
-def _block_rungs(kind: int, r: int, precision: int, lam) -> list:
-    # the powers of one block computed so far; _climb extends the list
-    return [Series.one(precision, lam)]
-
-
-def _block_pow(kind: int, k: int, r: int, precision: int, lam) -> Series:
-    """The k-th power of the block, from its cached ladder of powers: the
-    defining-series route that the triangle is checked against."""
-    return _climb(_block_rungs(kind, r, precision, lam), k,
-                  lambda: _block(kind, r, precision, lam))
 
 
 class _Triangle:
@@ -123,7 +112,8 @@ class _Triangle:
         self.coefs = []    # row m: C(m, r-1) c; unused at r = 1, where it is 1
 
     def fill(self, n: int, k: int):
-        """Grow the columns 0..k down to row n; the caller holds ``_growing``."""
+        """Grow each column j <= k down to row n - (k - j) r, the rows that
+        entry (n, k) reads; the caller holds ``_growing``."""
         r, cols, zero = self.r, self.cols, self.zero
         while r > 1 and len(self.coefs) < n:
             self.coefs.append(self.c * math.comb(len(self.coefs), r - 1))
@@ -132,8 +122,8 @@ class _Triangle:
                 # S(0, 0) = 1, and rows 0..j*r-1 of column j >= 1 are 0
                 cols.append([const(1, zero.lam)] if j == 0 else [zero] * (j * r))
                 self.factors.append(self.a * j - self.b * (len(cols[j]) - 1))
-            col, f = cols[j], self.factors[j]
-            while len(col) <= n:
+            col, f, last = cols[j], self.factors[j], n - (k - j) * r
+            while len(col) <= last:
                 m = len(col) - 1
                 v = zero if col[m].is_zero else f * col[m]
                 left = cols[j - 1][m - r + 1] if j else zero

@@ -25,7 +25,7 @@ from degenstir import (
     trunc_degen_bernoulli,
 )
 from degenstir import bernoulli
-from degenstir.bernoulli import _bern_rungs, _trunc_bern_series
+from degenstir.bernoulli import _bern_quot, _trunc_bern_series
 from degenstir.stirling import _block
 from oracles import bernoulli_numbers
 
@@ -82,7 +82,7 @@ def _one_division_series(r, alpha, x, precision, lam):
 
 @pytest.mark.parametrize("lam", [None, F(-5, 3)])
 def test_quotient_ladder_equals_the_one_division_form(lam):
-    _bern_rungs.cache_clear()
+    _bern_quot.cache_clear()
     _trunc_bern_series.cache_clear()
     for r in (1, 2, 3):
         for alpha in (3, 1, 2):

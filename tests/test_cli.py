@@ -140,7 +140,8 @@ def test_checks_after_parsing_report_with_the_subcommand_usage(capsys, argv, com
 
 def test_module_entry_point_reaches_a_deep_power():
     # python -m degenstir, with the source tree on the path and no install;
-    # power 1500 sits far up the block ladder, which must not recurse per rung
+    # power 1500 lies far above row 8, so the entry must be zero without
+    # filling any triangle
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -148,6 +149,16 @@ def test_module_entry_point_reaches_a_deep_power():
          "--lambda", "1/3", "--precision", "8"],
         env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+def test_a_value_past_the_int_to_str_digit_cap_prints(capsys):
+    # the numerator of S(3000, 1) at l = 2/7 has more than 4300 digits
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = run_cli(capsys, "eval", "stirling2", "--n", "3000", "--k", "1",
+                             "--lambda", "2/7")
+    assert (code, len(out.encode()), err) == (0, 11712, "")
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize("command,flag,value", [

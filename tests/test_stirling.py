@@ -12,6 +12,7 @@ from degenstir import (
     FieldElem,
     PrecisionExceeded,
     Series,
+    bell_partial_gf,
     build_triangle,
     const,
     falling_factorial,
@@ -24,9 +25,10 @@ from degenstir import (
     stirling2r_binomial,
     stirling2r_composition,
     stirling2r_gf,
+    trunc_degen_bernoulli,
 )
-from degenstir import stirling
-from degenstir.stirling import _block, _block_pow
+from degenstir import bernoulli, stirling
+from degenstir.stirling import _block
 from oracles import classic_stirling1, classic_stirling2
 
 LAM = lam_elem()
@@ -163,39 +165,20 @@ def test_diagonal_is_one_for_plain_kinds():
         assert entries[(n, n)] == 1
 
 
-@pytest.mark.parametrize("lam", [None, F(-5, 3)])
-def test_block_power_ladder_equals_the_repeated_product(lam):
-    stirling._block_rungs.cache_clear()
-    for kind in (1, 2):
-        for r in (1, 2, 3):
-            # the highest power first, then lower ones and the unit
-            for k in (6, 2, 0, 5, 1, 3, 4):
-                assert _block_pow(kind, k, r, 8, lam) == _block(kind, r, 8, lam).pow(k), \
-                    (kind, r, k)
+def _bell_ladder(xs):
+    # the ladder that bell_partial_gf(len(xs), k, xs) climbs, keyed by the
+    # coefficients of its series
+    coeffs = (const(0),) + tuple(x / math.factorial(l) for l, x in enumerate(xs, 1))
+    return bernoulli._bell_rungs(coeffs)
 
 
 def test_ladder_stops_growing_at_its_first_zero_rung():
-    # at precision 8 every power of the r = 1 block above the 8th is zero
-    lam = F(1, 3)
-    stirling._block_rungs.cache_clear()
-    assert _block_pow(2, 5000, 1, 8, lam) == Series.zero(8, lam)
-    assert len(stirling._block_rungs(2, 1, 8, lam)) == 10
-
-
-def test_triangle_builds_each_block_power_with_one_product(monkeypatch):
-    # repeated products from scratch would take 0 + 1 + ... + 16 = 136
-    n_max = 16
-    stirling._block_rungs.cache_clear()
-    mul = Series.mul
-    calls = []
-
-    def counted(self, other):
-        calls.append(1)
-        return mul(self, other)
-
-    monkeypatch.setattr(Series, "mul", counted)
-    build_triangle("stirling2", n_max)
-    assert len(calls) <= n_max + 1
+    # the Bell series has valuation 1, so at precision 8 every power of it
+    # above the 8th is zero
+    xs = [const(F(l, l + 1)) for l in range(1, 9)]
+    bernoulli._bell_rungs.cache_clear()
+    assert bell_partial_gf(8, 5000, xs) == 0
+    assert len(_bell_ladder(xs)) == 10
 
 
 @pytest.mark.parametrize("lam", [None, F(-5, 3), F(0), F(7, 2)])
@@ -206,9 +189,13 @@ def test_recurrence_triangle_equals_the_block_power_ladder(lam):
     cells = cells[::-1][:1] + cells[::7] + cells[3::7] + cells[5::7] + cells
     for kind, entry in ((1, stirling1r_gf), (2, stirling2r_gf)):
         for r in (1, 2, 3, 4):
+            # block^k as a running product, one product per power
+            block = _block(kind, r, 16, lam)
+            powers = [Series.one(16, lam)]
+            for _ in range(14):
+                powers.append(powers[-1].mul(block))
             for n, k in cells:
-                ladder = _block_pow(kind, k, r, 16, lam).coeff(n) * \
-                    F(math.factorial(n), math.factorial(k))
+                ladder = powers[k].coeff(n) * F(math.factorial(n), math.factorial(k))
                 assert entry(n, k, r, N=16, lam=lam) == ladder, (kind, r, n, k)
 
 
@@ -218,13 +205,27 @@ def test_an_entry_grows_only_the_columns_up_to_its_own():
     # S(n, 1) is the descending product (1)_{n,l} at r = 1
     assert stirling2r_gf(3000, 1, 1, N=3000, lam=lam) == one_falling(3000, lam)
     tri = stirling._triangle(2, 1, lam)
-    assert [len(col) for col in tri.cols] == [3001, 3001]
+    # S(3000, 1) reads column 0 only down to row 2999
+    assert [len(col) for col in tri.cols] == [3000, 3001]
     # k*r > n: zero, without a cache lookup or any growth
     info = stirling._triangle.cache_info()
     assert stirling2r_gf(8, 1500, 1, N=8, lam=lam) == 0
     assert stirling2r_gf(5, 3, 2, N=5, lam=lam) == 0
     assert stirling._triangle.cache_info() == info
-    assert [len(col) for col in tri.cols] == [3001, 3001]
+    assert [len(col) for col in tri.cols] == [3000, 3001]
+
+
+def test_a_deep_bernoulli_order_grows_only_a_band_of_each_column():
+    # the quotient at precision 8 reads S(3000..3008, 1500), which reach
+    # column j only down to row 2j + 8: 9 computed cells per column, where
+    # filling every column to row 3008 would compute about 2.3 million
+    lam, r = F(1, 3), 2
+    stirling._triangle.cache_clear()
+    trunc_degen_bernoulli(3, r, 1500, lam=lam)
+    cols = stirling._triangle(2, r, lam).cols
+    assert len(cols) == 1501
+    for j, col in enumerate(cols):
+        assert len(col) <= j * r + 9, j
 
 
 def test_entries_refuse_negative_indices_and_r_below_one():
@@ -293,10 +294,12 @@ def test_threads_filling_one_cold_triangle_agree_with_one_thread():
 
 def test_threads_climbing_one_cold_ladder_agree_with_one_thread():
     # without a guard on growth two threads append the same rung
+    xs = [const(F(l, l + 1)) for l in range(1, 17)]
+
     def check():
-        assert len(stirling._block_rungs(2, 1, 16, None)) == 17
+        assert len(_bell_ladder(xs)) == 17
 
     _threads_agree_with_one_thread(
-        stirling._block_rungs.cache_clear,
-        lambda: [_block_pow(2, k, 1, 16, None) for k in range(17)],
+        bernoulli._bell_rungs.cache_clear,
+        lambda: [bell_partial_gf(16, k, xs) for k in range(17)],
         check)

@@ -1,10 +1,14 @@
-"""An outside oracle: the truncated Stirling numbers of both kinds from the
-paper's closed forms, expanded by sympy rather than by this package.
+"""An outside oracle: the truncated Stirling numbers of both kinds and the
+truncated Bernoulli values from the paper's closed forms, expanded by sympy
+rather than by this package.
 
 e_l(t) = (1 + l t)^(1/l) and log_l(1 + t) = ((1 + t)^l - 1)/l are expanded
 with ``sympy.series``; their truncated blocks are powered in the polynomial
-ring Q[l, t], cut at t^N.  Every route in the package starts from the same
-descending products, so this is the one check that does not.
+ring Q[l, t], cut at t^N.  The Bernoulli values are the coefficients of
+(t^r / block)^alpha e_l^x(t), with e_l^x(t) = (1 + l t)^(x/l), the
+reciprocal taken term by term in the field Q(l).  Every route in the
+package starts from the same descending products, so this is the one check
+that does not.
 """
 
 import math
@@ -13,9 +17,10 @@ from fractions import Fraction as F
 import pytest
 
 sp = pytest.importorskip("sympy")
+from sympy.polys.fields import field  # noqa: E402
 from sympy.polys.rings import ring  # noqa: E402
 
-from degenstir import stirling1r_gf, stirling2r_gf  # noqa: E402
+from degenstir import stirling1r_gf, stirling2r_gf, trunc_degen_bernoulli  # noqa: E402
 
 N = 7
 R, L, T = ring("l,t", sp.QQ)
@@ -77,3 +82,69 @@ def test_pinned_values_match_the_closed_forms(oracle, lam):
                 for k in range(n + 1):
                     want = sum(c * lam ** i for i, c in oracle[kind, r, n, k].items())
                     assert ENTRY[kind](n, k, r, N=N, lam=lam) == want, (kind, r, n, k)
+
+
+NB = 6
+XS = (F(0), F(1, 2))
+K, _ = field("l", sp.QQ)
+
+
+def _cauchy(a, b):
+    return [sum((a[i] * b[n - i] for i in range(n + 1)), K(0)) for n in range(NB + 1)]
+
+
+def _reciprocal(a):
+    out = [1 / a[0]]
+    for n in range(1, NB + 1):
+        out.append(-sum((a[i] * out[n - i] for i in range(1, n + 1)), K(0)) / a[0])
+    return out
+
+
+@pytest.fixture(scope="module")
+def bernoulli_oracle():
+    """(r, alpha, x, n) -> n! [t^n] (t^r / block)^alpha e^x(t), in Q(l)."""
+    l, t = sp.symbols("l t")
+
+    def coeffs(expr, top):
+        expanded = sp.expand(sp.series(expr, t, 0, top + 1).removeO())
+        return [K.from_expr(sp.cancel(expanded.coeff(t, i))) for i in range(top + 1)]
+
+    base = coeffs((1 + l * t) ** (1 / l), NB + 3)
+    exps = {x: coeffs((1 + l * t) ** (sp.Rational(x.numerator, x.denominator) / l), NB)
+            for x in XS}
+    out = {}
+    for r in (1, 2, 3):
+        shifted = base[r:r + NB + 1]  # block / t^r
+        power = [K(1)] + [K(0)] * NB
+        for alpha in (1, 2, 3):
+            power = _cauchy(power, shifted)
+            quotient = _reciprocal(power)
+            for x, ex in exps.items():
+                for n, c in enumerate(_cauchy(quotient, ex)):
+                    out[r, alpha, x, n] = c * math.factorial(n)
+    return out
+
+
+def _ring_poly(poly):
+    return K.ring.from_dict({(i,): sp.QQ(c.numerator, c.denominator)
+                             for i, c in enumerate(poly.coeffs) if c})
+
+
+def _rational(v):
+    return F(int(v.numerator), int(v.denominator))
+
+
+def test_symbolic_bernoulli_values_match_the_closed_form(bernoulli_oracle):
+    for (r, alpha, x, n), want in bernoulli_oracle.items():
+        got = trunc_degen_bernoulli(n, r, alpha, x, N=NB)
+        assert _ring_poly(got.num) * want.denom == want.numer * _ring_poly(got.den), \
+            (r, alpha, x, n)
+
+
+@pytest.mark.parametrize("lam", [F(-5, 3), F(0)])
+def test_pinned_bernoulli_values_match_the_closed_form(bernoulli_oracle, lam):
+    at = sp.QQ(lam.numerator, lam.denominator)
+    for (r, alpha, x, n), want in bernoulli_oracle.items():
+        value = _rational(want.numer(at)) / _rational(want.denom(at))
+        assert trunc_degen_bernoulli(n, r, alpha, x, N=NB, lam=lam) == value, \
+            (r, alpha, x, n)
