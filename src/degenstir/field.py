@@ -5,7 +5,12 @@ Two layers over the stdlib ``fractions.Fraction`` rationals, all immutable
 and exact:
 
 * ``LambdaPoly``: dense univariate polynomials in the deformation parameter
-  over the rationals, lowest degree first, no trailing zeros.
+  over the rationals, each stored as one rational content times a primitive
+  integer tuple (lowest degree first, gcd 1, positive leading coefficient).
+  The form is canonical, so equality and hashing are structural.  By Gauss's
+  lemma a product of primitive polynomials is primitive, so a product is one
+  integer convolution and one rational multiply; a sum takes one gcd pass.
+  ``coeffs``, the rational coefficients, is a view derived on each read.
 * ``FieldElem``: a quotient of two ``LambdaPoly`` values kept in canonical
   form (fully reduced, monic denominator), so equality is plain structural
   comparison.  Alternatively an element can be *instantiated*: the parameter
@@ -41,122 +46,156 @@ def rational_str(q: Fraction) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-class LambdaPoly:
-    """Polynomial in the deformation parameter; treat instances as immutable."""
+def _primitive(ints):
+    """Split an int list into (g, prim): trailing zeros dropped, prim with gcd
+    1 and a positive leading coefficient, g * prim == ints; (0, ()) for 0."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return 0, ()
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return g, tuple(c // g for c in ints)
 
-    __slots__ = ("coeffs",)
+
+class LambdaPoly:
+    """Polynomial in the deformation parameter; treat instances as immutable.
+
+    Stored as ``content * prim``: ``prim`` is a tuple of ints, lowest degree
+    first, with gcd 1 and a positive leading coefficient, and ``content`` is a
+    nonzero rational.  The zero polynomial is content 0 with ``prim == ()``.
+    """
+
+    __slots__ = ("content", "prim")
 
     def __init__(self, coeffs=()):
         cs = [as_rational(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = math.lcm(*(c.denominator for c in cs))
+        g, self.prim = _primitive([c.numerator * (den // c.denominator) for c in cs])
+        self.content = Fraction(g, den)
 
     @classmethod
     def const(cls, value):
         return cls((as_rational(value),))
 
     @property
+    def coeffs(self) -> tuple:
+        """The rational coefficients, lowest degree first, no trailing zeros."""
+        return tuple(self.content * c for c in self.prim)
+
+    @property
     def degree(self) -> int:
         # zero polynomial has degree -1 by convention
-        return len(self.coeffs) - 1
+        return len(self.prim) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.prim
 
     @property
     def is_one(self) -> bool:
-        return self.coeffs == (Fraction(1),)
+        return self.prim == (1,) and self.content == 1
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.prim:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.content * self.prim[-1]
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return LambdaPoly(out)
+        a, b = self.content, other.content
+        den = math.lcm(a.denominator, b.denominator)
+        ma = a.numerator * (den // a.denominator)
+        mb = b.numerator * (den // b.denominator)
+        p, q = self.prim, other.prim
+        if len(p) < len(q):
+            p, q, ma, mb = q, p, mb, ma
+        out = [ma * c for c in p]
+        for i, c in enumerate(q):
+            out[i] += mb * c
+        g, prim = _primitive(out)
+        return _poly(Fraction(g, den), prim) if g else P_ZERO
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return LambdaPoly(tuple(-c for c in self.coeffs))
+        return _poly(-self.content, self.prim)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             q = as_rational(other)
-            if not q:
-                return P_ZERO
-            return LambdaPoly(tuple(c * q for c in self.coeffs))
-        a, b = self.coeffs, other.coeffs
+            return _poly(self.content * q, self.prim) if q else P_ZERO
+        a, b = self.prim, other.prim
         if not a or not b:
             return P_ZERO
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-        return LambdaPoly(out)
+        # Gauss's lemma: a product of primitive polynomials is primitive
+        content = self.content * other.content
+        if len(a) < len(b):
+            a, b = b, a
+        if b == (1,):  # a constant factor: only the content changes
+            return _poly(content, a)
+        out = [0] * (len(a) + len(b) - 1)
+        for j, cb in enumerate(b):
+            if cb:
+                for i, ca in enumerate(a, j):
+                    out[i] += ca * cb
+        return _poly(content, tuple(out))
 
     __rmul__ = __mul__
 
     def evaluate(self, point: Fraction) -> Fraction:
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.prim):
             acc = acc * point + c
-        return acc
+        return self.content * acc
 
     def monic(self):
         if self.is_zero or self.leading == 1:
             return self
         return self * (1 / self.leading)
 
-    def div_rem(self, other):
-        """Quotient and remainder over the rationals."""
+    def exact_div(self, other):
+        """The quotient of a division known to be exact: long division of the
+        primitive parts, whose quotient is an integer polynomial (Gauss's
+        lemma).  A step that does not divide leaves its remainder in place,
+        so any inexact division ends with a nonzero remainder."""
         if other.is_zero:
             raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.coeffs
+        rem, d = list(self.prim), other.prim
         dq = len(rem) - len(d)
-        if dq < 0:
-            return P_ZERO, self
-        quot = [Fraction(0)] * (dq + 1)
-        inv_lead = 1 / other.leading
+        quot = [0] * (dq + 1)
+        lead = d[-1]
         for i in range(dq, -1, -1):
-            c = rem[i + len(d) - 1] * inv_lead
+            c = rem[i + len(d) - 1] // lead
             if c:
                 quot[i] = c
                 for j, dc in enumerate(d):
                     rem[i + j] -= c * dc
-        return LambdaPoly(quot), LambdaPoly(rem)
-
-    def exact_div(self, other):
-        q, r = self.div_rem(other)
-        if not r.is_zero:
+        if any(rem):
             raise ValueError("polynomial division left a remainder")
-        return q
+        return _poly(self.content / other.content, tuple(quot))
 
     def __eq__(self, other):
-        return isinstance(other, LambdaPoly) and self.coeffs == other.coeffs
+        return (isinstance(other, LambdaPoly) and self.prim == other.prim
+                and self.content == other.content)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.content, self.prim))
 
     def __str__(self):
         return poly_str(self)
 
     def __repr__(self):
         return "LambdaPoly(%s)" % (poly_str(self),)
+
+
+def _poly(content: Fraction, prim: tuple) -> LambdaPoly:
+    # internal: a polynomial already in content * primitive form
+    p = LambdaPoly.__new__(LambdaPoly)
+    p.content, p.prim = content, prim
+    return p
 
 
 P_ZERO = LambdaPoly()
@@ -169,8 +208,9 @@ def poly_str(p: LambdaPoly) -> str:
     if p.is_zero:
         return "0"
     parts = []
+    coeffs = p.coeffs
     for k in range(p.degree, -1, -1):
-        c = p.coeffs[k]
+        c = coeffs[k]
         if not c:
             continue
         if k == 0:
@@ -178,20 +218,6 @@ def poly_str(p: LambdaPoly) -> str:
         else:
             parts.append("(%s)*l^%d" % (rational_str(c), k))
     return " + ".join(parts)
-
-
-def _int_primitive(cs):
-    g = 0
-    for c in cs:
-        g = math.gcd(g, c)
-    if g == 0:
-        return []
-    return [c // g for c in cs]
-
-
-def _poly_to_int(p: LambdaPoly):
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return _int_primitive([int(c * den) for c in p.coeffs])
 
 
 def _int_prem(f, g):
@@ -216,8 +242,8 @@ def _int_prem(f, g):
 def poly_gcd(p: LambdaPoly, q: LambdaPoly) -> LambdaPoly:
     """Monic greatest common divisor over the rationals.
 
-    Uses primitive pseudo-remainder sequences on integer coefficient lists,
-    which keeps coefficient growth tame at the degrees this package meets.
+    Uses primitive pseudo-remainder sequences on the primitive parts, which
+    keeps coefficient growth tame at the degrees this package meets.
     """
     if p.is_zero and q.is_zero:
         raise BothZero("gcd(0, 0) is undefined")
@@ -227,13 +253,12 @@ def poly_gcd(p: LambdaPoly, q: LambdaPoly) -> LambdaPoly:
         return p.monic()
     if p.degree == 0 or q.degree == 0:
         return P_ONE
-    a, b = _poly_to_int(p), _poly_to_int(q)
+    a, b = p.prim, q.prim
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, _int_primitive(_int_prem(a, b))
-    lead = a[-1]
-    return LambdaPoly([Fraction(c, lead) for c in a])
+        a, b = b, _primitive(_int_prem(a, b))[1]
+    return _poly(Fraction(1, a[-1]), a)
 
 
 def _reduce(num: LambdaPoly, den: LambdaPoly):
@@ -274,7 +299,7 @@ class FieldElem:
     def from_rational(cls, value, lam=None):
         value = as_rational(value)
         if lam is None:
-            return cls(lam=None, num=LambdaPoly.const(value), den=P_ONE)
+            return cls(lam=None, num=_poly(value, (1,)) if value else P_ZERO, den=P_ONE)
         return cls(lam=as_rational(lam), value=value)
 
     @classmethod
@@ -422,7 +447,7 @@ class FieldElem:
         if self.lam is not None:
             return self.value
         if self.den.is_one and self.num.degree <= 0:
-            return self.num.coeffs[0] if self.num.coeffs else Fraction(0)
+            return self.num.content
         raise ValueError("element is not a rational constant: %s" % (self,))
 
     def __bool__(self):
@@ -439,15 +464,15 @@ class FieldElem:
             q = as_rational(other)
             if self.lam is not None:
                 return self.value == q
-            return self.den.is_one and self.num == LambdaPoly.const(q)
+            return self.den.is_one and self.num.degree <= 0 and self.num.content == q
         return NotImplemented
 
     def __hash__(self):
         if self.lam is not None:
             return hash(self.value)
         if self.den.is_one and self.num.degree <= 0:
-            return hash(self.num.coeffs[0] if self.num.coeffs else Fraction(0))
-        return hash((self.num.coeffs, self.den.coeffs))
+            return hash(self.num.content)
+        return hash((self.num, self.den))
 
     def __str__(self):
         if self.lam is not None:

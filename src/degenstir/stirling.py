@@ -94,8 +94,11 @@ class _Triangle:
         S(m+1, j) = (j*a - m*b) S(m, j) + C(m, r-1) c S(m-r+1, j-1),
 
     where a, b, c are 1, l, (1)_{r,l} for the second kind and l, 1,
-    (l-1)(l-2)...(l-r+1) for the first.  Column j lists S(0..m, j) and
-    grows downward; ``fill`` grows only the columns an entry needs."""
+    (l-1)(l-2)...(l-r+1) for the first.  Column j lists S(j*r..m, j), the
+    rows above j*r being zero, so cell (m, j) is ``cols[j][m - j*r]`` and
+    the j - 1 neighbour of a cell sits at the same index in the column before
+    it.  Columns grow downward; ``fill`` grows only the columns an entry
+    needs."""
 
     __slots__ = ("r", "zero", "a", "b", "c", "cols", "factors", "coefs")
 
@@ -107,7 +110,7 @@ class _Triangle:
             self.a, self.b, self.c = lam_e, one, falling_factorial(lam_e - 1, r - 1)
         self.r = r
         self.zero = const(0, lam)
-        self.cols = []     # column j: S(0..m, j)
+        self.cols = []     # column j: S(j*r..m, j)
         self.factors = []  # column j: j*a - m*b, the factor of its next row
         self.coefs = []    # row m: C(m, r-1) c; unused at r = 1, where it is 1
 
@@ -115,18 +118,20 @@ class _Triangle:
         """Grow each column j <= k down to row n - (k - j) r, the rows that
         entry (n, k) reads; the caller holds ``_growing``."""
         r, cols, zero = self.r, self.cols, self.zero
+        last = n - k * r  # the same index in every column
         while r > 1 and len(self.coefs) < n:
             self.coefs.append(self.c * math.comb(len(self.coefs), r - 1))
         for j in range(k + 1):
             if j == len(cols):
-                # S(0, 0) = 1, and rows 0..j*r-1 of column j >= 1 are 0
-                cols.append([const(1, zero.lam)] if j == 0 else [zero] * (j * r))
-                self.factors.append(self.a * j - self.b * (len(cols[j]) - 1))
-            col, f, last = cols[j], self.factors[j], n - (k - j) * r
+                # S(0, 0) = 1; rows 0..j*r-1 of column j >= 1 are 0, unstored
+                cols.append([const(1, zero.lam)] if j == 0 else [])
+                self.factors.append(self.a * j - self.b * (j * r + len(cols[j]) - 1))
+            col, f = cols[j], self.factors[j]
             while len(col) <= last:
-                m = len(col) - 1
-                v = zero if col[m].is_zero else f * col[m]
-                left = cols[j - 1][m - r + 1] if j else zero
+                i = len(col)
+                m = j * r + i - 1
+                v = zero if not i or col[-1].is_zero else f * col[-1]
+                left = cols[j - 1][i] if j else zero
                 if not left.is_zero:
                     v = v + (left if r == 1 else self.coefs[m] * left)
                 col.append(v)
@@ -148,11 +153,11 @@ def _entry(kind: int, n: int, k: int, r: int, N, lam) -> FieldElem:
     if k * r > n:
         return const(0, lam)
     tri = _triangle(kind, r, lam)
-    cols = tri.cols
-    if k >= len(cols) or n >= len(cols[k]):
+    cols, i = tri.cols, n - k * r
+    if k >= len(cols) or i >= len(cols[k]):
         with _growing:
             tri.fill(n, k)
-    return cols[k][n]
+    return cols[k][i]
 
 
 def stirling2_degen(n: int, k: int, N=None, lam=None) -> FieldElem:

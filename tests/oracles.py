@@ -31,6 +31,30 @@ def poly_divmod(num, den):
     return quot, num
 
 
+def poly_mul(a, b):
+    """Product of coefficient lists (lowest degree first) over Q, trailing
+    zeros dropped."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += Fraction(ca) * Fraction(cb)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def poly_gcd_monic(a, b):
+    """Monic gcd of two coefficient lists over Q by Euclid's algorithm on
+    ``poly_divmod``; [] when both are zero."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    for p in (a, b):
+        while p and not p[-1]:
+            p.pop()
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
 def classic_stirling2(n_max):
     """Classical second-kind Stirling triangle by its recurrence."""
     table = {(0, 0): 1}

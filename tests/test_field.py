@@ -1,5 +1,6 @@
 """Exact scalar layer: rationals, parameter polynomials, rational functions."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +18,7 @@ from degenstir import (
     lam_elem,
     poly_gcd,
 )
-from oracles import poly_divmod
+from oracles import poly_divmod, poly_gcd_monic, poly_mul
 
 LAM = lam_elem()
 
@@ -83,8 +84,8 @@ def test_gcd_examples():
 def test_gcd_divides_both_and_is_monic(p, q):
     g = poly_gcd(p, q)
     assert g.leading == 1
-    assert p.div_rem(g)[1].is_zero
-    assert q.div_rem(g)[1].is_zero
+    assert p.exact_div(g) * g == p
+    assert q.exact_div(g) * g == q
 
 
 def test_instantiate_examples():
@@ -171,3 +172,95 @@ def test_pow_and_negative_pow():
     assert (1 + LAM) ** 0 == 1
     assert (1 + LAM) ** 3 == (1 + LAM) * (1 + LAM) * (1 + LAM)
     assert (1 - LAM) ** -2 == 1 / ((1 - LAM) * (1 - LAM))
+
+
+# The kernel stores a polynomial as a rational content times a primitive
+# integer tuple; these compare it with plain Fraction coefficient lists at
+# the sizes the symbolic routes reach (degree 16, coefficients of ~100 bits).
+big_rationals = st.builds(F, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 40))
+big_coeffs = st.lists(st.one_of(st.just(F(0)), big_rationals), max_size=13)
+small_coeffs = st.lists(big_rationals, min_size=1, max_size=5)
+
+
+def _strip(cs):
+    cs = [F(c) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _assert_canonical(p):
+    # content * prim with gcd(prim) == 1 and a positive leading coefficient
+    if p.prim:
+        assert p.content and p.prim[-1] > 0 and math.gcd(*p.prim) == 1
+        assert all(type(c) is int for c in p.prim)
+    else:
+        assert p.content == 0
+
+
+def _horner(cs, x):
+    acc = F(0)
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+@settings(max_examples=150, deadline=None)
+@given(big_coeffs, big_coeffs, big_rationals)
+def test_kernel_matches_fraction_lists(a, b, x):
+    pa, pb = LambdaPoly(a), LambdaPoly(b)
+    assert pa.coeffs == tuple(_strip(a))
+    longest = max(len(a), len(b))
+    pad = lambda cs: cs + [F(0)] * (longest - len(cs))
+    for got, want in ((pa + pb, [u + v for u, v in zip(pad(a), pad(b))]),
+                      (pa - pb, [u - v for u, v in zip(pad(a), pad(b))]),
+                      (pa * pb, poly_mul(a, b)),
+                      (-pa, [-c for c in a])):
+        _assert_canonical(got)
+        assert got.coeffs == tuple(_strip(want))
+    assert pa.evaluate(x) == _horner(a, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(big_coeffs, small_coeffs, small_coeffs)
+def test_kernel_division_and_gcd_match_fraction_lists(a, b, c):
+    pa, pb, pc = LambdaPoly(a), LambdaPoly(b), LambdaPoly(c)
+    if not pb.is_zero:
+        quot, rem = poly_divmod(_strip(a), _strip(b))
+        if rem:
+            with pytest.raises(ValueError):
+                pa.exact_div(pb)
+        else:
+            assert pa.exact_div(pb).coeffs == tuple(_strip(quot))
+        # a multiple divides back exactly
+        got = (pa * pb).exact_div(pb)
+        _assert_canonical(got)
+        assert got == pa
+    # a common factor c, so the gcd is not 1 whenever c is not a constant
+    ac, bc = poly_mul(a, c), poly_mul(b, c)
+    if not ac and not bc:
+        return
+    g = poly_gcd(LambdaPoly(ac), LambdaPoly(bc))
+    _assert_canonical(g)
+    assert g.coeffs == tuple(poly_gcd_monic(ac, bc))
+
+
+@settings(max_examples=100, deadline=None)
+@given(big_coeffs, big_rationals.filter(bool))
+def test_kernel_form_is_canonical(cs, c):
+    by_constructor = LambdaPoly([c * x for x in cs])
+    by_scaling = LambdaPoly(cs) * c
+    assert by_constructor.content == by_scaling.content
+    assert by_constructor.prim == by_scaling.prim
+    assert by_constructor == by_scaling
+    assert hash(by_constructor) == hash(by_scaling)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.just(F(0)), big_rationals))
+def test_constant_elements_equal_and_hash_like_their_fraction(q):
+    e = const(q)
+    assert e == q and hash(e) == hash(q) and e.as_fraction() == q
+    # the direct constant equals the one built through the constructor
+    built = FieldElem.from_polys(LambdaPoly((q,)))
+    assert built.num == e.num and built == e and hash(built) == hash(e)

@@ -205,27 +205,29 @@ def test_an_entry_grows_only_the_columns_up_to_its_own():
     # S(n, 1) is the descending product (1)_{n,l} at r = 1
     assert stirling2r_gf(3000, 1, 1, N=3000, lam=lam) == one_falling(3000, lam)
     tri = stirling._triangle(2, 1, lam)
-    # S(3000, 1) reads column 0 only down to row 2999
-    assert [len(col) for col in tri.cols] == [3000, 3001]
+    # S(3000, 1) reads column 0 only down to row 2999; column 1 starts at row 1
+    assert [len(col) for col in tri.cols] == [3000, 3000]
     # k*r > n: zero, without a cache lookup or any growth
     info = stirling._triangle.cache_info()
     assert stirling2r_gf(8, 1500, 1, N=8, lam=lam) == 0
     assert stirling2r_gf(5, 3, 2, N=5, lam=lam) == 0
     assert stirling._triangle.cache_info() == info
-    assert [len(col) for col in tri.cols] == [3000, 3001]
+    assert [len(col) for col in tri.cols] == [3000, 3000]
 
 
 def test_a_deep_bernoulli_order_grows_only_a_band_of_each_column():
     # the quotient at precision 8 reads S(3000..3008, 1500), which reach
     # column j only down to row 2j + 8: 9 computed cells per column, where
-    # filling every column to row 3008 would compute about 2.3 million
+    # filling every column to row 3008 would compute about 2.3 million.
+    # Column j is stored from row 2j on, so its zero rows take no slots.
     lam, r = F(1, 3), 2
     stirling._triangle.cache_clear()
     trunc_degen_bernoulli(3, r, 1500, lam=lam)
     cols = stirling._triangle(2, r, lam).cols
     assert len(cols) == 1501
     for j, col in enumerate(cols):
-        assert len(col) <= j * r + 9, j
+        assert len(col) <= 9, j
+    assert sum(len(col) for col in cols) < 10 * len(cols)
 
 
 def test_entries_refuse_negative_indices_and_r_below_one():
@@ -284,7 +286,8 @@ def test_threads_filling_one_cold_triangle_agree_with_one_thread():
     # without a guard on growth two threads append the same row
     def check():
         tri = stirling._triangle(2, 1, None)
-        assert [len(col) for col in tri.cols] == [17] * 17
+        # column j holds rows j..16
+        assert [len(col) for col in tri.cols] == [17 - j for j in range(17)]
 
     _threads_agree_with_one_thread(
         stirling._triangle.cache_clear,
