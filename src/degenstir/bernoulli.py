@@ -8,8 +8,9 @@ per power of the order.  The block's alpha-th power is
 alpha! sum_n S_r(n, alpha) t^n / n!, column alpha of the truncated
 second-kind Stirling triangle, so the quotient (t^r / block)^alpha is one
 division of the unit series by that column shifted down by alpha r orders.
-It is cached per order and precision, apart from x.  The plain values are
-the r = 1 case and are computed as such.
+It is cached per order and precision, apart from x; value n picks the
+precision from n alone.  The plain values are the r = 1 case and are
+computed as such.
 
 Partial Bell polynomials are computed twice on purpose, from the defining
 series (whose powers are a ladder too, kept for the last few series) and by
@@ -31,7 +32,7 @@ from .core import degen_exp, one_falling
 from .errors import InputTooShort, RouteDisagreement
 from .field import FieldElem, as_elem, const
 from .series import Series
-from .stirling import _climb, _working_precision, stirling2r_gf
+from .stirling import _climb, stirling2r_gf
 
 
 @lru_cache(maxsize=None)
@@ -55,18 +56,21 @@ def _trunc_bern_series(r: int, alpha: int, x: FieldElem, precision: int, lam) ->
     return q
 
 
-def trunc_degen_bernoulli(n: int, r: int, alpha: int, x=0, N=None, lam=None) -> FieldElem:
+def trunc_degen_bernoulli(n: int, r: int, alpha: int, x=0, lam=None) -> FieldElem:
     """Truncated order-alpha value; r = 1 gives ``degen_bernoulli``."""
     x = as_elem(x, lam)
-    ser = _trunc_bern_series(r, alpha, x, _working_precision(n, N), x.lam)
+    # coefficient n needs the orders up to n; rounding the precision up to a
+    # multiple of 8 lets nearby values share one cached quotient (without it
+    # the pinned-sweep benchmark ran ~10% slower)
+    ser = _trunc_bern_series(r, alpha, x, n + (-n) % 8, x.lam)
     return ser.coeff(n) * math.factorial(n)
 
 
-def degen_bernoulli(n: int, alpha: int, x=0, N=None, lam=None) -> FieldElem:
+def degen_bernoulli(n: int, alpha: int, x=0, lam=None) -> FieldElem:
     """Order-alpha value: n! [t^n] (t/(e(t)-1))^alpha e^x(t), the r = 1
     truncated value; x = 0 gives the plain numbers, alpha = 0 the unit
     sequence."""
-    return trunc_degen_bernoulli(n, 1, alpha, x, N, lam)
+    return trunc_degen_bernoulli(n, 1, alpha, x, lam)
 
 
 def _prepare_xs(xs, lam):

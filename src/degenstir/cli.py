@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import identities
 from .bernoulli import bell_partial, degen_bernoulli, k_lambda, trunc_degen_bernoulli
-from .errors import DegenstirError
+from .errors import DegenstirError, PrecisionExceeded
 from .field import rational_str
 from .stirling import FAMILIES as STIRLING_FAMILIES
 from .stirling import build_triangle, family_entry
@@ -66,8 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--xs", type=_xs_list, default=None,
                        help="comma-separated rationals for bell/klambda (default: all ones)")
         p.add_argument("--precision", type=int, default=None,
-                       help="override the derived working precision (warns when lower; "
-                            "not for bell/klambda)")
+                       help="bound the indices the command may read; never changes a "
+                            "value, and below the derived bound warns and exits 2 "
+                            "(not for bell/klambda)")
 
     table = sub.add_parser("table", help="stream a triangle or sequence")
     table.add_argument("family", choices=FAMILIES)
@@ -123,13 +124,17 @@ def _validate(args):
         args.subparser.error("--precision does not apply to %s" % args.family)
 
 
-def _pick_precision(args, derived: int) -> int:
-    if args.precision is None:
-        return derived
-    if args.precision < derived:
+def _warn_precision(args, derived: int):
+    if args.precision is not None and args.precision < derived:
         print("warning: --precision %d is below the derived safe bound %d"
               % (args.precision, derived), file=sys.stderr)
-    return args.precision
+
+
+def _check_index(args, n: int):
+    # --precision bounds the indices a command reads; no value depends on it
+    if args.precision is not None and n > args.precision:
+        raise PrecisionExceeded("index %d exceeds requested precision %d"
+                                % (n, args.precision))
 
 
 def _default_xs(args, length: int):
@@ -139,45 +144,51 @@ def _default_xs(args, length: int):
 
 
 def _triangle_rows(args, value):
-    # the Stirling families: their values come from build_triangle
-    return build_triangle(args.family, args.n_max, args.k_max, args.r, args.lam,
-                          N=_pick_precision(args, args.n_max))
+    # the Stirling families: their values come from build_triangle.  No entry
+    # can fail, so the first row past --precision is checked before any is built
+    _warn_precision(args, args.n_max)
+    if args.precision is not None:
+        _check_index(args, min(args.n_max, args.precision + 1))
+    return build_triangle(args.family, args.n_max, args.k_max, args.r, args.lam)
 
 
 def _order_rows(args, value):
-    N = _pick_precision(args, args.n_max)
-    return [(n, args.alpha, value(args, n, 0, N)) for n in range(args.n_max + 1)]
+    # row by row, so an error in a row below --precision comes first
+    _warn_precision(args, args.n_max)
+    rows = []
+    for n in range(args.n_max + 1):
+        _check_index(args, n)
+        rows.append((n, args.alpha, value(args, n, 0)))
+    return rows
 
 
 def _bell_rows(args, value):
     k_max = args.n_max if args.k_max is None else args.k_max
-    return [(n, k, value(args, n, k, None))
+    return [(n, k, value(args, n, k))
             for n in range(args.n_max + 1) for k in range(min(n, k_max) + 1)]
 
 
 def _sequence_rows(args, value):
-    return [(n, 0, value(args, n, 0, None)) for n in range(args.n_max + 1)]
+    return [(n, 0, value(args, n, 0)) for n in range(args.n_max + 1)]
 
 
-def _stirling_value(a, n, k, N):
-    return family_entry(a.family, n, k, a.r, N, a.lam)
+def _stirling_value(a, n, k):
+    return family_entry(a.family, n, k, a.r, a.lam)
 
 
-# family -> (value(args, n, k, N), table rows(args, value), takes --precision?).
+# family -> (value(args, n, k), table rows(args, value), takes --precision?).
 # The Stirling families are those of the stirling module; the rows of the
 # Bernoulli families carry the order alpha in the column, those of klambda 0.
-# bell and klambda size their series from n alone, so --precision is refused
-# for them.
+# bell and klambda refuse --precision.
 FAMILIES = {
     **dict.fromkeys(STIRLING_FAMILIES, (_stirling_value, _triangle_rows, True)),
-    "bernoulli": (lambda a, n, k, N: degen_bernoulli(n, a.alpha, a.x, N, a.lam),
+    "bernoulli": (lambda a, n, k: degen_bernoulli(n, a.alpha, a.x, a.lam),
                   _order_rows, True),
-    "trunc-bernoulli": (lambda a, n, k, N: trunc_degen_bernoulli(n, a.r, a.alpha, a.x, N,
-                                                                 a.lam),
+    "trunc-bernoulli": (lambda a, n, k: trunc_degen_bernoulli(n, a.r, a.alpha, a.x, a.lam),
                         _order_rows, True),
-    "bell": (lambda a, n, k, N: bell_partial(n, k, _default_xs(a, max(n, 1)), a.lam),
+    "bell": (lambda a, n, k: bell_partial(n, k, _default_xs(a, max(n, 1)), a.lam),
              _bell_rows, False),
-    "klambda": (lambda a, n, k, N: k_lambda(n, _default_xs(a, max(n, 1)), a.lam),
+    "klambda": (lambda a, n, k: k_lambda(n, _default_xs(a, max(n, 1)), a.lam),
                 _sequence_rows, False),
 }
 
@@ -202,7 +213,9 @@ def _run_table(args) -> int:
 
 def _run_eval(args) -> int:
     value, _, _ = FAMILIES[args.family]
-    print(str(value(args, args.n, args.k, _pick_precision(args, args.n))))
+    _warn_precision(args, args.n)
+    _check_index(args, args.n)
+    print(str(value(args, args.n, args.k)))
     return 0
 
 

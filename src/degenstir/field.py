@@ -498,8 +498,11 @@ def lam_elem(lam=None) -> FieldElem:
 
 
 def as_elem(value, lam=None) -> FieldElem:
-    """Coerce ints and Fractions into the given mode; elements pass through."""
+    """Coerce ints and Fractions into the given mode.  Elements pass through
+    unless a pinned mode is given and they live in another mode."""
     if isinstance(value, FieldElem):
+        if lam is not None and value.lam != lam:
+            raise ModeMismatch("cannot combine mode %r with mode %r" % (value.lam, lam))
         return value
     return FieldElem.from_rational(value, lam)
 

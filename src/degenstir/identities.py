@@ -8,8 +8,7 @@ derived form is the primary ("as-derived") variant and the statement is
 also computed and reported ("as-printed") without being asserted.
 
 Verdicts are exact: two sides are equal iff their canonical forms match
-componentwise.  Every verifier picks its working precision from the largest
-coefficient index it needs plus the valuation cost of any division.
+componentwise.
 """
 
 from __future__ import annotations
@@ -72,13 +71,12 @@ def verify_thm3(n: int, k: int, r: int, lam=None) -> IdentityReport:
     equals the sum over weak compositions of products of single-block
     values."""
     big = n + k * r
-    lhs = Fraction(math.factorial(k), math.factorial(big)) * \
-        stirling2r_gf(big, k, r, N=big, lam=lam)
+    lhs = Fraction(math.factorial(k), math.factorial(big)) * stirling2r_gf(big, k, r, lam=lam)
     rhs = const(0, lam)
     for comp in compositions(n, k, 0):
         term = const(1, lam)
         for j in comp:
-            term = term * stirling2r_gf(j + r, 1, r, N=j + r, lam=lam)
+            term = term * stirling2r_gf(j + r, 1, r, lam=lam)
             term = term / math.factorial(j + r)
         rhs = rhs + term
     return _report("thm3", {"n": n, "k": k, "r": r}, lhs, rhs)
@@ -87,27 +85,27 @@ def verify_thm3(n: int, k: int, r: int, lam=None) -> IdentityReport:
 def verify_thm4(n: int, lam=None):
     """Two expansions connecting the Bernoulli numbers with the Stirling
     triangles of both kinds; returns a report pair."""
-    betas = [degen_bernoulli(j, 1, 0, N=n, lam=lam) for j in range(n + 1)]
+    betas = [degen_bernoulli(j, 1, 0, lam=lam) for j in range(n + 1)]
     rhs1 = const(0, lam)
     for k in range(n + 1):
-        rhs1 = rhs1 + _recip_step_product(k, lam) * stirling2_degen(n, k, N=n, lam=lam)
+        rhs1 = rhs1 + _recip_step_product(k, lam) * stirling2_degen(n, k, lam=lam)
     first = _report("thm4", {"n": n, "part": "bernoulli-expansion"}, betas[n], rhs1)
 
     lhs2 = _recip_step_product(n, lam)
     rhs2 = const(0, lam)
     for k in range(n + 1):
-        rhs2 = rhs2 + betas[k] * stirling1_degen(n, k, N=n, lam=lam)
+        rhs2 = rhs2 + betas[k] * stirling1_degen(n, k, lam=lam)
     second = _report("thm4", {"n": n, "part": "log-inverse-expansion"}, lhs2, rhs2)
     return first, second
 
 
 def _thm5_rhs(n: int, k: int, sign: int, lam):
-    total = sign * math.comb(n + k, k) * degen_bernoulli(n, 1, 0, N=n, lam=lam)
+    total = sign * math.comb(n + k, k) * degen_bernoulli(n, 1, 0, lam=lam)
     big = math.factorial(n + k)
     for j in range(1, k + 1):
         coef = Fraction((-1) ** (k - j) * big,
                         j * math.factorial(k - j) * math.factorial(n + j - 1))
-        total = total + coef * stirling2_degen(n + j - 1, j - 1, N=n + j - 1, lam=lam)
+        total = total + coef * stirling2_degen(n + j - 1, j - 1, lam=lam)
     return total
 
 
@@ -117,12 +115,12 @@ def verify_thm5(n: int, k: int, lam=None, variant: str = AS_DERIVED) -> Identity
     has (n+j choose k) and (-1)^n and is reportable but not asserted."""
     lhs = const(0, lam)
     for j in range(n + 1):
-        s_val = stirling2r_gf(n - j + k, k, 2, N=n - j + k, lam=lam)
+        s_val = stirling2r_gf(n - j + k, k, 2, lam=lam)
         if variant == AS_DERIVED:
             binom = math.comb(n + k, j)
         else:
             binom = math.comb(n + j, k)
-        lhs = lhs + binom * s_val * degen_bernoulli(j, 1, 0, N=j, lam=lam)
+        lhs = lhs + binom * s_val * degen_bernoulli(j, 1, 0, lam=lam)
     sign = (-1) ** k if variant == AS_DERIVED else (-1) ** n
     rhs = _thm5_rhs(n, k, sign, lam)
     return _report("thm5", {"n": n, "k": k}, lhs, rhs, variant)
@@ -137,21 +135,20 @@ def verify_thm6(n: int, k: int, lam=None, enforce_domain: bool = True) -> Identi
         raise DomainViolation("stated domain requires n >= k")
     lhs = const(0, lam)
     for j in range(n + 1):
-        lhs = lhs + math.comb(n + k - 1, j) * \
-            stirling2r_gf(n - j + k, k, 2, N=n - j + k, lam=lam) * \
-            degen_bernoulli(j, 1, 0, N=j, lam=lam)
+        lhs = lhs + math.comb(n + k - 1, j) * stirling2r_gf(n - j + k, k, 2, lam=lam) * \
+            degen_bernoulli(j, 1, 0, lam=lam)
     neg_s = -lam_elem(lam)
     inner = const(0, lam)
     for l in range(k, n + 1):
         m = l + k - 2
-        inner = inner + Fraction(1, math.factorial(m)) * \
-            stirling2r_gf(m, k - 1, 2, N=m, lam=lam) * neg_s ** (n - l)
+        inner = inner + Fraction(1, math.factorial(m)) * stirling2r_gf(m, k - 1, 2, lam=lam) * \
+            neg_s ** (n - l)
     for j in range(k, n + 1):
         for l in range(k, j + 1):
             m = l + k - 2
             coef = Fraction(1, math.factorial(m) * math.factorial(n - j))
-            inner = inner + coef * stirling2r_gf(m, k - 1, 2, N=m, lam=lam) * \
-                degen_bernoulli(n - j, 1, 0, N=n - j, lam=lam) * neg_s ** (j - l + 1)
+            inner = inner + coef * stirling2r_gf(m, k - 1, 2, lam=lam) * \
+                degen_bernoulli(n - j, 1, 0, lam=lam) * neg_s ** (j - l + 1)
     rhs = math.factorial(n + k - 1) * inner
     return _report("thm6", {"n": n, "k": k}, lhs, rhs)
 
@@ -161,14 +158,12 @@ def verify_thm7(n: int, k: int, lam=None) -> IdentityReport:
     alternating sum over lower orders on the other side."""
     lhs = const(0, lam)
     for j in range(n + 1):
-        lhs = lhs + math.comb(n + k, j) * \
-            stirling2r_gf(n - j + k, k, 2, N=n - j + k, lam=lam) * \
-            degen_bernoulli(j, k, 0, N=j, lam=lam)
+        lhs = lhs + math.comb(n + k, j) * stirling2r_gf(n - j + k, k, 2, lam=lam) * \
+            degen_bernoulli(j, k, 0, lam=lam)
     inner = const(0, lam)
     for j in range(k + 1):
         sign = (-1) ** (k - j)
-        inner = inner + (sign * math.comb(k, j)) * \
-            degen_bernoulli(n, k - j, 0, N=n, lam=lam)
+        inner = inner + (sign * math.comb(k, j)) * degen_bernoulli(n, k - j, 0, lam=lam)
     rhs = math.comb(n + k, k) * inner
     return _report("thm7", {"n": n, "k": k}, lhs, rhs)
 
@@ -176,15 +171,14 @@ def verify_thm7(n: int, k: int, lam=None) -> IdentityReport:
 def _thm8_sides(n: int, k: int, lam, l_start: int):
     lhs = const(0, lam)
     for j in range(n + 1):
-        lhs = lhs + math.comb(n + k, j + k) * \
-            stirling2r_gf(j + k, k, 3, N=j + k, lam=lam) * \
-            degen_bernoulli(n - j, 1, 0, N=n - j, lam=lam)
+        lhs = lhs + math.comb(n + k, j + k) * stirling2r_gf(j + k, k, 3, lam=lam) * \
+            degen_bernoulli(n - j, 1, 0, lam=lam)
     half = (const(1, lam) - lam_elem(lam)) / 2
     big = math.factorial(n + k)
     first = const(0, lam)
     for j in range(min(n, k) + 1):
         coef = Fraction(math.comb(k, j) * big, math.factorial(n - j) * math.factorial(k))
-        first = first + coef * half ** j * degen_bernoulli(n - j, 1, 0, N=n - j, lam=lam)
+        first = first + coef * half ** j * degen_bernoulli(n - j, 1, 0, lam=lam)
     first = (-1) ** k * first
     second = const(0, lam)
     for j in range(1, k + 1):
@@ -192,8 +186,7 @@ def _thm8_sides(n: int, k: int, lam, l_start: int):
         for l in range(l_start, min(n, k - j) + 1):
             m = n - l + j - 1
             coef = coef_j * Fraction(math.comb(k - j, l), math.factorial(m))
-            second = second + coef * half ** l * \
-                stirling2_degen(m, j - 1, N=m, lam=lam)
+            second = second + coef * half ** l * stirling2_degen(m, j - 1, lam=lam)
     return lhs, first + second
 
 
@@ -219,9 +212,8 @@ def verify_delta(alpha: int, r: int, n: int, lam=None) -> IdentityReport:
         raise DomainViolation("requires n >= alpha * r")
     total = const(0, lam)
     for l in range(n - ar + 1):
-        total = total + math.comb(n, l) * \
-            stirling2r_gf(n - l, alpha, r, N=n - l, lam=lam) * \
-            trunc_degen_bernoulli(l, r, alpha, 0, N=l, lam=lam)
+        total = total + math.comb(n, l) * stirling2r_gf(n - l, alpha, r, lam=lam) * \
+            trunc_degen_bernoulli(l, r, alpha, 0, lam=lam)
     if n == ar:
         target = const(Fraction(math.factorial(ar), math.factorial(alpha)), lam)
     else:
@@ -237,7 +229,7 @@ def verify_expansion(n: int, r: int, x, lam=None) -> IdentityReport:
     for j in range(n + 1):
         coef = Fraction(math.comb(n, j) * math.factorial(j), math.factorial(j + r))
         rhs = rhs + coef * one_falling(j + r, lam) * \
-            trunc_degen_bernoulli(n - j, r, 1, x, N=n - j, lam=lam)
+            trunc_degen_bernoulli(n - j, r, 1, x, lam=lam)
     return _report("expansion", {"n": n, "r": r, "x": str(as_elem(x, lam))}, lhs, rhs)
 
 
@@ -249,7 +241,7 @@ def verify_beta_closed(n: int, r: int, x, lam=None):
     if n not in (0, 1, 2):
         raise DomainViolation("closed forms exist for n in {0, 1, 2}")
     x_e = as_elem(x, lam)
-    lhs = trunc_degen_bernoulli(n, r, 1, x_e, N=n, lam=lam)
+    lhs = trunc_degen_bernoulli(n, r, 1, x_e, lam=lam)
     lead = const(math.factorial(r), lam) / one_falling(r, lam)
     params = {"n": n, "r": r, "x": str(x_e)}
     if n == 0:

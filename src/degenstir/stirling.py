@@ -14,7 +14,8 @@ kind, read as k! sum_n S(n, k) t^n / n!, is the k-th power of the block, so
 the truncated Bernoulli values read the denominator of their quotient off
 the same triangle.  The defining series stays as the independent route: ``_block``
 is the base series without its orders below t^r, and the tests check the
-triangle against its powers.
+triangle against its powers.  Every entry is exact and needs no working
+precision: coefficient n is fixed by the orders up to n.
 
 For the truncated second kind three independent routes are implemented:
 
@@ -35,21 +36,8 @@ from functools import lru_cache
 
 from .combinat import compositions
 from .core import degen_exp, degen_log, falling_factorial, int_falling, one_falling
-from .errors import PrecisionExceeded
 from .field import FieldElem, const, lam_elem
 from .series import Series
-
-
-def _working_precision(n: int, N) -> int:
-    """Series precision for coefficient n of a request for N orders (None:
-    n), rounded up to a multiple of 8 so that nearby requests share one
-    cached truncated-Bernoulli quotient (without it the pinned-sweep
-    benchmark ran ~10% slower).  A Stirling entry, read off its triangle,
-    only has its index checked here."""
-    N = n if N is None else N
-    if n > N:
-        raise PrecisionExceeded("index %d exceeds requested precision %d" % (n, N))
-    return N + (-N) % 8
 
 
 def _block(kind: int, r: int, precision: int, lam) -> Series:
@@ -144,9 +132,8 @@ def _triangle(kind: int, r: int, lam) -> _Triangle:
     return _Triangle(kind, r, lam)
 
 
-def _entry(kind: int, n: int, k: int, r: int, N, lam) -> FieldElem:
-    # n! [t^n] block^k / k!, read off the triangle; N is only checked
-    _working_precision(n, N)
+def _entry(kind: int, n: int, k: int, r: int, lam) -> FieldElem:
+    # n! [t^n] block^k / k!, read off the triangle
     if n < 0 or k < 0 or r < 1:
         raise ValueError("Stirling entries need n, k >= 0 and r >= 1, got "
                          "n=%d, k=%d, r=%d" % (n, k, r))
@@ -160,24 +147,24 @@ def _entry(kind: int, n: int, k: int, r: int, N, lam) -> FieldElem:
     return cols[k][i]
 
 
-def stirling2_degen(n: int, k: int, N=None, lam=None) -> FieldElem:
+def stirling2_degen(n: int, k: int, lam=None) -> FieldElem:
     """Second kind: n! [t^n] (e(t) - 1)^k / k!, the r = 1 truncated number."""
-    return stirling2r_gf(n, k, 1, N, lam)
+    return stirling2r_gf(n, k, 1, lam)
 
 
-def stirling1_degen(n: int, k: int, N=None, lam=None) -> FieldElem:
+def stirling1_degen(n: int, k: int, lam=None) -> FieldElem:
     """First kind: n! [t^n] (log-series)^k / k!, the r = 1 truncated number."""
-    return stirling1r_gf(n, k, 1, N, lam)
+    return stirling1r_gf(n, k, 1, lam)
 
 
-def stirling2r_gf(n: int, k: int, r: int, N=None, lam=None) -> FieldElem:
+def stirling2r_gf(n: int, k: int, r: int, lam=None) -> FieldElem:
     """Truncated second kind, n! [t^n] block^k / k!, from its triangle."""
-    return _entry(2, n, k, r, N, lam)
+    return _entry(2, n, k, r, lam)
 
 
-def stirling1r_gf(n: int, k: int, r: int, N=None, lam=None) -> FieldElem:
+def stirling1r_gf(n: int, k: int, r: int, lam=None) -> FieldElem:
     """Truncated first kind, n! [t^n] block^k / k!, from its triangle."""
-    return _entry(1, n, k, r, N, lam)
+    return _entry(1, n, k, r, lam)
 
 
 def stirling2r_composition(n: int, k: int, r: int, lam=None) -> FieldElem:
@@ -244,15 +231,14 @@ def _family(family: str):
     return FAMILIES[family]
 
 
-def family_entry(family: str, n: int, k: int, r: int = 1, N=None, lam=None) -> FieldElem:
+def family_entry(family: str, n: int, k: int, r: int = 1, lam=None) -> FieldElem:
     """Entry (n, k) of a Stirling family, k being the power; the plain kinds
     take r = 1 whatever r is given."""
     core, truncated = _family(family)
-    return core(n, k, r if truncated else 1, N, lam)
+    return core(n, k, r if truncated else 1, lam)
 
 
-def build_triangle(family: str, n_max: int, k_max=None, r: int = 1, lam=None,
-                   N=None):
+def build_triangle(family: str, n_max: int, k_max=None, r: int = 1, lam=None):
     """Rows (n, m, value) of a Stirling family, n ascending then m ascending,
     where m is the second index of the quantity itself: k for the plain
     kinds, k*r for the truncated kinds.  Plain kinds emit the classical
@@ -262,7 +248,6 @@ def build_triangle(family: str, n_max: int, k_max=None, r: int = 1, lam=None,
     if not truncated:
         r = 1
     k_max = n_max if k_max is None else k_max
-    N = n_max if N is None else N
-    return [(n, k * r, family_entry(family, n, k, r, N, lam))
+    return [(n, k * r, family_entry(family, n, k, r, lam))
             for n in range(n_max + 1)
             for k in range(k_max + 1 if truncated else min(k_max, n) + 1)]

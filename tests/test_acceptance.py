@@ -70,7 +70,7 @@ def test_triple_route_agreement():
     for r in (1, 2, 3):
         for k in range(5):
             for n in range(13):
-                a = stirling2r_gf(n, k, r, N=n)
+                a = stirling2r_gf(n, k, r)
                 assert a == stirling2r_composition(n, k, r)
                 assert a == stirling2r_binomial(n, k, r)
     ok("triple-route agreement (n<=12, k<=4, r<=3)")
@@ -79,7 +79,7 @@ def test_triple_route_agreement():
 def test_reduction_at_depth_one():
     for n in range(13):
         for k in range(n + 1):
-            assert stirling2r_gf(n, k, 1, N=n) == stirling2_degen(n, k, N=n)
+            assert stirling2r_gf(n, k, 1) == stirling2_degen(n, k)
     ok("depth-1 truncation reduces to the plain second kind (n<=12)")
 
 
@@ -87,7 +87,7 @@ def test_vanishing_region():
     for r in (1, 2, 3):
         for k in range(5):
             for n in range(k * r):
-                assert stirling2r_gf(n, k, r, N=max(n, 1)) == 0
+                assert stirling2r_gf(n, k, r) == 0
                 assert stirling2r_composition(n, k, r) == 0
                 assert stirling2r_binomial(n, k, r) == 0
     ok("vanishing region below the staircase (all three routes)")
@@ -106,22 +106,22 @@ def test_inversion_pair_and_basis_identities():
         for m in range(top + 1):
             acc = const(0)
             for k in range(top + 1):
-                acc = acc + stirling1_degen(n, k, N=top) * stirling2_degen(k, m, N=top)
+                acc = acc + stirling1_degen(n, k) * stirling2_degen(k, m)
             assert acc == (1 if n == m else 0)
             acc = const(0)
             for k in range(top + 1):
-                acc = acc + stirling2_degen(n, k, N=top) * stirling1_degen(k, m, N=top)
+                acc = acc + stirling2_degen(n, k) * stirling1_degen(k, m)
             assert acc == (1 if n == m else 0)
     for n in range(top + 1):
         for x in range(n + 1):
             xe = const(x)
             rhs = const(0)
             for k in range(n + 1):
-                rhs = rhs + stirling2_degen(n, k, N=n) * falling_factorial(xe, k)
+                rhs = rhs + stirling2_degen(n, k) * falling_factorial(xe, k)
             assert gen_falling(xe, n) == rhs
             rhs = const(0)
             for k in range(n + 1):
-                rhs = rhs + stirling1_degen(n, k, N=n) * gen_falling(xe, k)
+                rhs = rhs + stirling1_degen(n, k) * gen_falling(xe, k)
             assert falling_factorial(xe, n) == rhs
     ok("triangles are matrix inverses and change bases (n<=10)")
 
@@ -130,7 +130,7 @@ def test_classical_specialization():
     table = classic_stirling2(12)
     for n in range(13):
         for k in range(n + 1):
-            assert stirling2_degen(n, k, N=12, lam=F(0)) == table[(n, k)]
+            assert stirling2_degen(n, k, lam=F(0)) == table[(n, k)]
     assert stirling2_degen(4, 2, lam=F(0)) == 7
     oracle = bernoulli_numbers(10)
     for n in range(11):
@@ -230,7 +230,7 @@ def test_reciprocal_polynomial_routes():
         expect = const(0)
         for k in range(n + 1):
             sign = -1 if k % 2 else 1
-            expect = expect + sign * math.factorial(k) * stirling2_degen(n, k, N=n)
+            expect = expect + sign * math.factorial(k) * stirling2_degen(n, k)
         assert k_lambda(n, ones) == expect
     ok("reciprocal polynomials: dual route and all-ones specialization (n<=10)")
 

@@ -217,3 +217,57 @@ def test_order_table_warns_once_with_its_n_max_bound(capsys):
     assert code == 2 and out == ""
     assert err == ("warning: --precision 5 is below the derived safe bound 12\n"
                    "error: index 6 exceeds requested precision 5\n")
+
+
+# every family that takes --precision, with arguments that give it nonzero
+# cells; a table's bound is its --n-max and eval's its --n, both 5 here
+_PRECISION_FAMILIES = [
+    ("stirling1", ()),
+    ("stirling2", ()),
+    ("stirling2r", ("--r", "2")),
+    ("stirling1r", ("--r", "2")),
+    ("bernoulli", ("--alpha", "2", "--x", "1/2")),
+    ("trunc-bernoulli", ("--r", "2", "--alpha", "2")),
+]
+
+
+def _precision_commands(family, extra, lam):
+    # (argv, first index past precision p) for a table and for eval
+    tail = (*extra, "--lambda", lam)
+    return [(("table", family, "--n-max", "5", "--k-max", "2", *tail), lambda p: p + 1),
+            (("eval", family, "--n", "5", "--k", "2", *tail), lambda p: 5)]
+
+
+@pytest.mark.parametrize("lam", ["symbolic", "1/3"])
+@pytest.mark.parametrize("family,extra", _PRECISION_FAMILIES)
+def test_precision_at_or_above_the_bound_changes_no_output(capsys, family, extra, lam):
+    for argv, _ in _precision_commands(family, extra, lam):
+        plain = run_cli(capsys, *argv)
+        assert plain[0] == 0 and plain[1] and plain[2] == ""
+        for p in (5, 6, 13, 40):
+            assert run_cli(capsys, *argv, "--precision", str(p)) == plain, (argv, p)
+
+
+@pytest.mark.parametrize("lam", ["symbolic", "1/3"])
+@pytest.mark.parametrize("family,extra", _PRECISION_FAMILIES)
+def test_precision_below_the_bound_warns_then_fails_past_it(capsys, family, extra, lam):
+    for argv, index in _precision_commands(family, extra, lam):
+        for p in (-1, 0, 3, 4):
+            err = ("warning: --precision %d is below the derived safe bound 5\n"
+                   "error: index %d exceeds requested precision %d\n" % (p, index(p), p))
+            assert run_cli(capsys, *argv, "--precision=%d" % p) == (2, "", err), (argv, p)
+
+
+def test_a_truncated_table_fails_at_the_row_after_the_precision(capsys):
+    assert run_cli(capsys, "table", "stirling2r", "--n-max", "5", "--r", "2",
+                   "--k-max", "2", "--precision", "3") == (
+        2, "", "warning: --precision 3 is below the derived safe bound 5\n"
+               "error: index 4 exceeds requested precision 3\n")
+
+
+def test_a_pole_in_row_zero_is_reported_before_the_precision(capsys):
+    # row 0 is computed, and fails, before row 4 would pass the precision
+    assert run_cli(capsys, "table", "trunc-bernoulli", "--n-max", "5", "--r", "2",
+                   "--lambda", "1", "--precision", "3") == (
+        2, "", "warning: --precision 3 is below the derived safe bound 5\n"
+               "error: division by a series with no known nonzero coefficient\n")

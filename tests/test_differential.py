@@ -52,9 +52,9 @@ def test_every_family_is_covered():
 def test_pinned_equals_instantiated_symbolic(family):
     value = cli.FAMILIES[family][0]
     for args, n, k in CASES[family]:
-        symbolic = value(Namespace(**vars(args), lam=None), n, k, None)
+        symbolic = value(Namespace(**vars(args), lam=None), n, k)
         for lam0 in PINNED:
-            pinned = value(Namespace(**vars(args), lam=lam0), n, k, None)
+            pinned = value(Namespace(**vars(args), lam=lam0), n, k)
             assert pinned.lam == lam0
             assert symbolic.instantiate(lam0) == pinned.instantiate(lam0), \
                 (family, vars(args), n, k, lam0)
@@ -81,8 +81,8 @@ def test_pinned_equals_instantiated_symbolic_at_random_lambda(lam0):
     for family, cases in RANDOM_CASES.items():
         value = cli.FAMILIES[family][0]
         for args, n, k in cases:
-            symbolic = value(Namespace(**vars(args), lam=None), n, k, None)
-            pinned = value(Namespace(**vars(args), lam=lam0), n, k, None)
+            symbolic = value(Namespace(**vars(args), lam=None), n, k)
+            pinned = value(Namespace(**vars(args), lam=lam0), n, k)
             assert pinned.lam == lam0
             assert symbolic.instantiate(lam0) == pinned.instantiate(lam0), \
                 (family, vars(args), n, k, lam0)

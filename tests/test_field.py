@@ -14,7 +14,12 @@ from degenstir import (
     LambdaPoly,
     ModeMismatch,
     PoleAtLambda,
+    bell_partial,
     const,
+    degen_bernoulli,
+    degen_exp,
+    gen_falling,
+    k_lambda,
     lam_elem,
     poly_gcd,
 )
@@ -264,3 +269,25 @@ def test_constant_elements_equal_and_hash_like_their_fraction(q):
     # the direct constant equals the one built through the constructor
     built = FieldElem.from_polys(LambdaPoly((q,)))
     assert built.num == e.num and built == e and hash(built) == hash(e)
+
+
+# each entry point coerces its arguments through as_elem
+_ELEMENT_ENTRY_POINTS = [
+    ("degen_bernoulli", lambda x, lam=None: degen_bernoulli(2, 1, x=x, lam=lam)),
+    ("bell_partial", lambda x, lam=None: bell_partial(3, 2, [x, x], lam=lam)),
+    ("k_lambda", lambda x, lam=None: k_lambda(2, [x, x], lam=lam)),
+    ("gen_falling", lambda x, lam=None: gen_falling(x, 3, lam=lam)),
+    ("degen_exp", lambda x, lam=None: degen_exp(x, 4, lam=lam).coeff(2)),
+]
+
+
+@pytest.mark.parametrize("name,call", _ELEMENT_ENTRY_POINTS)
+def test_an_explicit_lambda_refuses_an_element_of_another_mode(name, call):
+    for x in (lam_elem(), const(1, F(1, 3))):
+        with pytest.raises(ModeMismatch):
+            call(x, lam=F(1, 2))
+    # an element of the given mode, or any element without one, is taken as is
+    pinned = const(3, F(1, 3))
+    assert call(pinned, lam=F(1, 3)) == call(pinned)
+    assert call(pinned).lam == F(1, 3)
+    assert call(lam_elem()).lam is None

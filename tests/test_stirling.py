@@ -10,7 +10,6 @@ import pytest
 
 from degenstir import (
     FieldElem,
-    PrecisionExceeded,
     Series,
     bell_partial_gf,
     build_triangle,
@@ -38,15 +37,13 @@ def test_second_kind_examples():
     for k in range(6):
         assert stirling2_degen(k, k) == 1
     assert stirling2_degen(2, 1) == 1 - LAM
-    with pytest.raises(PrecisionExceeded):
-        stirling2_degen(5, 2, N=4)
 
 
 def test_second_kind_classical_limit():
     table = classic_stirling2(12)
     for n in range(13):
         for k in range(n + 1):
-            assert stirling2_degen(n, k, N=12, lam=F(0)) == table[(n, k)]
+            assert stirling2_degen(n, k, lam=F(0)) == table[(n, k)]
 
 
 def test_first_kind_examples():
@@ -59,7 +56,7 @@ def test_first_kind_classical_limit():
     table = classic_stirling1(10)
     for n in range(11):
         for k in range(n + 1):
-            assert stirling1_degen(n, k, N=10, lam=F(0)) == table[(n, k)]
+            assert stirling1_degen(n, k, lam=F(0)) == table[(n, k)]
 
 
 def test_triangles_are_inverse_matrices():
@@ -68,11 +65,11 @@ def test_triangles_are_inverse_matrices():
         for m in range(top + 1):
             acc = const(0)
             for k in range(top + 1):
-                acc = acc + stirling1_degen(n, k, N=top) * stirling2_degen(k, m, N=top)
+                acc = acc + stirling1_degen(n, k) * stirling2_degen(k, m)
             assert acc == (1 if n == m else 0)
             acc = const(0)
             for k in range(top + 1):
-                acc = acc + stirling2_degen(n, k, N=top) * stirling1_degen(k, m, N=top)
+                acc = acc + stirling2_degen(n, k) * stirling1_degen(k, m)
             assert acc == (1 if n == m else 0)
 
 
@@ -84,18 +81,18 @@ def test_basis_change_identities():
             xe = const(x)
             rhs = const(0)
             for k in range(n + 1):
-                rhs = rhs + stirling2_degen(n, k, N=n) * falling_factorial(xe, k)
+                rhs = rhs + stirling2_degen(n, k) * falling_factorial(xe, k)
             assert gen_falling(xe, n) == rhs
             rhs = const(0)
             for k in range(n + 1):
-                rhs = rhs + stirling1_degen(n, k, N=n) * gen_falling(xe, k)
+                rhs = rhs + stirling1_degen(n, k) * gen_falling(xe, k)
             assert falling_factorial(xe, n) == rhs
 
 
 def test_truncated_gf_examples():
     for n in range(9):
         for k in range(n + 1):
-            assert stirling2r_gf(n, k, 1, N=n) == stirling2_degen(n, k, N=n)
+            assert stirling2r_gf(n, k, 1) == stirling2_degen(n, k)
     assert stirling2r_gf(3, 1, 2) == (1 - LAM) * (1 - 2 * LAM)
     assert stirling2r_gf(4, 2, 2) == 3 * (1 - LAM) ** 2
 
@@ -104,7 +101,7 @@ def test_truncated_vanishing_region_from_the_series_itself():
     for r in (1, 2, 3):
         for k in range(5):
             for n in range(k * r):
-                assert stirling2r_gf(n, k, r, N=max(n, 1)) == 0
+                assert stirling2r_gf(n, k, r) == 0
 
 
 def test_composition_route_examples():
@@ -115,7 +112,7 @@ def test_composition_route_examples():
     assert stirling2r_composition(4, 2, 2) == 3 * (1 - LAM) ** 2
     for n in range(9):
         for k in range(9):
-            assert stirling2r_composition(n, k, 1) == stirling2_degen(n, k, N=n)
+            assert stirling2r_composition(n, k, 1) == stirling2_degen(n, k)
 
 
 def test_binomial_route_examples():
@@ -128,7 +125,7 @@ def test_three_routes_agree():
     for r in (1, 2, 3):
         for k in range(4):
             for n in range(9):
-                a = stirling2r_gf(n, k, r, N=n)
+                a = stirling2r_gf(n, k, r)
                 assert a == stirling2r_composition(n, k, r)
                 assert a == stirling2r_binomial(n, k, r)
 
@@ -136,12 +133,12 @@ def test_three_routes_agree():
 def test_first_kind_truncated():
     for n in range(9):
         for k in range(n + 1):
-            assert stirling1r_gf(n, k, 1, N=n) == stirling1_degen(n, k, N=n)
+            assert stirling1r_gf(n, k, 1) == stirling1_degen(n, k)
     assert stirling1r_gf(2, 1, 2) == LAM - 1
     assert stirling1r_gf(1, 1, 2) == 0
     for k in (1, 2):
         for n in range(2 * k):
-            assert stirling1r_gf(n, k, 2, N=max(n, 1)) == 0
+            assert stirling1r_gf(n, k, 2) == 0
 
 
 def test_triangle_construction():
@@ -196,21 +193,21 @@ def test_recurrence_triangle_equals_the_block_power_ladder(lam):
                 powers.append(powers[-1].mul(block))
             for n, k in cells:
                 ladder = powers[k].coeff(n) * F(math.factorial(n), math.factorial(k))
-                assert entry(n, k, r, N=16, lam=lam) == ladder, (kind, r, n, k)
+                assert entry(n, k, r, lam=lam) == ladder, (kind, r, n, k)
 
 
 def test_an_entry_grows_only_the_columns_up_to_its_own():
     lam = F(2, 7)
     stirling._triangle.cache_clear()
     # S(n, 1) is the descending product (1)_{n,l} at r = 1
-    assert stirling2r_gf(3000, 1, 1, N=3000, lam=lam) == one_falling(3000, lam)
+    assert stirling2r_gf(3000, 1, 1, lam=lam) == one_falling(3000, lam)
     tri = stirling._triangle(2, 1, lam)
     # S(3000, 1) reads column 0 only down to row 2999; column 1 starts at row 1
     assert [len(col) for col in tri.cols] == [3000, 3000]
     # k*r > n: zero, without a cache lookup or any growth
     info = stirling._triangle.cache_info()
-    assert stirling2r_gf(8, 1500, 1, N=8, lam=lam) == 0
-    assert stirling2r_gf(5, 3, 2, N=5, lam=lam) == 0
+    assert stirling2r_gf(8, 1500, 1, lam=lam) == 0
+    assert stirling2r_gf(5, 3, 2, lam=lam) == 0
     assert stirling._triangle.cache_info() == info
     assert [len(col) for col in tri.cols] == [3000, 3000]
 
@@ -233,9 +230,9 @@ def test_a_deep_bernoulli_order_grows_only_a_band_of_each_column():
 def test_entries_refuse_negative_indices_and_r_below_one():
     for n, k, r in ((-1, 0, 1), (3, -1, 1), (3, 1, 0)):
         with pytest.raises(ValueError):
-            stirling2r_gf(n, k, r, N=3)
+            stirling2r_gf(n, k, r)
         with pytest.raises(ValueError):
-            stirling1r_gf(n, k, r, N=3)
+            stirling1r_gf(n, k, r)
 
 
 def test_triangle_makes_about_one_product_per_cell(monkeypatch):
@@ -291,7 +288,7 @@ def test_threads_filling_one_cold_triangle_agree_with_one_thread():
 
     _threads_agree_with_one_thread(
         stirling._triangle.cache_clear,
-        lambda: [stirling2r_gf(n, k, 1, N=16) for n in range(17) for k in range(n + 1)],
+        lambda: [stirling2r_gf(n, k, 1) for n in range(17) for k in range(n + 1)],
         check)
 
 

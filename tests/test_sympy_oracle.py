@@ -70,7 +70,7 @@ def test_symbolic_values_match_the_closed_forms(oracle, kind):
     for r in (1, 2, 3):
         for n in range(N + 1):
             for k in range(n + 1):
-                got = _poly(ENTRY[kind](n, k, r, N=N))
+                got = _poly(ENTRY[kind](n, k, r))
                 assert got == oracle[kind, r, n, k], (kind, r, n, k)
 
 
@@ -81,7 +81,7 @@ def test_pinned_values_match_the_closed_forms(oracle, lam):
             for n in range(N + 1):
                 for k in range(n + 1):
                     want = sum(c * lam ** i for i, c in oracle[kind, r, n, k].items())
-                    assert ENTRY[kind](n, k, r, N=N, lam=lam) == want, (kind, r, n, k)
+                    assert ENTRY[kind](n, k, r, lam=lam) == want, (kind, r, n, k)
 
 
 NB = 6
@@ -136,7 +136,7 @@ def _rational(v):
 
 def test_symbolic_bernoulli_values_match_the_closed_form(bernoulli_oracle):
     for (r, alpha, x, n), want in bernoulli_oracle.items():
-        got = trunc_degen_bernoulli(n, r, alpha, x, N=NB)
+        got = trunc_degen_bernoulli(n, r, alpha, x)
         assert _ring_poly(got.num) * want.denom == want.numer * _ring_poly(got.den), \
             (r, alpha, x, n)
 
@@ -146,5 +146,5 @@ def test_pinned_bernoulli_values_match_the_closed_form(bernoulli_oracle, lam):
     at = sp.QQ(lam.numerator, lam.denominator)
     for (r, alpha, x, n), want in bernoulli_oracle.items():
         value = _rational(want.numer(at)) / _rational(want.denom(at))
-        assert trunc_degen_bernoulli(n, r, alpha, x, N=NB, lam=lam) == value, \
+        assert trunc_degen_bernoulli(n, r, alpha, x, lam=lam) == value, \
             (r, alpha, x, n)
