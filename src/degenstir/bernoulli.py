@@ -23,6 +23,7 @@ entry points check that they do.
 from __future__ import annotations
 
 import math
+import threading
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -32,7 +33,7 @@ from .core import degen_exp, one_falling
 from .errors import InputTooShort, RouteDisagreement
 from .field import FieldElem, as_elem, const
 from .series import Series
-from .stirling import _climb, stirling2r_gf
+from .stirling import stirling2r_gf
 
 
 @lru_cache(maxsize=None)
@@ -109,13 +110,19 @@ def bell_partial_enum(n: int, k: int, xs, lam=None) -> FieldElem:
 # a ladder; the next row's series is longer, so only the last few are kept.
 @lru_cache(maxsize=4)
 def _bell_rungs(coeffs: tuple) -> list:
-    # the powers of the series with these coefficients; _climb extends the list
-    return [Series.one(len(coeffs) - 1, coeffs[0].lam)]
+    # rung k is the k-th power of the series with these coefficients;
+    # bell_partial_gf extends the list
+    return [Series.one(len(coeffs) - 1, coeffs[0].lam), Series(coeffs)]
+
+
+_growing = threading.Lock()
 
 
 def bell_partial_gf(n: int, k: int, xs, lam=None) -> FieldElem:
     """Partial Bell polynomial from the defining series power, read off a
-    ladder of the powers of that series."""
+    ladder of the powers of that series.  Missing rungs are filled in a
+    loop, one product each, under ``_growing`` so that threads never append
+    one rung twice; reads take no lock."""
     xs, mode = _prepare_xs(xs, lam)
     if 1 <= k <= n:
         _require_xs(xs, n - k + 1)
@@ -128,9 +135,16 @@ def bell_partial_gf(n: int, k: int, xs, lam=None) -> FieldElem:
             coeffs.append(xs[l - 1] / math.factorial(l))
         else:
             coeffs.append(z)
-    coeffs = tuple(coeffs)
-    ser = _climb(_bell_rungs(coeffs), k, lambda: Series(coeffs))
-    return ser.coeff(n) * Fraction(math.factorial(n), math.factorial(k))
+    rungs = _bell_rungs(tuple(coeffs))
+    v = rungs[1].valuation()
+    if v is None or k * v > n:
+        # the k-th power starts at t^(kv), past t^n
+        return z
+    if k >= len(rungs):
+        with _growing:
+            while len(rungs) <= k:
+                rungs.append(rungs[-1].mul(rungs[1]))
+    return rungs[k].coeff(n) * Fraction(math.factorial(n), math.factorial(k))
 
 
 def bell_partial(n: int, k: int, xs, lam=None) -> FieldElem:

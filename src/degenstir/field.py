@@ -261,23 +261,6 @@ def poly_gcd(p: LambdaPoly, q: LambdaPoly) -> LambdaPoly:
     return _poly(Fraction(1, a[-1]), a)
 
 
-def _reduce(num: LambdaPoly, den: LambdaPoly):
-    """Canonical form of num/den: reduced, monic denominator."""
-    if num.is_zero:
-        return P_ZERO, P_ONE
-    if not den.is_one:
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        lc = den.leading
-        if lc != 1:
-            inv = 1 / lc
-            num = num * inv
-            den = den * inv
-    return num, den
-
-
 class FieldElem:
     """Element of the rational-function field, or a pinned-parameter rational.
 
@@ -289,24 +272,27 @@ class FieldElem:
     __slots__ = ("lam", "num", "den", "value")
 
     def __init__(self, *, lam, num=None, den=None, value=None):
-        # internal: use from_rational / from_polys, which canonicalize
+        # internal: use const / from_polys, which canonicalize
         self.lam = lam
         self.num = num
         self.den = den
         self.value = value
 
     @classmethod
-    def from_rational(cls, value, lam=None):
-        value = as_rational(value)
-        if lam is None:
-            return cls(lam=None, num=_poly(value, (1,)) if value else P_ZERO, den=P_ONE)
-        return cls(lam=as_rational(lam), value=value)
-
-    @classmethod
     def from_polys(cls, num: LambdaPoly, den: LambdaPoly = P_ONE):
+        """Canonical form of num/den: reduced, monic denominator."""
         if den.is_zero:
             raise DivisionByZero("zero denominator polynomial")
-        num, den = _reduce(num, den)
+        if num.is_zero:
+            return cls(lam=None, num=P_ZERO, den=P_ONE)
+        if not den.is_one:
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num, den = num.exact_div(g), den.exact_div(g)
+            lc = den.leading
+            if lc != 1:
+                inv = 1 / lc
+                num, den = num * inv, den * inv
         return cls(lam=None, num=num, den=den)
 
     @property
@@ -321,7 +307,7 @@ class FieldElem:
                 raise ModeMismatch(
                     "cannot combine mode %r with mode %r" % (self.lam, other.lam))
             return other
-        return FieldElem.from_rational(other, self.lam)
+        return const(other, self.lam)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -331,34 +317,11 @@ class FieldElem:
         if ad.is_one and bd.is_one:
             return FieldElem(lam=None, num=an + bn, den=P_ONE)
         if ad == bd:
-            num = an + bn
-            if num.is_zero:
-                return FieldElem(lam=None, num=P_ZERO, den=P_ONE)
-            g = poly_gcd(num, ad)
-            if g.degree > 0:
-                return FieldElem(lam=None, num=num.exact_div(g), den=ad.exact_div(g))
-            return FieldElem(lam=None, num=num, den=ad)
+            return FieldElem.from_polys(an + bn, ad)
         if ad.is_one or bd.is_one:
-            g = P_ONE
-        else:
-            g = poly_gcd(ad, bd)
-        if g.degree > 0:
-            ad2 = ad.exact_div(g)
-            bd2 = bd.exact_div(g)
-            num = an * bd2 + bn * ad2
-            if num.is_zero:
-                return FieldElem(lam=None, num=P_ZERO, den=P_ONE)
-            den = ad * bd2
-            g2 = poly_gcd(num, g)
-            if g2.degree > 0:
-                num = num.exact_div(g2)
-                den = den.exact_div(g2)
-            return FieldElem(lam=None, num=num, den=den)
-        # coprime denominators: the sum is already reduced
-        num = an * bd + bn * ad
-        if num.is_zero:
-            return FieldElem(lam=None, num=P_ZERO, den=P_ONE)
-        return FieldElem(lam=None, num=num, den=ad * bd)
+            # a polynomial plus a reduced quotient is already reduced
+            return FieldElem(lam=None, num=an * bd + bn * ad, den=ad * bd)
+        return FieldElem.from_polys(an * bd + bn * ad, ad * bd)
 
     __radd__ = __add__
 
@@ -420,7 +383,7 @@ class FieldElem:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = FieldElem.from_rational(1, self.lam)
+        out = const(1, self.lam)
         base = self
         while k:
             if k & 1:
@@ -486,15 +449,18 @@ class FieldElem:
 
 
 def const(value, lam=None) -> FieldElem:
-    return FieldElem.from_rational(value, lam)
+    """A rational in the given mode: a constant polynomial, or pinned."""
+    value = as_rational(value)
+    if lam is None:
+        return FieldElem(lam=None, num=_poly(value, (1,)) if value else P_ZERO, den=P_ONE)
+    return FieldElem(lam=as_rational(lam), value=value)
 
 
 def lam_elem(lam=None) -> FieldElem:
     """The deformation parameter itself, in the requested mode."""
     if lam is None:
         return FieldElem(lam=None, num=P_LAM, den=P_ONE)
-    lam = as_rational(lam)
-    return FieldElem.from_rational(lam, lam)
+    return const(lam, lam)
 
 
 def as_elem(value, lam=None) -> FieldElem:
@@ -504,5 +470,5 @@ def as_elem(value, lam=None) -> FieldElem:
         if lam is not None and value.lam != lam:
             raise ModeMismatch("cannot combine mode %r with mode %r" % (value.lam, lam))
         return value
-    return FieldElem.from_rational(value, lam)
+    return const(value, lam)
 

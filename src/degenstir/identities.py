@@ -126,12 +126,12 @@ def verify_thm5(n: int, k: int, lam=None, variant: str = AS_DERIVED) -> Identity
     return _report("thm5", {"n": n, "k": k}, lhs, rhs, variant)
 
 
-def verify_thm6(n: int, k: int, lam=None, enforce_domain: bool = True) -> IdentityReport:
+def verify_thm6(n: int, k: int, lam=None) -> IdentityReport:
     """Identity linking the double-truncation block of one power against
     the block of the previous power, stated for n >= k >= 1."""
     if k < 1:
         raise DomainViolation("k must be at least 1")
-    if enforce_domain and n < k:
+    if n < k:
         raise DomainViolation("stated domain requires n >= k")
     lhs = const(0, lam)
     for j in range(n + 1):

@@ -53,28 +53,6 @@ def _block(kind: int, r: int, precision: int, lam) -> Series:
 _growing = threading.Lock()
 
 
-def _climb(rungs: list, k: int, first) -> Series:
-    """Rung k of a ladder of powers held in ``rungs``, a list that starts at
-    the unit series (rung 0) and grows in place.  Rung 1 is ``first()``;
-    every higher rung is the rung below it times rung 1.  Missing rungs are
-    filled in a loop from the highest rung held, never by one call per rung,
-    so a deep power does not exhaust the stack.  A zero rung stands for
-    every rung above it, which are zero as well, so the list never grows
-    past the first zero however deep the power asked for.  Growth holds
-    ``_growing``, so threads never append one rung twice; reads take no lock.
-    The partial Bell polynomials are its one user, one ladder per row."""
-    if k < len(rungs):
-        return rungs[k]
-    with _growing:
-        if k >= 1 and len(rungs) == 1:
-            rungs.append(first())
-        while len(rungs) <= k:
-            if rungs[-1].valuation() is None:
-                return rungs[-1]
-            rungs.append(rungs[-1].mul(rungs[1]))
-        return rungs[k]
-
-
 class _Triangle:
     """The truncated Stirling numbers S(m, j) of one kind, r and parameter,
     filled by the triangle recurrence in n

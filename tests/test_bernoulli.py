@@ -81,7 +81,7 @@ def _one_division_series(r, alpha, x, precision, lam):
 
 
 @pytest.mark.parametrize("lam", [None, F(-5, 3)])
-def test_quotient_ladder_equals_the_one_division_form(lam):
+def test_triangle_quotient_equals_the_one_division_form(lam):
     _bern_quot.cache_clear()
     _trunc_bern_series.cache_clear()
     for r in (1, 2, 3):

@@ -72,14 +72,6 @@ def test_thm6_desk_cases():
         verify_thm6(3, 0)
 
 
-def test_thm6_outside_domain_logged_without_assertion():
-    # the stated domain excludes n < k; results there are computed on
-    # request and merely recorded
-    for n, k in ((0, 1), (1, 2), (2, 4)):
-        rep = verify_thm6(n, k, enforce_domain=False)
-        print("outside-domain thm6", rep.to_json_obj())
-
-
 def test_thm7_desk_cases():
     rep = verify_thm7(0, 1)
     assert rep.equal and rep.lhs == 0

@@ -170,12 +170,17 @@ def _bell_ladder(xs):
 
 
 def test_ladder_stops_growing_at_its_first_zero_rung():
-    # the Bell series has valuation 1, so at precision 8 every power of it
-    # above the 8th is zero
+    # the k-th power of a series of valuation v starts at t^(kv), so row n
+    # reads zero from every rung with k*v > n and the ladder never grows it
     xs = [const(F(l, l + 1)) for l in range(1, 9)]
     bernoulli._bell_rungs.cache_clear()
     assert bell_partial_gf(8, 5000, xs) == 0
-    assert len(_bell_ladder(xs)) == 10
+    assert len(_bell_ladder(xs)) == 2
+    # with x_1 = 0 the valuation is 2, so row 8 climbs only to rung 4
+    xs[0] = const(0)
+    row = [bell_partial_gf(8, k, xs) for k in range(9)]
+    assert row[5:] == [0] * 4 and row[4] != 0
+    assert len(_bell_ladder(xs)) == 5
 
 
 @pytest.mark.parametrize("lam", [None, F(-5, 3), F(0), F(7, 2)])
