@@ -18,6 +18,11 @@ and exact:
   rational, and arithmetic gets much cheaper.  The two modes never mix;
   combining them raises :class:`ModeMismatch`.
 
+``FieldElem`` is the public wrapper.  The kernels compute on the values of a
+mode's ``domain``: plain Fractions for ``Pinned(l0)``, the symbolic elements
+for ``SYMBOLIC``; both take the same operators.  A public entry point unwraps
+its element arguments once, with the mode check, and wraps its result once.
+
 The parameter prints as ``l`` in the canonical text form, for example
 ``(-1/2)*l^1 + 1/2``.
 """
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import BothZero, DivisionByZero, ModeMismatch, PoleAtLambda
 
@@ -472,3 +478,56 @@ def as_elem(value, lam=None) -> FieldElem:
         return value
     return const(value, lam)
 
+
+
+class Pinned:
+    """The value domain of a pinned mode: Fractions, the parameter at ``mode``."""
+
+    __slots__ = ("mode", "lam")
+    zero, one = Fraction(0), Fraction(1)
+    const = staticmethod(as_rational)
+
+    def __init__(self, lam0):
+        self.mode = self.lam = as_rational(lam0)
+
+    def unwrap(self, value) -> Fraction:
+        return as_elem(value, self.mode).value
+
+    def wrap(self, value: Fraction) -> FieldElem:
+        return FieldElem(lam=self.mode, value=value)
+
+    @staticmethod
+    def inverse(value: Fraction) -> Fraction:
+        if not value:
+            raise DivisionByZero("inverse of zero")
+        return 1 / value
+
+
+class Symbolic:
+    """The value domain of the symbolic mode: the symbolic ``FieldElem`` s."""
+
+    mode = None
+    zero, one, lam = const(0), const(1), lam_elem()
+    const = staticmethod(const)
+
+    @staticmethod
+    def unwrap(value) -> FieldElem:
+        value = as_elem(value)
+        if value.lam is not None:
+            raise ModeMismatch("cannot combine mode %r with mode None" % (value.lam,))
+        return value
+
+    @staticmethod
+    def wrap(value: FieldElem) -> FieldElem:
+        return value
+
+    inverse = staticmethod(FieldElem.inverse)
+
+
+SYMBOLIC = Symbolic()
+
+
+@lru_cache(maxsize=None)
+def domain(lam=None):
+    """The value domain of a mode; one object per mode, so caches key on it."""
+    return SYMBOLIC if lam is None else Pinned(lam)

@@ -8,7 +8,8 @@ derived form is the primary ("as-derived") variant and the statement is
 also computed and reported ("as-printed") without being asserted.
 
 Verdicts are exact: two sides are equal iff their canonical forms match
-componentwise.
+componentwise.  A verifier computes both sides on the values of its mode's
+domain (see ``field``) and wraps them once, into the report.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bernoulli import degen_bernoulli, trunc_degen_bernoulli
+from .bernoulli import bernoulli_entry
 from .combinat import compositions
-from .core import falling_factorial, gen_falling, lam_elem, one_falling
+from .core import descending
 from .errors import DomainViolation
-from .field import FieldElem, as_elem, const
-from .stirling import stirling1_degen, stirling2_degen, stirling2r_gf
+from .field import FieldElem, as_elem, domain
+from .stirling import stirling_entry
 
 AS_DERIVED = "as-derived"
 AS_PRINTED = "as-printed"
@@ -49,63 +50,66 @@ class IdentityReport:
         }
 
 
-def _report(identity, params, lhs, rhs, variant=AS_DERIVED):
+def _report(identity, params, lhs, rhs, dom, variant=AS_DERIVED):
     return IdentityReport(identity=identity, variant=variant, params=params,
-                          lhs=lhs, rhs=rhs, equal=lhs == rhs)
+                          lhs=dom.wrap(lhs), rhs=dom.wrap(rhs), equal=lhs == rhs)
 
 
-def _recip_step_product(k: int, lam):
-    """The closed product: parameter^k times the (k+1)-step descending
-    product of 1 with the reciprocal parameter as step, all over k+1.
+def _s2(n, k, r, dom):
+    return stirling_entry(2, n, k, r, dom)
 
-    Clearing denominators term by term shows this equals
-    (s-1)(s-2)...(s-k)/(k+1), which is the form computed: it is a
-    polynomial, and it stays defined when the parameter is pinned to zero
-    and the reciprocal step does not exist.
-    """
-    return falling_factorial(lam_elem(lam) - 1, k) / (k + 1)
+
+def _beta(n, alpha, dom):  # the plain order-alpha value at x = 0
+    return bernoulli_entry(n, 1, alpha, dom.zero, dom)
 
 
 def verify_thm3(n: int, k: int, r: int, lam=None) -> IdentityReport:
     """Convolution: k!/(n+kr)! times the truncated number of full weight
     equals the sum over weak compositions of products of single-block
     values."""
+    dom = domain(lam)
     big = n + k * r
-    lhs = Fraction(math.factorial(k), math.factorial(big)) * stirling2r_gf(big, k, r, lam=lam)
-    rhs = const(0, lam)
+    lhs = Fraction(math.factorial(k), math.factorial(big)) * _s2(big, k, r, dom)
+    rhs = dom.zero
     for comp in compositions(n, k, 0):
-        term = const(1, lam)
+        term = dom.one
         for j in comp:
-            term = term * stirling2r_gf(j + r, 1, r, lam=lam)
+            term = term * _s2(j + r, 1, r, dom)
             term = term / math.factorial(j + r)
         rhs = rhs + term
-    return _report("thm3", {"n": n, "k": k, "r": r}, lhs, rhs)
+    return _report("thm3", {"n": n, "k": k, "r": r}, lhs, rhs, dom)
 
 
 def verify_thm4(n: int, lam=None):
     """Two expansions connecting the Bernoulli numbers with the Stirling
     triangles of both kinds; returns a report pair."""
-    betas = [degen_bernoulli(j, 1, 0, lam=lam) for j in range(n + 1)]
-    rhs1 = const(0, lam)
+    dom = domain(lam)
+    betas = [_beta(j, 1, dom) for j in range(n + 1)]
+    # the closed product for k = 0..n: parameter^k times the (k+1)-step
+    # descending product of 1 with the reciprocal parameter as step, over k+1.
+    # Clearing denominators term by term shows this equals
+    # (s-1)(s-2)...(s-k)/(k+1), the form computed: a polynomial, defined also
+    # when the parameter is pinned to zero and the reciprocal step does not exist
+    recips = [p / (k + 1) for k, p in enumerate(descending(dom.lam - 1, n, 1, dom))]
+    rhs1 = dom.zero
     for k in range(n + 1):
-        rhs1 = rhs1 + _recip_step_product(k, lam) * stirling2_degen(n, k, lam=lam)
-    first = _report("thm4", {"n": n, "part": "bernoulli-expansion"}, betas[n], rhs1)
+        rhs1 = rhs1 + recips[k] * _s2(n, k, 1, dom)
+    first = _report("thm4", {"n": n, "part": "bernoulli-expansion"}, betas[n], rhs1, dom)
 
-    lhs2 = _recip_step_product(n, lam)
-    rhs2 = const(0, lam)
+    rhs2 = dom.zero
     for k in range(n + 1):
-        rhs2 = rhs2 + betas[k] * stirling1_degen(n, k, lam=lam)
-    second = _report("thm4", {"n": n, "part": "log-inverse-expansion"}, lhs2, rhs2)
+        rhs2 = rhs2 + betas[k] * stirling_entry(1, n, k, 1, dom)
+    second = _report("thm4", {"n": n, "part": "log-inverse-expansion"}, recips[n], rhs2, dom)
     return first, second
 
 
-def _thm5_rhs(n: int, k: int, sign: int, lam):
-    total = sign * math.comb(n + k, k) * degen_bernoulli(n, 1, 0, lam=lam)
+def _thm5_rhs(n: int, k: int, sign: int, dom):
+    total = sign * math.comb(n + k, k) * _beta(n, 1, dom)
     big = math.factorial(n + k)
     for j in range(1, k + 1):
         coef = Fraction((-1) ** (k - j) * big,
                         j * math.factorial(k - j) * math.factorial(n + j - 1))
-        total = total + coef * stirling2_degen(n + j - 1, j - 1, lam=lam)
+        total = total + coef * _s2(n + j - 1, j - 1, 1, dom)
     return total
 
 
@@ -113,17 +117,18 @@ def verify_thm5(n: int, k: int, lam=None, variant: str = AS_DERIVED) -> Identity
     """Double-truncation sum against Bernoulli numbers.  The derived form
     carries binomial (n+k choose j) and sign (-1)^k; the printed statement
     has (n+j choose k) and (-1)^n and is reportable but not asserted."""
-    lhs = const(0, lam)
+    dom = domain(lam)
+    lhs = dom.zero
     for j in range(n + 1):
-        s_val = stirling2r_gf(n - j + k, k, 2, lam=lam)
+        s_val = _s2(n - j + k, k, 2, dom)
         if variant == AS_DERIVED:
             binom = math.comb(n + k, j)
         else:
             binom = math.comb(n + j, k)
-        lhs = lhs + binom * s_val * degen_bernoulli(j, 1, 0, lam=lam)
+        lhs = lhs + binom * s_val * _beta(j, 1, dom)
     sign = (-1) ** k if variant == AS_DERIVED else (-1) ** n
-    rhs = _thm5_rhs(n, k, sign, lam)
-    return _report("thm5", {"n": n, "k": k}, lhs, rhs, variant)
+    rhs = _thm5_rhs(n, k, sign, dom)
+    return _report("thm5", {"n": n, "k": k}, lhs, rhs, dom, variant)
 
 
 def verify_thm6(n: int, k: int, lam=None) -> IdentityReport:
@@ -133,60 +138,59 @@ def verify_thm6(n: int, k: int, lam=None) -> IdentityReport:
         raise DomainViolation("k must be at least 1")
     if n < k:
         raise DomainViolation("stated domain requires n >= k")
-    lhs = const(0, lam)
+    dom = domain(lam)
+    lhs = dom.zero
     for j in range(n + 1):
-        lhs = lhs + math.comb(n + k - 1, j) * stirling2r_gf(n - j + k, k, 2, lam=lam) * \
-            degen_bernoulli(j, 1, 0, lam=lam)
-    neg_s = -lam_elem(lam)
-    inner = const(0, lam)
+        lhs = lhs + math.comb(n + k - 1, j) * _s2(n - j + k, k, 2, dom) * _beta(j, 1, dom)
+    neg_s = -dom.lam
+    inner = dom.zero
     for l in range(k, n + 1):
         m = l + k - 2
-        inner = inner + Fraction(1, math.factorial(m)) * stirling2r_gf(m, k - 1, 2, lam=lam) * \
+        inner = inner + Fraction(1, math.factorial(m)) * _s2(m, k - 1, 2, dom) * \
             neg_s ** (n - l)
     for j in range(k, n + 1):
         for l in range(k, j + 1):
             m = l + k - 2
             coef = Fraction(1, math.factorial(m) * math.factorial(n - j))
-            inner = inner + coef * stirling2r_gf(m, k - 1, 2, lam=lam) * \
-                degen_bernoulli(n - j, 1, 0, lam=lam) * neg_s ** (j - l + 1)
+            inner = inner + coef * _s2(m, k - 1, 2, dom) * _beta(n - j, 1, dom) * \
+                neg_s ** (j - l + 1)
     rhs = math.factorial(n + k - 1) * inner
-    return _report("thm6", {"n": n, "k": k}, lhs, rhs)
+    return _report("thm6", {"n": n, "k": k}, lhs, rhs, dom)
 
 
 def verify_thm7(n: int, k: int, lam=None) -> IdentityReport:
     """Double-truncation sum against order-k Bernoulli numbers, with an
     alternating sum over lower orders on the other side."""
-    lhs = const(0, lam)
+    dom = domain(lam)
+    lhs = dom.zero
     for j in range(n + 1):
-        lhs = lhs + math.comb(n + k, j) * stirling2r_gf(n - j + k, k, 2, lam=lam) * \
-            degen_bernoulli(j, k, 0, lam=lam)
-    inner = const(0, lam)
+        lhs = lhs + math.comb(n + k, j) * _s2(n - j + k, k, 2, dom) * _beta(j, k, dom)
+    inner = dom.zero
     for j in range(k + 1):
         sign = (-1) ** (k - j)
-        inner = inner + (sign * math.comb(k, j)) * degen_bernoulli(n, k - j, 0, lam=lam)
+        inner = inner + (sign * math.comb(k, j)) * _beta(n, k - j, dom)
     rhs = math.comb(n + k, k) * inner
-    return _report("thm7", {"n": n, "k": k}, lhs, rhs)
+    return _report("thm7", {"n": n, "k": k}, lhs, rhs, dom)
 
 
-def _thm8_sides(n: int, k: int, lam, l_start: int):
-    lhs = const(0, lam)
+def _thm8_sides(n: int, k: int, dom, l_start: int):
+    lhs = dom.zero
     for j in range(n + 1):
-        lhs = lhs + math.comb(n + k, j + k) * stirling2r_gf(j + k, k, 3, lam=lam) * \
-            degen_bernoulli(n - j, 1, 0, lam=lam)
-    half = (const(1, lam) - lam_elem(lam)) / 2
+        lhs = lhs + math.comb(n + k, j + k) * _s2(j + k, k, 3, dom) * _beta(n - j, 1, dom)
+    half = (dom.one - dom.lam) / 2
     big = math.factorial(n + k)
-    first = const(0, lam)
+    first = dom.zero
     for j in range(min(n, k) + 1):
         coef = Fraction(math.comb(k, j) * big, math.factorial(n - j) * math.factorial(k))
-        first = first + coef * half ** j * degen_bernoulli(n - j, 1, 0, lam=lam)
+        first = first + coef * half ** j * _beta(n - j, 1, dom)
     first = (-1) ** k * first
-    second = const(0, lam)
+    second = dom.zero
     for j in range(1, k + 1):
         coef_j = Fraction((-1) ** (k - j) * big, j * math.factorial(k - j))
         for l in range(l_start, min(n, k - j) + 1):
             m = n - l + j - 1
             coef = coef_j * Fraction(math.comb(k - j, l), math.factorial(m))
-            second = second + coef * half ** l * stirling2_degen(m, j - 1, lam=lam)
+            second = second + coef * half ** l * _s2(m, j - 1, 1, dom)
     return lhs, first + second
 
 
@@ -194,12 +198,13 @@ def verify_thm8(n: int, k: int, lam=None):
     """Triple-truncation sum against Bernoulli numbers.  The derivation
     keeps an l = 0 term that the printed statement drops; both variants are
     reported, the corrected one first."""
-    lhs, rhs_derived = _thm8_sides(n, k, lam, 0)
-    _, rhs_printed = _thm8_sides(n, k, lam, 1)
+    dom = domain(lam)
+    lhs, rhs_derived = _thm8_sides(n, k, dom, 0)
+    _, rhs_printed = _thm8_sides(n, k, dom, 1)
     params = {"n": n, "k": k}
     return (
-        _report("thm8", params, lhs, rhs_derived, AS_DERIVED),
-        _report("thm8", params, lhs, rhs_printed, AS_PRINTED),
+        _report("thm8", params, lhs, rhs_derived, dom, AS_DERIVED),
+        _report("thm8", params, lhs, rhs_printed, dom, AS_PRINTED),
     )
 
 
@@ -210,27 +215,30 @@ def verify_delta(alpha: int, r: int, n: int, lam=None) -> IdentityReport:
     ar = alpha * r
     if n < ar:
         raise DomainViolation("requires n >= alpha * r")
-    total = const(0, lam)
+    dom = domain(lam)
+    total = dom.zero
     for l in range(n - ar + 1):
-        total = total + math.comb(n, l) * stirling2r_gf(n - l, alpha, r, lam=lam) * \
-            trunc_degen_bernoulli(l, r, alpha, 0, lam=lam)
+        total = total + math.comb(n, l) * _s2(n - l, alpha, r, dom) * \
+            bernoulli_entry(l, r, alpha, dom.zero, dom)
     if n == ar:
-        target = const(Fraction(math.factorial(ar), math.factorial(alpha)), lam)
+        target = dom.const(Fraction(math.factorial(ar), math.factorial(alpha)))
     else:
-        target = const(0, lam)
-    return _report("delta", {"alpha": alpha, "r": r, "n": n}, total, target)
+        target = dom.zero
+    return _report("delta", {"alpha": alpha, "r": r, "n": n}, total, target, dom)
 
 
 def verify_expansion(n: int, r: int, x, lam=None) -> IdentityReport:
     """The descending product of x expanded over truncated Bernoulli
     polynomials, checked at one sample point x."""
-    lhs = gen_falling(x, n, lam=lam)
-    rhs = const(0, lam)
+    dom = domain(as_elem(x, lam).lam)
+    xv = dom.unwrap(x)
+    lhs = descending(xv, n, dom.lam, dom)[-1]
+    units = descending(dom.one, n + r, dom.lam, dom)
+    rhs = dom.zero
     for j in range(n + 1):
         coef = Fraction(math.comb(n, j) * math.factorial(j), math.factorial(j + r))
-        rhs = rhs + coef * one_falling(j + r, lam) * \
-            trunc_degen_bernoulli(n - j, r, 1, x, lam=lam)
-    return _report("expansion", {"n": n, "r": r, "x": str(as_elem(x, lam))}, lhs, rhs)
+        rhs = rhs + coef * units[j + r] * bernoulli_entry(n - j, r, 1, xv, dom)
+    return _report("expansion", {"n": n, "r": r, "x": str(dom.wrap(xv))}, lhs, rhs, dom)
 
 
 def verify_beta_closed(n: int, r: int, x, lam=None):
@@ -240,26 +248,27 @@ def verify_beta_closed(n: int, r: int, x, lam=None):
     version is the asserted variant, the display is reported as printed."""
     if n not in (0, 1, 2):
         raise DomainViolation("closed forms exist for n in {0, 1, 2}")
-    x_e = as_elem(x, lam)
-    lhs = trunc_degen_bernoulli(n, r, 1, x_e, lam=lam)
-    lead = const(math.factorial(r), lam) / one_falling(r, lam)
-    params = {"n": n, "r": r, "x": str(x_e)}
+    dom = domain(as_elem(x, lam).lam)
+    xv, s = dom.unwrap(x), dom.lam
+    lhs = bernoulli_entry(n, r, 1, xv, dom)
+    lead = math.factorial(r) * dom.inverse(descending(dom.one, r, s, dom)[-1])
+    params = {"n": n, "r": r, "x": str(dom.wrap(xv))}
     if n == 0:
-        return (_report("beta-closed", params, lhs, lead),)
-    g = const(1, lam) - r * lam_elem(lam)
+        return (_report("beta-closed", params, lhs, lead, dom),)
+    g = dom.one - r * s
     if n == 1:
-        rhs = lead * (x_e - g / (r + 1))
-        return (_report("beta-closed", params, lhs, rhs),)
-    h = const(1, lam) - (r + 1) * lam_elem(lam)
-    quad = x_e * (x_e - lam_elem(lam))
-    mid = 2 * x_e * g / (r + 1)
+        rhs = lead * (xv - g / (r + 1))
+        return (_report("beta-closed", params, lhs, rhs, dom),)
+    h = dom.one - (r + 1) * s
+    quad = xv * (xv - s)
+    mid = 2 * xv * g / (r + 1)
     sq = 2 * g * g / (r + 1) ** 2
     tail = 2 * g * h / ((r + 1) * (r + 2))
     rhs_derived = lead * (quad - mid + sq - tail)
     rhs_printed = lead * (quad + mid - sq + tail)
     return (
-        _report("beta-closed", params, lhs, rhs_derived, AS_DERIVED),
-        _report("beta-closed", params, lhs, rhs_printed, AS_PRINTED),
+        _report("beta-closed", params, lhs, rhs_derived, dom, AS_DERIVED),
+        _report("beta-closed", params, lhs, rhs_printed, dom, AS_PRINTED),
     )
 
 

@@ -11,6 +11,8 @@ states how much precision survives:
   series must have zero constant term).
 
 Coefficients are :class:`FieldElem` values, all in one mode per series.
+``Series.mul`` and ``Series.div`` call ``product`` and ``quotient``, which
+work on coefficient sequences; the kernels call them on domain values.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     ZeroDivisorSeries,
     ZeroPrecision,
 )
-from .field import as_elem, const
+from .field import FieldElem, as_elem, const
 
 
 class Series:
@@ -131,52 +133,12 @@ class Series:
     def mul(self, other: "Series") -> "Series":
         """Cauchy product to the shared precision."""
         self._check(other)
-        p = min(self.precision, other.precision)
-        a, b = self.coeffs, other.coeffs
-        z = const(0, self.lam)
-        out = []
-        for n in range(p + 1):
-            acc = z
-            for i in range(n + 1):
-                ai = a[i]
-                if ai.is_zero:
-                    continue
-                bj = b[n - i]
-                if bj.is_zero:
-                    continue
-                acc = acc + ai * bj
-            out.append(acc)
-        return Series(out)
+        return Series(product(self.coeffs, other.coeffs, const(0, self.lam)))
 
     def div(self, other: "Series") -> "Series":
         """Quotient; the divisor's valuation is subtracted from the precision."""
         self._check(other)
-        v = other.valuation()
-        if v is None:
-            raise ZeroDivisorSeries("division by a series with no known nonzero coefficient")
-        vf = self.valuation()
-        if vf is not None and vf < v:
-            raise ValuationTooHigh(
-                "divisor valuation %d exceeds dividend valuation %d" % (v, vf))
-        p = min(self.precision, other.precision) - v
-        if p < 0:
-            raise PrecisionExceeded("no quotient coefficients are determined")
-        f = self.coeffs[v: v + p + 1]
-        g = other.coeffs[v: v + p + 1]
-        inv0 = g[0].inverse()
-        out = []
-        for n in range(p + 1):
-            acc = f[n]
-            for i in range(n):
-                hi = out[i]
-                if hi.is_zero:
-                    continue
-                gj = g[n - i]
-                if gj.is_zero:
-                    continue
-                acc = acc - hi * gj
-            out.append(acc * inv0)
-        return Series(out)
+        return Series(quotient(self.coeffs, other.coeffs, FieldElem.inverse))
 
     def pow(self, k: int) -> "Series":
         """Repeated product; the zeroth power is the unit at this precision."""
@@ -207,10 +169,7 @@ class Series:
 
     def valuation(self):
         """Index of the first known nonzero coefficient, or None if all vanish."""
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero:
-                return i
-        return None
+        return valuation(self.coeffs)
 
     def prefix_equal(self, other: "Series", upto=None) -> bool:
         """Agreement on every shared known order (or the first ``upto`` + 1)."""
@@ -237,3 +196,55 @@ class Series:
         if self.precision >= 4:
             shown += ", ..."
         return "Series([%s], precision=%d)" % (shown, self.precision)
+
+
+def valuation(coeffs):
+    """Index of the first nonzero coefficient, or None if all vanish."""
+    for i, c in enumerate(coeffs):
+        if c:
+            return i
+    return None
+
+
+def product(a, b, zero) -> tuple:
+    """Cauchy product of two coefficient sequences; ``zero`` is their zero."""
+    out = []
+    for n in range(min(len(a), len(b))):
+        acc = zero
+        for i in range(n + 1):
+            ai = a[i]
+            if ai:
+                bj = b[n - i]
+                if bj:
+                    acc = acc + ai * bj
+        out.append(acc)
+    return tuple(out)
+
+
+def quotient(f, g, inverse) -> tuple:
+    """Quotient of two coefficient sequences, as ``Series.div`` states it;
+    ``inverse`` is the reciprocal of their values."""
+    v = valuation(g)
+    if v is None:
+        raise ZeroDivisorSeries("division by a series with no known nonzero coefficient")
+    vf = valuation(f)
+    if vf is not None and vf < v:
+        raise ValuationTooHigh(
+            "divisor valuation %d exceeds dividend valuation %d" % (v, vf))
+    p = min(len(f), len(g)) - 1 - v
+    if p < 0:
+        raise PrecisionExceeded("no quotient coefficients are determined")
+    f = f[v: v + p + 1]
+    g = g[v: v + p + 1]
+    inv0 = inverse(g[0])
+    out = []
+    for n in range(p + 1):
+        acc = f[n]
+        for i in range(n):
+            hi = out[i]
+            if hi:
+                gj = g[n - i]
+                if gj:
+                    acc = acc - hi * gj
+        out.append(acc * inv0)
+    return tuple(out)

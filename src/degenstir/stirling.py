@@ -15,7 +15,9 @@ the truncated Bernoulli values read the denominator of their quotient off
 the same triangle.  The defining series stays as the independent route: ``_block``
 is the base series without its orders below t^r, and the tests check the
 triangle against its powers.  Every entry is exact and needs no working
-precision: coefficient n is fixed by the orders up to n.
+precision: coefficient n is fixed by the orders up to n.  The cells are
+values of the mode's domain (see ``field``): ``stirling_entry`` reads one,
+and the public entries wrap it.
 
 For the truncated second kind three independent routes are implemented:
 
@@ -35,8 +37,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import compositions
-from .core import degen_exp, degen_log, falling_factorial, int_falling, one_falling
-from .field import FieldElem, const, lam_elem
+from .core import degen_exp, degen_log, descending, int_falling, one_falling
+from .field import FieldElem, const, domain
 from .series import Series
 
 
@@ -64,18 +66,19 @@ class _Triangle:
     rows above j*r being zero, so cell (m, j) is ``cols[j][m - j*r]`` and
     the j - 1 neighbour of a cell sits at the same index in the column before
     it.  Columns grow downward; ``fill`` grows only the columns an entry
-    needs."""
+    needs.  The cells are values of the mode's domain."""
 
-    __slots__ = ("r", "zero", "a", "b", "c", "cols", "factors", "coefs")
+    __slots__ = ("r", "zero", "one", "a", "b", "c", "cols", "factors", "coefs")
 
-    def __init__(self, kind: int, r: int, lam):
-        lam_e, one = lam_elem(lam), const(1, lam)
+    def __init__(self, kind: int, r: int, dom):
         if kind == 2:
-            self.a, self.b, self.c = one, lam_e, one_falling(r, lam)
+            self.a, self.b = dom.one, dom.lam
+            self.c = descending(dom.one, r, dom.lam, dom)[-1]
         else:
-            self.a, self.b, self.c = lam_e, one, falling_factorial(lam_e - 1, r - 1)
+            self.a, self.b = dom.lam, dom.one
+            self.c = descending(dom.lam - 1, r - 1, 1, dom)[-1]
         self.r = r
-        self.zero = const(0, lam)
+        self.zero, self.one = dom.zero, dom.one
         self.cols = []     # column j: S(j*r..m, j)
         self.factors = []  # column j: j*a - m*b, the factor of its next row
         self.coefs = []    # row m: C(m, r-1) c; unused at r = 1, where it is 1
@@ -90,15 +93,15 @@ class _Triangle:
         for j in range(k + 1):
             if j == len(cols):
                 # S(0, 0) = 1; rows 0..j*r-1 of column j >= 1 are 0, unstored
-                cols.append([const(1, zero.lam)] if j == 0 else [])
+                cols.append([self.one] if j == 0 else [])
                 self.factors.append(self.a * j - self.b * (j * r + len(cols[j]) - 1))
             col, f = cols[j], self.factors[j]
             while len(col) <= last:
                 i = len(col)
                 m = j * r + i - 1
-                v = zero if not i or col[-1].is_zero else f * col[-1]
+                v = f * col[-1] if i and col[-1] else zero
                 left = cols[j - 1][i] if j else zero
-                if not left.is_zero:
+                if left:
                     v = v + (left if r == 1 else self.coefs[m] * left)
                 col.append(v)
                 f = f - self.b
@@ -107,17 +110,18 @@ class _Triangle:
 
 @lru_cache(maxsize=None)
 def _triangle(kind: int, r: int, lam) -> _Triangle:
-    return _Triangle(kind, r, lam)
+    return _Triangle(kind, r, domain(lam))
 
 
-def _entry(kind: int, n: int, k: int, r: int, lam) -> FieldElem:
-    # n! [t^n] block^k / k!, read off the triangle
+def stirling_entry(kind: int, n: int, k: int, r: int, dom):
+    """Entry (n, k), k being the power, of the truncated Stirling triangle of
+    the kind (1 or 2) and r, as a value of ``dom``: n! [t^n] block^k / k!."""
     if n < 0 or k < 0 or r < 1:
         raise ValueError("Stirling entries need n, k >= 0 and r >= 1, got "
                          "n=%d, k=%d, r=%d" % (n, k, r))
     if k * r > n:
-        return const(0, lam)
-    tri = _triangle(kind, r, lam)
+        return dom.zero
+    tri = _triangle(kind, r, dom.mode)
     cols, i = tri.cols, n - k * r
     if k >= len(cols) or i >= len(cols[k]):
         with _growing:
@@ -137,12 +141,14 @@ def stirling1_degen(n: int, k: int, lam=None) -> FieldElem:
 
 def stirling2r_gf(n: int, k: int, r: int, lam=None) -> FieldElem:
     """Truncated second kind, n! [t^n] block^k / k!, from its triangle."""
-    return _entry(2, n, k, r, lam)
+    dom = domain(lam)
+    return dom.wrap(stirling_entry(2, n, k, r, dom))
 
 
 def stirling1r_gf(n: int, k: int, r: int, lam=None) -> FieldElem:
     """Truncated first kind, n! [t^n] block^k / k!, from its triangle."""
-    return _entry(1, n, k, r, lam)
+    dom = domain(lam)
+    return dom.wrap(stirling_entry(1, n, k, r, dom))
 
 
 def stirling2r_composition(n: int, k: int, r: int, lam=None) -> FieldElem:

@@ -22,10 +22,12 @@ from degenstir import (
     lam_elem,
     one_falling,
     stirling2_degen,
+    stirling2r_gf,
     trunc_degen_bernoulli,
 )
 from degenstir import bernoulli
 from degenstir.bernoulli import _bern_quot, _trunc_bern_series
+from degenstir.field import domain
 from degenstir.stirling import _block
 from oracles import bernoulli_numbers
 
@@ -84,11 +86,22 @@ def _one_division_series(r, alpha, x, precision, lam):
 def test_triangle_quotient_equals_the_one_division_form(lam):
     _bern_quot.cache_clear()
     _trunc_bern_series.cache_clear()
+    dom = domain(lam)
     for r in (1, 2, 3):
         for alpha in (3, 1, 2):
             for x in (as_elem(0, lam), as_elem(F(1, 2), lam)):
-                assert _trunc_bern_series(r, alpha, x, 6, lam) == \
+                got = _trunc_bern_series(r, alpha, dom.unwrap(x), 6, dom)
+                assert Series(map(dom.wrap, got)) == \
                     _one_division_series(r, alpha, x, 6, lam), (r, alpha, str(x))
+
+
+@pytest.mark.parametrize("lam", [None, F(-5, 3)])
+def test_negative_indices_are_refused(lam):
+    # a plain read q[-1] of the coefficient list would return its last entry
+    with pytest.raises(IndexError, match="negative coefficient index"):
+        trunc_degen_bernoulli(-1, 1, 1, lam=lam)
+    with pytest.raises(ValueError):
+        stirling2r_gf(-1, 0, 1, lam=lam)
 
 
 def _closed_beta2_derived(r, x):
@@ -139,14 +152,14 @@ def test_bell_routes_agree_on_symbolic_inputs():
 
 def test_bell_row_climbs_one_ladder(monkeypatch):
     xs = [LAM + l for l in range(1, 11)]
-    mul = Series.mul
+    product = bernoulli.product
     calls = []
 
-    def counted(self, other):
+    def counted(*args):
         calls.append(1)
-        return mul(self, other)
+        return product(*args)
 
-    monkeypatch.setattr(Series, "mul", counted)
+    monkeypatch.setattr(bernoulli, "product", counted)
     bernoulli._bell_rungs.cache_clear()
     for n in range(11):
         before = len(calls)
@@ -156,6 +169,7 @@ def test_bell_row_climbs_one_ladder(monkeypatch):
         ser = Series([const(0)] + [xs[l - 1] / math.factorial(l) for l in range(1, n + 1)])
         for k, value in enumerate(row):
             assert value == ser.pow(k).coeff(n) * F(math.factorial(n), math.factorial(k))
+    assert calls  # the rungs are products
     # one ladder per row, and only the last few rows are kept
     info = bernoulli._bell_rungs.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize < 11

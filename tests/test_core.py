@@ -3,6 +3,8 @@
 import math
 from fractions import Fraction as F
 
+import pytest
+
 from degenstir import (
     const,
     degen_exp,
@@ -84,6 +86,14 @@ def test_degen_log_coefficients():
     assert lg.coeff(0) == 0
     assert lg.coeff(1) == 1
     assert lg.coeff(2) == (LAM - 1) / 2
+
+
+@pytest.mark.parametrize("lam", [None, F(1, 3)])
+def test_a_negative_precision_is_refused(lam):
+    with pytest.raises(ValueError):
+        degen_exp(1, -2, lam)
+    with pytest.raises(ValueError):
+        degen_log(-1, lam)
 
 
 def test_degen_log_definitional_route_and_polynomiality():

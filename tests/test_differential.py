@@ -1,5 +1,6 @@
 """Differential check of the two modes: a value computed with the parameter
-pinned to a rational equals the symbolic value evaluated there.
+pinned to a rational equals the symbolic value evaluated there, and so do
+the two sides of every identity report.
 
 The pinned values are never poles: every denominator in the library is a
 product of unit descending products 1(1-s)...(1-(j-1)s), which vanish only
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenstir import cli
+from degenstir import IDENTITY_TAGS, cli, sweep
 
 PINNED = (F(-5, 3), F(7, 2))
 XS = [F(1, 2), F(-3), F(2, 5), F(4), F(-1, 7), F(5, 3)]
@@ -86,3 +87,18 @@ def test_pinned_equals_instantiated_symbolic_at_random_lambda(lam0):
             assert pinned.lam == lam0
             assert symbolic.instantiate(lam0) == pinned.instantiate(lam0), \
                 (family, vars(args), n, k, lam0)
+
+
+@pytest.mark.parametrize("tag", IDENTITY_TAGS)
+def test_pinned_reports_equal_instantiated_symbolic_reports(tag):
+    bounds = {"n_max": 3, "k_max": 2, "r_max": 2, "alpha_max": 2}
+    symbolic = sweep(tag, **bounds)
+    assert symbolic
+    for lam0 in PINNED:
+        pinned = sweep(tag, lam=lam0, **bounds)
+        assert [(p.identity, p.variant, p.params, p.equal) for p in pinned] == \
+            [(s.identity, s.variant, s.params, s.equal) for s in symbolic]
+        for p, s in zip(pinned, symbolic):
+            assert p.lhs.lam == p.rhs.lam == lam0
+            assert p.lhs.instantiate(lam0) == s.lhs.instantiate(lam0), (tag, p.params)
+            assert p.rhs.instantiate(lam0) == s.rhs.instantiate(lam0), (tag, p.params)

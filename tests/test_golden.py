@@ -4,9 +4,10 @@ Each case runs one command through ``cli.main`` and compares the sha256 of
 its stdout and of its stderr, and its exit code, with values recorded from a
 known-good build.  The set covers ``table`` for every family, symbolic and
 at one pinned parameter value, in CSV (and JSON for two families); ``eval``
-for every family; ``verify --identity all`` in both modes; a low
-``--precision`` warning; and a pole.  Any change to a value, its canonical
-text, the row order or the JSON layout shows here.
+for every family; ``verify --identity all`` in both modes, at the parameter
+0 and at a pole; a low ``--precision`` warning; and a pole in ``eval``.  Any
+change to a value, its canonical text, the row order or the JSON layout
+shows here.
 """
 
 import hashlib
@@ -50,6 +51,8 @@ GOLDEN = (
     ("verify --identity all --lambda=2/3", 0, "a40eb40468348ed5d6096c07d3f1d678745c9b4d4ffc5d7aa1af7ea1bfbc4cdc", EMPTY),
     ("eval stirling2 --n 3 --k 2 --precision 2", 2, EMPTY, "c49af50ec6f540a342bab788bea6ac265dfc32d0d15726819639c6f5f1b859e3"),
     ("eval trunc-bernoulli --n 1 --r 2 --lambda=1", 2, EMPTY, "436ece22a685627dc8cf16ff11c6dbc69a26a5024eaad4e3054df329ee1f7fd0"),
+    ("verify --identity all --lambda=0", 0, "b79c0051e88d0b2c9c302138b67a4feb27e153bff81cc7bb3707b5b084f461cc", EMPTY),
+    ("verify --identity all --lambda=1/2", 2, EMPTY, "436ece22a685627dc8cf16ff11c6dbc69a26a5024eaad4e3054df329ee1f7fd0"),
 )
 
 

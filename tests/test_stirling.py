@@ -27,6 +27,7 @@ from degenstir import (
     trunc_degen_bernoulli,
 )
 from degenstir import bernoulli, stirling
+from degenstir.field import SYMBOLIC
 from degenstir.stirling import _block
 from oracles import classic_stirling1, classic_stirling2
 
@@ -164,9 +165,9 @@ def test_diagonal_is_one_for_plain_kinds():
 
 def _bell_ladder(xs):
     # the ladder that bell_partial_gf(len(xs), k, xs) climbs, keyed by the
-    # coefficients of its series
+    # coefficients of its series and their domain
     coeffs = (const(0),) + tuple(x / math.factorial(l) for l, x in enumerate(xs, 1))
-    return bernoulli._bell_rungs(coeffs)
+    return bernoulli._bell_rungs(coeffs, SYMBOLIC)
 
 
 def test_ladder_stops_growing_at_its_first_zero_rung():
