@@ -55,10 +55,6 @@ def _report(identity, params, lhs, rhs, dom, variant=AS_DERIVED):
                           lhs=dom.wrap(lhs), rhs=dom.wrap(rhs), equal=lhs == rhs)
 
 
-def _s2(n, k, r, dom):
-    return stirling_entry(2, n, k, r, dom)
-
-
 def _beta(n, alpha, dom):  # the plain order-alpha value at x = 0
     return bernoulli_entry(n, 1, alpha, dom.zero, dom)
 
@@ -69,12 +65,12 @@ def verify_thm3(n: int, k: int, r: int, lam=None) -> IdentityReport:
     values."""
     dom = domain(lam)
     big = n + k * r
-    lhs = Fraction(math.factorial(k), math.factorial(big)) * _s2(big, k, r, dom)
+    lhs = Fraction(math.factorial(k), math.factorial(big)) * stirling_entry(2, big, k, r, dom)
     rhs = dom.zero
     for comp in compositions(n, k, 0):
         term = dom.one
         for j in comp:
-            term = term * _s2(j + r, 1, r, dom)
+            term = term * stirling_entry(2, j + r, 1, r, dom)
             term = term / math.factorial(j + r)
         rhs = rhs + term
     return _report("thm3", {"n": n, "k": k, "r": r}, lhs, rhs, dom)
@@ -93,7 +89,7 @@ def verify_thm4(n: int, lam=None):
     recips = [p / (k + 1) for k, p in enumerate(descending(dom.lam - 1, n, 1, dom))]
     rhs1 = dom.zero
     for k in range(n + 1):
-        rhs1 = rhs1 + recips[k] * _s2(n, k, 1, dom)
+        rhs1 = rhs1 + recips[k] * stirling_entry(2, n, k, 1, dom)
     first = _report("thm4", {"n": n, "part": "bernoulli-expansion"}, betas[n], rhs1, dom)
 
     rhs2 = dom.zero
@@ -109,7 +105,7 @@ def _thm5_rhs(n: int, k: int, sign: int, dom):
     for j in range(1, k + 1):
         coef = Fraction((-1) ** (k - j) * big,
                         j * math.factorial(k - j) * math.factorial(n + j - 1))
-        total = total + coef * _s2(n + j - 1, j - 1, 1, dom)
+        total = total + coef * stirling_entry(2, n + j - 1, j - 1, 1, dom)
     return total
 
 
@@ -120,7 +116,7 @@ def verify_thm5(n: int, k: int, lam=None, variant: str = AS_DERIVED) -> Identity
     dom = domain(lam)
     lhs = dom.zero
     for j in range(n + 1):
-        s_val = _s2(n - j + k, k, 2, dom)
+        s_val = stirling_entry(2, n - j + k, k, 2, dom)
         if variant == AS_DERIVED:
             binom = math.comb(n + k, j)
         else:
@@ -141,19 +137,20 @@ def verify_thm6(n: int, k: int, lam=None) -> IdentityReport:
     dom = domain(lam)
     lhs = dom.zero
     for j in range(n + 1):
-        lhs = lhs + math.comb(n + k - 1, j) * _s2(n - j + k, k, 2, dom) * _beta(j, 1, dom)
+        lhs = lhs + math.comb(n + k - 1, j) * stirling_entry(2, n - j + k, k, 2, dom) * \
+            _beta(j, 1, dom)
     neg_s = -dom.lam
     inner = dom.zero
     for l in range(k, n + 1):
         m = l + k - 2
-        inner = inner + Fraction(1, math.factorial(m)) * _s2(m, k - 1, 2, dom) * \
+        inner = inner + Fraction(1, math.factorial(m)) * stirling_entry(2, m, k - 1, 2, dom) * \
             neg_s ** (n - l)
     for j in range(k, n + 1):
         for l in range(k, j + 1):
             m = l + k - 2
             coef = Fraction(1, math.factorial(m) * math.factorial(n - j))
-            inner = inner + coef * _s2(m, k - 1, 2, dom) * _beta(n - j, 1, dom) * \
-                neg_s ** (j - l + 1)
+            inner = inner + coef * stirling_entry(2, m, k - 1, 2, dom) * \
+                _beta(n - j, 1, dom) * neg_s ** (j - l + 1)
     rhs = math.factorial(n + k - 1) * inner
     return _report("thm6", {"n": n, "k": k}, lhs, rhs, dom)
 
@@ -164,7 +161,8 @@ def verify_thm7(n: int, k: int, lam=None) -> IdentityReport:
     dom = domain(lam)
     lhs = dom.zero
     for j in range(n + 1):
-        lhs = lhs + math.comb(n + k, j) * _s2(n - j + k, k, 2, dom) * _beta(j, k, dom)
+        lhs = lhs + math.comb(n + k, j) * stirling_entry(2, n - j + k, k, 2, dom) * \
+            _beta(j, k, dom)
     inner = dom.zero
     for j in range(k + 1):
         sign = (-1) ** (k - j)
@@ -176,7 +174,8 @@ def verify_thm7(n: int, k: int, lam=None) -> IdentityReport:
 def _thm8_sides(n: int, k: int, dom, l_start: int):
     lhs = dom.zero
     for j in range(n + 1):
-        lhs = lhs + math.comb(n + k, j + k) * _s2(j + k, k, 3, dom) * _beta(n - j, 1, dom)
+        lhs = lhs + math.comb(n + k, j + k) * stirling_entry(2, j + k, k, 3, dom) * \
+            _beta(n - j, 1, dom)
     half = (dom.one - dom.lam) / 2
     big = math.factorial(n + k)
     first = dom.zero
@@ -190,7 +189,7 @@ def _thm8_sides(n: int, k: int, dom, l_start: int):
         for l in range(l_start, min(n, k - j) + 1):
             m = n - l + j - 1
             coef = coef_j * Fraction(math.comb(k - j, l), math.factorial(m))
-            second = second + coef * half ** l * _s2(m, j - 1, 1, dom)
+            second = second + coef * half ** l * stirling_entry(2, m, j - 1, 1, dom)
     return lhs, first + second
 
 
@@ -218,7 +217,7 @@ def verify_delta(alpha: int, r: int, n: int, lam=None) -> IdentityReport:
     dom = domain(lam)
     total = dom.zero
     for l in range(n - ar + 1):
-        total = total + math.comb(n, l) * _s2(n - l, alpha, r, dom) * \
+        total = total + math.comb(n, l) * stirling_entry(2, n - l, alpha, r, dom) * \
             bernoulli_entry(l, r, alpha, dom.zero, dom)
     if n == ar:
         target = dom.const(Fraction(math.factorial(ar), math.factorial(alpha)))

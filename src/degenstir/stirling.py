@@ -66,7 +66,7 @@ class _Triangle:
     rows above j*r being zero, so cell (m, j) is ``cols[j][m - j*r]`` and
     the j - 1 neighbour of a cell sits at the same index in the column before
     it.  Columns grow downward; ``fill`` grows only the columns an entry
-    needs.  The cells are values of the mode's domain."""
+    needs."""
 
     __slots__ = ("r", "zero", "one", "a", "b", "c", "cols", "factors", "coefs")
 
