@@ -12,12 +12,11 @@ It is cached per order and precision, apart from x; value n picks the
 precision from n alone.  The plain values are the r = 1 case and are
 computed as such.
 
-Partial Bell polynomials are computed twice on purpose, from the defining
-series (whose powers are a ladder too, kept for the last few series) and by
-direct enumeration of the partition multiplicity vectors; the
-reciprocal-series polynomials likewise come from an alternating Bell sum
-and from a plain series reciprocal.  The pairs must agree and the public
-entry points check that they do.
+Partial Bell polynomials are read off a ladder of the powers of their
+defining series, and the reciprocal-series polynomials are the alternating
+sum of the rungs of the scaled series' ladder.  The enumeration of the
+partition multiplicity vectors and a plain series reciprocal are their
+independent routes; the public entry points check that the pairs agree.
 Every route computes on domain values (see ``field``); the public entry
 points unwrap their arguments and wrap their result.
 """
@@ -94,11 +93,13 @@ def _require_xs(xs, needed: int):
             "need sequence values up to index %d, got %d" % (needed, len(xs)))
 
 
-def _bell_enum(n: int, k: int, xs, dom):
+def bell_partial_enum(n: int, k: int, xs, lam=None) -> FieldElem:
+    """Partial Bell polynomial by enumerating partition multiplicities."""
+    xs, dom = _prepare_xs(xs, lam)
     if 1 <= k <= n:
         _require_xs(xs, n - k + 1)
     if k == 0:
-        return dom.one if n == 0 else dom.zero
+        return dom.wrap(dom.one if n == 0 else dom.zero)
     total = dom.zero
     n_fact = math.factorial(n)
     for part in partitions_exact(n, k):
@@ -108,32 +109,37 @@ def _bell_enum(n: int, k: int, xs, dom):
             coef /= math.factorial(j) ** m * math.factorial(m)
             term = term * xs[j - 1] ** m
         total = total + coef * term
-    return total
+    return dom.wrap(total)
 
 
-def bell_partial_enum(n: int, k: int, xs, lam=None) -> FieldElem:
-    """Partial Bell polynomial by enumerating partition multiplicities."""
-    xs, dom = _prepare_xs(xs, lam)
-    return dom.wrap(_bell_enum(n, k, xs, dom))
-
-
-# A table row n asks for every power k <= n of one series, so its powers are
-# a ladder; the next row's series is longer, so only the last few are kept.
+# A Bell table row n, or one reciprocal polynomial of order n, reads the
+# powers k <= n of one series, so its powers are a ladder; the next row's
+# series is longer, so only the last few are kept.
 @lru_cache(maxsize=4)
 def _bell_rungs(coeffs: tuple, dom) -> list:
     # rung k is the k-th power of the series with these coefficients, values
-    # of dom; bell_partial_gf extends the list
+    # of dom; _climb extends the list
     return [(dom.one,) + (dom.zero,) * (len(coeffs) - 1), coeffs]
 
 
 _growing = threading.Lock()
 
 
-def bell_partial_gf(n: int, k: int, xs, lam=None) -> FieldElem:
-    """Partial Bell polynomial from the defining series power, read off a
-    ladder of the powers of that series.  Missing rungs are filled in a
+def _climb(coeffs: tuple, k: int, dom) -> list:
+    """The ladder of the series ``coeffs``, with its rungs 0..k filled in a
     loop, one product each, under ``_growing`` so that threads never append
     one rung twice; reads take no lock."""
+    rungs = _bell_rungs(coeffs, dom)
+    if k >= len(rungs):
+        with _growing:
+            while len(rungs) <= k:
+                rungs.append(product(rungs[-1], rungs[1], dom.zero))
+    return rungs
+
+
+def bell_partial_gf(n: int, k: int, xs, lam=None) -> FieldElem:
+    """Partial Bell polynomial from the defining series power, read off the
+    ladder of the powers of that series."""
     xs, dom = _prepare_xs(xs, lam)
     if 1 <= k <= n:
         _require_xs(xs, n - k + 1)
@@ -141,15 +147,11 @@ def bell_partial_gf(n: int, k: int, xs, lam=None) -> FieldElem:
         return dom.wrap(dom.one if n == 0 else dom.zero)
     coeffs = (dom.zero,) + tuple(xs[l - 1] / math.factorial(l) if l <= len(xs) else dom.zero
                                  for l in range(1, n + 1))
-    rungs = _bell_rungs(coeffs, dom)
-    v = valuation(rungs[1])
+    v = valuation(coeffs)
     if v is None or k * v > n:
         # the k-th power starts at t^(kv), past t^n
         return dom.wrap(dom.zero)
-    if k >= len(rungs):
-        with _growing:
-            while len(rungs) <= k:
-                rungs.append(product(rungs[-1], rungs[1], dom.zero))
+    rungs = _climb(coeffs, k, dom)
     return dom.wrap(rungs[k][n] * Fraction(math.factorial(n), math.factorial(k)))
 
 
@@ -174,16 +176,20 @@ def k_lambda_series(n: int, xs, lam=None) -> FieldElem:
 
 
 def k_lambda_bell(n: int, xs, lam=None) -> FieldElem:
-    """Same polynomial from the alternating partial-Bell sum."""
+    """Same polynomial from the alternating partial-Bell sum of the scaled
+    sequence (1)_l x_l: n! sum_k (-1)^k [t^n] g^k for the series
+    g = sum_l (1)_l x_l t^l / l!, read off the ladder of the powers of g."""
     xs, dom = _prepare_xs(xs, lam)
     _require_xs(xs, n)
     units = descending(dom.one, n, dom.lam, dom)
-    scaled = tuple(xs[l - 1] * units[l] for l in range(1, n + 1))
-    total = dom.one if n == 0 else dom.zero
-    for k in range(1, n + 1):
-        sign = -1 if k % 2 else 1
-        total = total + (sign * math.factorial(k)) * _bell_enum(n, k, scaled, dom)
-    return dom.wrap(total)
+    g = (dom.zero,) + tuple(xs[l - 1] * units[l] / math.factorial(l) for l in range(1, n + 1))
+    v = valuation(g)
+    # g^k starts at t^(kv), so the rungs past n // v add nothing at t^n
+    top = 0 if v is None else n // v
+    total = dom.zero
+    for k, rung in enumerate(_climb(g, top, dom)[:top + 1]):
+        total = total + (-1) ** k * rung[n]
+    return dom.wrap(total * math.factorial(n))
 
 
 def k_lambda(n: int, xs, lam=None) -> FieldElem:

@@ -171,7 +171,11 @@ def verify_thm7(n: int, k: int, lam=None) -> IdentityReport:
     return _report("thm7", {"n": n, "k": k}, lhs, rhs, dom)
 
 
-def _thm8_sides(n: int, k: int, dom, l_start: int):
+def verify_thm8(n: int, k: int, lam=None):
+    """Triple-truncation sum against Bernoulli numbers.  The derivation
+    keeps the l = 0 terms of the second sum, which the printed statement
+    drops; both variants are reported, the corrected one first."""
+    dom = domain(lam)
     lhs = dom.zero
     for j in range(n + 1):
         lhs = lhs + math.comb(n + k, j + k) * stirling_entry(2, j + k, k, 3, dom) * \
@@ -182,28 +186,18 @@ def _thm8_sides(n: int, k: int, dom, l_start: int):
     for j in range(min(n, k) + 1):
         coef = Fraction(math.comb(k, j) * big, math.factorial(n - j) * math.factorial(k))
         first = first + coef * half ** j * _beta(n - j, 1, dom)
-    first = (-1) ** k * first
-    second = dom.zero
+    second = [dom.zero] * (min(n, k) + 1)  # the second sum's terms, by l
     for j in range(1, k + 1):
         coef_j = Fraction((-1) ** (k - j) * big, j * math.factorial(k - j))
-        for l in range(l_start, min(n, k - j) + 1):
+        for l in range(min(n, k - j) + 1):
             m = n - l + j - 1
             coef = coef_j * Fraction(math.comb(k - j, l), math.factorial(m))
-            second = second + coef * half ** l * stirling_entry(2, m, j - 1, 1, dom)
-    return lhs, first + second
-
-
-def verify_thm8(n: int, k: int, lam=None):
-    """Triple-truncation sum against Bernoulli numbers.  The derivation
-    keeps an l = 0 term that the printed statement drops; both variants are
-    reported, the corrected one first."""
-    dom = domain(lam)
-    lhs, rhs_derived = _thm8_sides(n, k, dom, 0)
-    _, rhs_printed = _thm8_sides(n, k, dom, 1)
+            second[l] = second[l] + coef * half ** l * stirling_entry(2, m, j - 1, 1, dom)
+    printed = sum(second[1:], (-1) ** k * first)
     params = {"n": n, "k": k}
     return (
-        _report("thm8", params, lhs, rhs_derived, dom, AS_DERIVED),
-        _report("thm8", params, lhs, rhs_printed, dom, AS_PRINTED),
+        _report("thm8", params, lhs, printed + second[0], dom, AS_DERIVED),
+        _report("thm8", params, lhs, printed, dom, AS_PRINTED),
     )
 
 

@@ -5,6 +5,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenstir import (
     InputTooShort,
@@ -202,3 +204,46 @@ def test_reciprocal_all_ones_specialization():
             sign = -1 if k % 2 else 1
             expect = expect + sign * math.factorial(k) * stirling2_degen(n, k)
         assert k_lambda(n, ones) == expect
+
+
+@pytest.mark.parametrize("lam", [None, F(-5, 3)])
+def test_reciprocal_polynomials_never_enumerate_partitions(monkeypatch, lam):
+    def refuse(*args):
+        raise AssertionError("the partition enumeration ran")
+
+    product = bernoulli.product
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return product(*args)
+
+    monkeypatch.setattr(bernoulli, "partitions_exact", refuse)
+    monkeypatch.setattr(bernoulli, "product", counted)
+    # with x_1 = 0 the scaled series has valuation 2 and climbs half as far
+    for xs in ([F(l - 4, l + 1) for l in range(1, 13)],
+               [F(0)] + [F((-1) ** l * l, 3) for l in range(2, 13)]):
+        for n in range(13):
+            bernoulli._bell_rungs.cache_clear()
+            before = len(calls)
+            k_lambda(n, xs, lam)
+            # a cold ladder climbs to rung n at most, one product per rung
+            assert len(calls) - before <= n, (n, xs)
+
+
+_SEQ = st.lists(st.one_of(st.just(F(0)), st.fractions(-3, 3, max_denominator=4)),
+                min_size=1, max_size=8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_SEQ, st.sampled_from([None, F(-5, 3), F(2, 7)]))
+def test_reciprocal_routes_agree_on_sequences_with_zeros_and_negatives(xs, lam):
+    n = len(xs)
+    s = LAM if lam is None else lam
+    # the scaled sequence (1)_l x_l, its descending products written out here
+    scaled = [x * math.prod((1 - i * s for i in range(l)), start=const(1, lam))
+              for l, x in enumerate(xs, 1)]
+    enum = const(0, lam)
+    for k in range(n + 1):
+        enum = enum + (-1) ** k * math.factorial(k) * bell_partial_enum(n, k, scaled, lam)
+    assert k_lambda_bell(n, xs, lam) == k_lambda_series(n, xs, lam) == enum

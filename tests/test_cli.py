@@ -179,6 +179,13 @@ def test_route_disagreement_exits_two(capsys, monkeypatch):
     assert err.startswith("error:") and "Bell routes disagree" in err
 
 
+def test_reciprocal_route_disagreement_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(bernoulli, "k_lambda_series", lambda *a, **kw: const(7))
+    code, out, err = run_cli(capsys, "eval", "klambda", "--n", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "reciprocal routes disagree" in err
+
+
 def test_computation_errors_exit_two(capsys):
     # truncation depth 2 at the pinned value 1 hits a genuine pole
     code, _, err = run_cli(capsys, "eval", "trunc-bernoulli",

@@ -3,11 +3,12 @@
 Each case runs one command through ``cli.main`` and compares the sha256 of
 its stdout and of its stderr, and its exit code, with values recorded from a
 known-good build.  The set covers ``table`` for every family, symbolic and
-at one pinned parameter value, in CSV (and JSON for two families); ``eval``
-for every family; ``verify --identity all`` in both modes, at the parameter
-0 and at a pole; a low ``--precision`` warning; and a pole in ``eval``.  Any
-change to a value, its canonical text, the row order or the JSON layout
-shows here.
+at one pinned parameter value, in CSV (and JSON for two families), and the
+reciprocal polynomials once more to n = 12 on a sequence with zeros and
+mixed signs; ``eval`` for every family; ``verify --identity all`` in both
+modes, at the parameter 0 and at a pole; a low ``--precision`` warning; and
+a pole in ``eval``.  Any change to a value, its canonical text, the row
+order or the JSON layout shows here.
 """
 
 import hashlib
@@ -37,6 +38,8 @@ GOLDEN = (
     ("table trunc-bernoulli --n-max 6 --r 2 --alpha 2 --x 1/2 --lambda=-2/5", 0, "ecec72f62673b792ff89ce3ba70fc5477394a66bf6a009185d8adf0d34895b54", EMPTY),
     ("table bell --n-max 6 --xs 1,2,3/2,-1,5,1/3 --lambda=-2/5", 0, "efd77a2d76bfae94a756465fe45b76b585b0e1762b358ef095e2e5b2f32d1a58", EMPTY),
     ("table klambda --n-max 6 --xs 2,-1/2,3,1,7,1 --lambda=-2/5", 0, "912eb393dddc290d7d3b21d4276bdcc9cfa2d9d2bc8425dff1b089cede6e5a9e", EMPTY),
+    ("table klambda --n-max 12 --xs 0,-3,2/5,0,-1,7/2,0,4,-5/3,1,0,-2", 0, "44f0f74586525e3f55e754ad7758283e5f29350850297b4bdddaa16eef298e4b", EMPTY),
+    ("table klambda --n-max 12 --xs 0,-3,2/5,0,-1,7/2,0,4,-5/3,1,0,-2 --lambda=-2/5", 0, "62eeac128c5fc5791b64d81da56156e6400d8edb5d832c883e620e6c04be5b3f", EMPTY),
     ("table stirling2r --n-max 6 --r 2 --k-max 3 --lambda=-2/5 --format json", 0, "d5e8db92c87810057034d1569d8c3b74e20cc4df8cb69238bf6d869c9305b575", EMPTY),
     ("table bernoulli --n-max 5 --format json", 0, "d3b375c99bd92928b337dcecfe038e7698ad88b4459d3bee79a012c323bac76e", EMPTY),
     ("eval stirling1 --n 5 --k 2", 0, "38e6535424ead98461ff624a0c19e84ea1f6f471f74a59afee2739efba612a6c", EMPTY),

@@ -1,12 +1,15 @@
 """An outside oracle: the truncated Stirling numbers of both kinds and the
-truncated Bernoulli values from the paper's closed forms, expanded by sympy
-rather than by this package.
+truncated Bernoulli values from the paper's closed forms, and the partial
+Bell and reciprocal-series polynomials, expanded by sympy rather than by
+this package.
 
 e_l(t) = (1 + l t)^(1/l) and log_l(1 + t) = ((1 + t)^l - 1)/l are expanded
 with ``sympy.series``; their truncated blocks are powered in the polynomial
 ring Q[l, t], cut at t^N.  The Bernoulli values are the coefficients of
 (t^r / block)^alpha e_l^x(t), with e_l^x(t) = (1 + l t)^(x/l), the
-reciprocal taken term by term in the field Q(l).  Every route in the
+reciprocal taken term by term in the field Q(l).  The Bell polynomials
+are sympy's ``bell(n, k, xs)``, and the reciprocal-series polynomials its
+alternating sum over k on the sequence scaled by (1)_l.  Every route in the
 package starts from the same descending products, so this is the one check
 that does not.
 """
@@ -20,7 +23,14 @@ sp = pytest.importorskip("sympy")
 from sympy.polys.fields import field  # noqa: E402
 from sympy.polys.rings import ring  # noqa: E402
 
-from degenstir import stirling1r_gf, stirling2r_gf, trunc_degen_bernoulli  # noqa: E402
+from degenstir import (  # noqa: E402
+    bell_partial,
+    k_lambda,
+    lam_elem,
+    stirling1r_gf,
+    stirling2r_gf,
+    trunc_degen_bernoulli,
+)
 
 N = 7
 R, L, T = ring("l,t", sp.QQ)
@@ -148,3 +158,51 @@ def test_pinned_bernoulli_values_match_the_closed_form(bernoulli_oracle, lam):
         value = _rational(want.numer(at)) / _rational(want.denom(at))
         assert trunc_degen_bernoulli(n, r, alpha, x, lam=lam) == value, \
             (r, alpha, x, n)
+
+
+# x_i as its coefficients in l, lowest degree first: zeros, negatives and
+# genuine polynomials
+SEQ = ((1, 1), (0,), (F(-3, 2), 2), (0, 0, -1), (F(1, 3),), (2, -1, F(1, 2)),
+       (0, 1), (-1, 0, 0, 1))
+NS = len(SEQ)
+
+
+def _sympy_poly(expr, l):
+    return {m[0]: _rational(c) for m, c in sp.Poly(sp.expand(expr), l).as_dict().items()}
+
+
+@pytest.fixture(scope="module")
+def bell_oracle():
+    """("bell", n, k) and ("klambda", n) -> the value as an expression in l."""
+    l = sp.symbols("l")
+    xs = [sum(sp.Rational(c.numerator, c.denominator) * l ** i
+              for i, c in enumerate(map(F, cs))) for cs in SEQ]
+    scaled = [x * sp.prod([1 - i * l for i in range(j)]) for j, x in enumerate(xs, 1)]
+    out = {}
+    for n in range(NS + 1):
+        for k in range(n + 1):
+            out["bell", n, k] = sp.expand(sp.bell(n, k, xs[:n - k + 1]))
+        out["klambda", n] = sp.expand(sum(
+            (-1) ** k * math.factorial(k) * sp.bell(n, k, scaled[:n - k + 1])
+            for k in range(n + 1)))
+    return l, out
+
+
+def _bell_or_reciprocal(key, xs, lam):
+    if key[0] == "bell":
+        return bell_partial(key[1], key[2], xs, lam)
+    return k_lambda(key[1], xs, lam)
+
+
+@pytest.mark.parametrize("lam", [None, F(-5, 3)])
+def test_bell_and_reciprocal_polynomials_match_sympy(bell_oracle, lam):
+    l, oracle = bell_oracle
+    s = lam_elem() if lam is None else lam
+    xs = [sum((c * s ** i for i, c in enumerate(cs)), 0 * s) for cs in SEQ]
+    for key, expr in oracle.items():
+        got = _bell_or_reciprocal(key, xs, lam)
+        if lam is None:
+            assert _poly(got) == _sympy_poly(expr, l), key
+        else:
+            at = sp.Rational(lam.numerator, lam.denominator)
+            assert got.instantiate(lam) == _rational(expr.subs(l, at)), key
