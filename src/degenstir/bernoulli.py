@@ -6,11 +6,12 @@ the deformed exponential of x.  The truncated variant replaces e(t)-1 by
 the block (the exponential without its first r coefficients) and t by t^r,
 per power of the order.  The block's alpha-th power is
 alpha! sum_n S_r(n, alpha) t^n / n!, column alpha of the truncated
-second-kind Stirling triangle, so the quotient (t^r / block)^alpha is one
-division of the unit series by that column shifted down by alpha r orders.
-It is cached per order and precision, apart from x; value n picks the
-precision from n alone.  The plain values are the r = 1 case and are
-computed as such.
+second-kind Stirling triangle, so the quotient (t^r / block)^alpha is the
+reciprocal of that column shifted down by alpha r orders.  The values, n!
+times the coefficients, are kept in one row per (r, alpha, x, domain) that
+grows on demand: at x = 0 by the reciprocal recurrence over the column, at
+x != 0 by the Appell form over the x = 0 row.  The plain values are the
+r = 1 case and are computed as such.
 
 Partial Bell polynomials are read off a ladder of the powers of their
 defining series, and the reciprocal-series polynomials are the alternating
@@ -30,42 +31,96 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import partitions_exact
-from .core import descending, exp_coeffs
-from .errors import InputTooShort, RouteDisagreement
+from .core import descending
+from .errors import InputTooShort, RouteDisagreement, ZeroDivisorSeries
 from .field import FieldElem, as_elem, domain
 from .series import product, quotient, valuation
 from .stirling import stirling_entry
 
 
-@lru_cache(maxsize=None)
-def _bern_quot(r: int, alpha: int, precision: int, dom) -> tuple:
-    """(t^r / block)^alpha at ``precision``: the unit series over
-    block^alpha / t^(alpha r), whose t^m coefficient is
-    alpha! S_r(m + alpha r, alpha) / (m + alpha r)!."""
-    scale = math.factorial(alpha)
-    lo = alpha * r
-    denom = [stirling_entry(2, lo + m, alpha, r, dom)
-             * Fraction(scale, math.factorial(lo + m))
-             for m in range(precision + 1)]
-    return quotient((dom.one,) + (dom.zero,) * precision, denom, dom.inverse)
+_growing = threading.Lock()
+
+
+class _Row:
+    """The truncated order-alpha values at one x known so far, each n! times
+    its t^n coefficient, and at x != 0 the descending products of x."""
+
+    __slots__ = ("values", "prods")
+
+    def __init__(self, x, dom):
+        self.values = []
+        self.prods = [dom.one] if x else None
 
 
 @lru_cache(maxsize=None)
-def _trunc_bern_series(r: int, alpha: int, x, precision: int, dom) -> tuple:
-    q = _bern_quot(r, alpha, precision, dom)
+def _row(r: int, alpha: int, x, dom) -> _Row:
+    return _Row(x, dom)
+
+
+def _grow(row: _Row, n: int, r: int, alpha: int, x, dom):
+    """Grow the row to value n under ``_growing``, so that threads never
+    append one value twice; reads take no lock.  What another lock guards is
+    filled first, outside this one: a row at x != 0 grows its x = 0 row
+    (``_growing`` is not reentrant), and the x = 0 row column alpha of the
+    Stirling triangle (under ``stirling``'s lock)."""
     if x:
-        q = product(q, exp_coeffs(x, precision, dom), dom.zero)
-    return q
+        base = _row(r, alpha, dom.zero, dom)
+        if n >= len(base.values):
+            _grow(base, n, r, alpha, dom.zero, dom)
+        with _growing:
+            _appell(row, n, x, base.values, dom)
+    else:
+        stirling_entry(2, n + alpha * r, alpha, r, dom)
+        with _growing:
+            _reciprocal(row.values, n, r, alpha, dom)
+
+
+def _reciprocal(vals: list, n: int, r: int, alpha: int, dom):
+    # beta_m = -(1/D_0) sum_{i=1..m} C(m, i) D_i beta_{m-i} and beta_0 = 1/D_0,
+    # where D_i = i! alpha! S_r(i + alpha r, alpha) / (i + alpha r)!
+    lo, scale = alpha * r, math.factorial(alpha)
+    if not vals:
+        d0 = stirling_entry(2, lo, alpha, r, dom) * Fraction(scale, math.factorial(lo))
+        if not d0:
+            # at a pinned parameter the block's lowest coefficient vanishes
+            # only with the whole block
+            raise ZeroDivisorSeries("division by a series with no known nonzero coefficient")
+        vals.append(dom.inverse(d0))
+    neg = -vals[0]
+    while len(vals) <= n:
+        m = len(vals)
+        top = math.factorial(m) * scale
+        acc = dom.zero
+        for i in range(1, m + 1):
+            s = stirling_entry(2, i + lo, alpha, r, dom)
+            b = vals[m - i]
+            if s and b:
+                acc = acc + Fraction(top, math.factorial(m - i) * math.factorial(i + lo)) * s * b
+        vals.append(acc * neg)
+
+
+def _appell(row: _Row, n: int, x, base: list, dom):
+    # beta_m(x) = sum_j C(m, j) beta_j (x)_{m-j}, over the x = 0 values
+    prods, vals = row.prods, row.values
+    while len(prods) <= n:
+        prods.append(prods[-1] * (x - (len(prods) - 1) * dom.lam))
+    while len(vals) <= n:
+        m = len(vals)
+        acc = dom.zero
+        for j in range(m + 1):
+            if base[j]:
+                acc = acc + math.comb(m, j) * base[j] * prods[m - j]
+        vals.append(acc)
 
 
 def bernoulli_entry(n: int, r: int, alpha: int, x, dom):
     """Truncated order-alpha value at the ``dom`` value x, as a ``dom`` value."""
     if n < 0:
         raise IndexError("negative coefficient index")
-    # coefficient n needs the orders up to n; rounding the precision up to a
-    # multiple of 8 lets nearby values share one cached quotient (without it
-    # the pinned-sweep benchmark ran ~10% slower)
-    return _trunc_bern_series(r, alpha, x, n + (-n) % 8, dom)[n] * math.factorial(n)
+    row = _row(r, alpha, x, dom)
+    if n >= len(row.values):
+        _grow(row, n, r, alpha, x, dom)
+    return row.values[n]
 
 
 def trunc_degen_bernoulli(n: int, r: int, alpha: int, x=0, lam=None) -> FieldElem:
@@ -120,9 +175,6 @@ def _bell_rungs(coeffs: tuple, dom) -> list:
     # rung k is the k-th power of the series with these coefficients, values
     # of dom; _climb extends the list
     return [(dom.one,) + (dom.zero,) * (len(coeffs) - 1), coeffs]
-
-
-_growing = threading.Lock()
 
 
 def _climb(coeffs: tuple, k: int, dom) -> list:

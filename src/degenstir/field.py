@@ -342,7 +342,18 @@ class FieldElem:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scale(self, q):
+        # a rational factor scales the content of num (or the pinned value):
+        # the product of a canonical element and a nonzero rational is canonical
+        if self.lam is not None:
+            return FieldElem(lam=self.lam, value=self.value * q)
+        if not q or not self.num.prim:
+            return FieldElem(lam=None, num=P_ZERO, den=P_ONE)
+        return FieldElem(lam=None, num=_poly(self.num.content * q, self.num.prim), den=self.den)
+
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other)
         other = self._coerce(other)
         if self.lam is not None:
             return FieldElem(lam=self.lam, value=self.value * other.value)
@@ -378,6 +389,10 @@ class FieldElem:
         return FieldElem(lam=None, num=self.den * inv, den=self.num * inv)
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise DivisionByZero("division by zero field element")
+            return self._scale(Fraction(other.denominator, other.numerator))
         other = self._coerce(other)
         if other.is_zero:
             raise DivisionByZero("division by zero field element")

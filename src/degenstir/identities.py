@@ -66,12 +66,12 @@ def verify_thm3(n: int, k: int, r: int, lam=None) -> IdentityReport:
     dom = domain(lam)
     big = n + k * r
     lhs = Fraction(math.factorial(k), math.factorial(big)) * stirling_entry(2, big, k, r, dom)
+    singles = [stirling_entry(2, j + r, 1, r, dom) / math.factorial(j + r) for j in range(n + 1)]
     rhs = dom.zero
     for comp in compositions(n, k, 0):
         term = dom.one
         for j in comp:
-            term = term * stirling_entry(2, j + r, 1, r, dom)
-            term = term / math.factorial(j + r)
+            term = term * singles[j]
         rhs = rhs + term
     return _report("thm3", {"n": n, "k": k, "r": r}, lhs, rhs, dom)
 

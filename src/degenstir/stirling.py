@@ -109,8 +109,9 @@ class _Triangle:
 
 
 @lru_cache(maxsize=None)
-def _triangle(kind: int, r: int, lam) -> _Triangle:
-    return _Triangle(kind, r, domain(lam))
+def _triangle(kind: int, r: int, dom) -> _Triangle:
+    # keyed by the domain object, one per mode, which hashes by identity
+    return _Triangle(kind, r, dom)
 
 
 def stirling_entry(kind: int, n: int, k: int, r: int, dom):
@@ -121,7 +122,7 @@ def stirling_entry(kind: int, n: int, k: int, r: int, dom):
                          "n=%d, k=%d, r=%d" % (n, k, r))
     if k * r > n:
         return dom.zero
-    tri = _triangle(kind, r, dom.mode)
+    tri = _triangle(kind, r, dom)
     cols, i = tri.cols, n - k * r
     if k >= len(cols) or i >= len(cols[k]):
         with _growing:

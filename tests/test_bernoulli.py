@@ -27,11 +27,11 @@ from degenstir import (
     stirling2r_gf,
     trunc_degen_bernoulli,
 )
-from degenstir import bernoulli
-from degenstir.bernoulli import _bern_quot, _trunc_bern_series
+from degenstir import bernoulli, cli, series, stirling
 from degenstir.field import domain
 from degenstir.stirling import _block
 from oracles import bernoulli_numbers
+from threads import threads_agree_with_one_thread
 
 LAM = lam_elem()
 
@@ -86,15 +86,89 @@ def _one_division_series(r, alpha, x, precision, lam):
 
 @pytest.mark.parametrize("lam", [None, F(-5, 3)])
 def test_triangle_quotient_equals_the_one_division_form(lam):
-    _bern_quot.cache_clear()
-    _trunc_bern_series.cache_clear()
-    dom = domain(lam)
+    bernoulli._row.cache_clear()
     for r in (1, 2, 3):
         for alpha in (3, 1, 2):
             for x in (as_elem(0, lam), as_elem(F(1, 2), lam)):
-                got = _trunc_bern_series(r, alpha, dom.unwrap(x), 6, dom)
-                assert Series(map(dom.wrap, got)) == \
-                    _one_division_series(r, alpha, x, 6, lam), (r, alpha, str(x))
+                want = _one_division_series(r, alpha, x, 12, lam)
+                # one value far down the row first, then the row from its start
+                for n in (7,) + tuple(range(13)):
+                    assert trunc_degen_bernoulli(n, r, alpha, x, lam) == \
+                        want.coeff(n) * math.factorial(n), (r, alpha, str(x), n)
+
+
+@pytest.mark.parametrize("lam", [None, F(-5, 3)])
+def test_rows_divide_no_series(monkeypatch, lam):
+    quotient = series.quotient
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return quotient(*args)
+
+    monkeypatch.setattr(series, "quotient", counted)
+    monkeypatch.setattr(bernoulli, "quotient", counted)
+    bernoulli._row.cache_clear()
+    stirling._triangle.cache_clear()
+    for x in (0, F(1, 2)):
+        for n in range(13):
+            trunc_degen_bernoulli(n, 2, 3, x, lam)
+    assert calls == []
+
+
+@pytest.mark.parametrize("lam", [None, F(-5, 3)])
+@pytest.mark.parametrize("x", [0, F(1, 2)])
+def test_threads_growing_one_cold_row_agree_with_one_thread(lam, x):
+    # without a guard on growth two threads append the same value
+    dom = domain(lam)
+
+    def check():
+        row = bernoulli._row(2, 2, dom.unwrap(x), dom)
+        assert len(row.values) == 13
+        if x:
+            assert len(row.prods) == 13
+            assert len(bernoulli._row(2, 2, dom.zero, dom).values) == 13
+
+    def clear():
+        bernoulli._row.cache_clear()
+        stirling._triangle.cache_clear()
+
+    threads_agree_with_one_thread(
+        clear, lambda: [trunc_degen_bernoulli(n, 2, 2, x, lam) for n in range(13)], check)
+
+
+@pytest.mark.parametrize("lam", [None, "-2/5"])
+def test_growth_never_nests_the_two_locks(monkeypatch, capsys, lam):
+    # a row grows the Stirling column it reads, and a row at x != 0 its
+    # x = 0 row, before it takes the Bernoulli lock, which is not reentrant
+    held, nested, taken = [], [], []
+
+    class Recorder:
+        def __init__(self, name, lock):
+            self.name, self.lock = name, lock
+
+        def __enter__(self):
+            if held:
+                # fail here: taking the Bernoulli lock twice would hang
+                nested.append((held[-1], self.name))
+                raise AssertionError("%s taken under %s" % (self.name, held[-1]))
+            self.lock.acquire()
+            held.append(self.name)
+            taken.append(self.name)
+
+        def __exit__(self, *exc):
+            held.pop()
+            self.lock.release()
+
+    for mod in (bernoulli, stirling):
+        monkeypatch.setattr(mod, "_growing", Recorder(mod.__name__, mod._growing))
+    bernoulli._row.cache_clear()
+    stirling._triangle.cache_clear()
+    argv = ["table", "trunc-bernoulli", "--n-max", "10", "--r", "2", "--alpha", "3", "--x", "1/2"]
+    assert cli.main(argv + ([] if lam is None else ["--lambda=" + lam])) == 0
+    capsys.readouterr()
+    assert nested == []
+    assert set(taken) == {"degenstir.bernoulli", "degenstir.stirling"}
 
 
 @pytest.mark.parametrize("lam", [None, F(-5, 3)])

@@ -283,6 +283,38 @@ def test_constant_elements_equal_and_hash_like_their_fraction(q):
     assert built.num == e.num and built == e and hash(built) == hash(e)
 
 
+pinned_elems = st.builds(const, rationals, st.sampled_from([F(-5, 3), F(0), F(2, 7)]))
+scalars = st.one_of(st.just(0), st.just(F(0)), st.integers(-30, 30),
+                  st.fractions(-4, 4, max_denominator=6))
+
+
+def _canonical_in_mode(e):
+    if e.lam is None:
+        return _canonical(e)
+    assert type(e.value) is F and e.num is None and e.den is None
+    return e
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(elems, pinned_elems), scalars)
+def test_rational_factors_match_constant_elements(e, q):
+    # an int or Fraction scales the element directly, with no constant
+    # element and no cross-reduction; the result is the one const(q) gives
+    c = const(q, e.lam)
+    assert _canonical_in_mode(e * q) == e * c
+    assert _canonical_in_mode(q * e) == e * c
+    if q:
+        assert _canonical_in_mode(e / q) == e / c
+    else:
+        zero = _canonical_in_mode(e * q)
+        assert zero == const(0, e.lam) and zero.is_zero
+        if e.lam is None:
+            assert (zero.num, zero.den) == (LambdaPoly(), LambdaPoly.const(1))
+        for divisor in (0, F(0)):
+            with pytest.raises(DivisionByZero, match="^division by zero field element$"):
+                e / divisor
+
+
 # each entry point coerces its arguments through as_elem
 _ELEMENT_ENTRY_POINTS = [
     ("degen_bernoulli", lambda x, lam=None: degen_bernoulli(2, 1, x=x, lam=lam)),

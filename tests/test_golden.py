@@ -5,7 +5,8 @@ its stdout and of its stderr, and its exit code, with values recorded from a
 known-good build.  The set covers ``table`` for every family, symbolic and
 at one pinned parameter value, in CSV (and JSON for two families), and the
 reciprocal polynomials once more to n = 12 on a sequence with zeros and
-mixed signs; ``eval`` for every family; ``verify --identity all`` in both
+mixed signs, and both Bernoulli families once more to n = 17, past the
+values 8/9 and 16/17; ``eval`` for every family; ``verify --identity all`` in both
 modes, at the parameter 0 and at a pole; a low ``--precision`` warning; and
 a pole in ``eval``.  Any change to a value, its canonical text, the row
 order or the JSON layout shows here.
@@ -56,6 +57,10 @@ GOLDEN = (
     ("eval trunc-bernoulli --n 1 --r 2 --lambda=1", 2, EMPTY, "436ece22a685627dc8cf16ff11c6dbc69a26a5024eaad4e3054df329ee1f7fd0"),
     ("verify --identity all --lambda=0", 0, "b79c0051e88d0b2c9c302138b67a4feb27e153bff81cc7bb3707b5b084f461cc", EMPTY),
     ("verify --identity all --lambda=1/2", 2, EMPTY, "436ece22a685627dc8cf16ff11c6dbc69a26a5024eaad4e3054df329ee1f7fd0"),
+    ("table bernoulli --n-max 17 --alpha 2 --x 1/2", 0, "810414fcc4ada993db401dc377bd052b10730658f87eca1d10b6c4338f5b0310", EMPTY),
+    ("table bernoulli --n-max 17 --alpha 2 --x 1/2 --lambda=-2/5", 0, "a8df6024402ba5539b48f173cb7264c46a942535cbdff7ec33b0c1e9bf6bffb4", EMPTY),
+    ("table trunc-bernoulli --n-max 17 --r 2 --alpha 3 --x=-1/3", 0, "6c3ea2e0ad9ae0b0255b820a25d5a8323e75f1901e631b90f05967c61a1b55db", EMPTY),
+    ("table trunc-bernoulli --n-max 17 --r 2 --alpha 3 --x=-1/3 --lambda=-2/5", 0, "46b3c1210563d1020d342d88536f0265efec763824f43a1c41487d50fb11dcfa", EMPTY),
 )
 
 

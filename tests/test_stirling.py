@@ -1,9 +1,6 @@
 """Stirling triangles: both kinds, truncation, and the three-route check."""
 
 import math
-import os
-import sys
-import threading
 from fractions import Fraction as F
 
 import pytest
@@ -27,9 +24,10 @@ from degenstir import (
     trunc_degen_bernoulli,
 )
 from degenstir import bernoulli, stirling
-from degenstir.field import SYMBOLIC
+from degenstir.field import SYMBOLIC, domain
 from degenstir.stirling import _block
 from oracles import classic_stirling1, classic_stirling2
+from threads import threads_agree_with_one_thread
 
 LAM = lam_elem()
 
@@ -207,7 +205,7 @@ def test_an_entry_grows_only_the_columns_up_to_its_own():
     stirling._triangle.cache_clear()
     # S(n, 1) is the descending product (1)_{n,l} at r = 1
     assert stirling2r_gf(3000, 1, 1, lam=lam) == one_falling(3000, lam)
-    tri = stirling._triangle(2, 1, lam)
+    tri = stirling._triangle(2, 1, domain(lam))
     # S(3000, 1) reads column 0 only down to row 2999; column 1 starts at row 1
     assert [len(col) for col in tri.cols] == [3000, 3000]
     # k*r > n: zero, without a cache lookup or any growth
@@ -219,18 +217,18 @@ def test_an_entry_grows_only_the_columns_up_to_its_own():
 
 
 def test_a_deep_bernoulli_order_grows_only_a_band_of_each_column():
-    # the quotient at precision 8 reads S(3000..3008, 1500), which reach
-    # column j only down to row 2j + 8: 9 computed cells per column, where
-    # filling every column to row 3008 would compute about 2.3 million.
-    # Column j is stored from row 2j on, so its zero rows take no slots.
+    # the value n = 3 reads S(3000..3003, 1500), which reach column j only
+    # down to row 2j + 3: 4 computed cells per column, where filling every
+    # column to row 3003 would compute about 2.3 million.  Column j is
+    # stored from row 2j on, so its zero rows take no slots.
     lam, r = F(1, 3), 2
     stirling._triangle.cache_clear()
     trunc_degen_bernoulli(3, r, 1500, lam=lam)
-    cols = stirling._triangle(2, r, lam).cols
+    cols = stirling._triangle(2, r, domain(lam)).cols
     assert len(cols) == 1501
     for j, col in enumerate(cols):
-        assert len(col) <= 9, j
-    assert sum(len(col) for col in cols) < 10 * len(cols)
+        assert len(col) <= 4, j
+    assert sum(len(col) for col in cols) <= 4 * len(cols)
 
 
 def test_entries_refuse_negative_indices_and_r_below_one():
@@ -258,41 +256,14 @@ def test_triangle_makes_about_one_product_per_cell(monkeypatch):
     assert len(calls) <= 156
 
 
-def _threads_agree_with_one_thread(clear, work, check):
-    expect = work()
-    workers = (os.cpu_count() or 1) + 1
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for _ in range(3):
-            clear()
-            barrier = threading.Barrier(workers)
-            results = [None] * workers
-
-            def run(i):
-                barrier.wait(timeout=60)
-                results[i] = work()
-
-            threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-            assert results == [expect] * workers
-            check()
-    finally:
-        sys.setswitchinterval(interval)
-
-
 def test_threads_filling_one_cold_triangle_agree_with_one_thread():
     # without a guard on growth two threads append the same row
     def check():
-        tri = stirling._triangle(2, 1, None)
+        tri = stirling._triangle(2, 1, SYMBOLIC)
         # column j holds rows j..16
         assert [len(col) for col in tri.cols] == [17 - j for j in range(17)]
 
-    _threads_agree_with_one_thread(
+    threads_agree_with_one_thread(
         stirling._triangle.cache_clear,
         lambda: [stirling2r_gf(n, k, 1) for n in range(17) for k in range(n + 1)],
         check)
@@ -305,7 +276,7 @@ def test_threads_climbing_one_cold_ladder_agree_with_one_thread():
     def check():
         assert len(_bell_ladder(xs)) == 17
 
-    _threads_agree_with_one_thread(
+    threads_agree_with_one_thread(
         bernoulli._bell_rungs.cache_clear,
         lambda: [bell_partial_gf(16, k, xs) for k in range(17)],
         check)
