@@ -17,6 +17,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import identities
 from .bernoulli import bell_partial, degen_bernoulli, k_lambda, trunc_degen_bernoulli
@@ -49,7 +50,11 @@ def _xs_list(text: str):
     return [_rational(part) for part in text.split(",") if part != ""]
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later call in the process.  Callers get the shared parser and must not
+    mutate it."""
     parser = argparse.ArgumentParser(
         prog="degenstir",
         description="Exact tables and identity audits for deformed special numbers.")

@@ -10,7 +10,8 @@ and exact:
   The form is canonical, so equality and hashing are structural.  By Gauss's
   lemma a product of primitive polynomials is primitive, so a product is one
   integer convolution and one rational multiply; a sum takes one gcd pass.
-  ``coeffs``, the rational coefficients, is a view derived on each read.
+  ``coeffs``, the rational coefficients, is a view derived on each read;
+  the text form is rendered from the integer form.
 * ``FieldElem``: a quotient of two ``LambdaPoly`` values kept in canonical
   form (fully reduced, monic denominator), so equality is plain structural
   comparison.  Alternatively an element can be *instantiated*: the parameter
@@ -210,19 +211,22 @@ P_LAM = LambdaPoly((0, 1))
 
 
 def poly_str(p: LambdaPoly) -> str:
-    """Terms in descending degree, ``(c)*l^k`` shape, bare rational constant."""
+    """Terms in descending degree, ``(c)*l^k`` shape, bare rational constant.
+
+    Each coefficient ``content * c`` is reduced on ints: the content is in
+    lowest terms, so gcd(num * c, den) == gcd(c, den)."""
     if p.is_zero:
         return "0"
+    num, den = p.content.numerator, p.content.denominator
     parts = []
-    coeffs = p.coeffs
     for k in range(p.degree, -1, -1):
-        c = coeffs[k]
+        c = p.prim[k]
         if not c:
             continue
-        if k == 0:
-            parts.append(rational_str(c))
-        else:
-            parts.append("(%s)*l^%d" % (rational_str(c), k))
+        g = math.gcd(c, den)
+        n, d = num * (c // g), den // g
+        text = "%d" % n if d == 1 else "%d/%d" % (n, d)
+        parts.append(text if k == 0 else "(%s)*l^%d" % (text, k))
     return " + ".join(parts)
 
 

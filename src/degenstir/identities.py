@@ -139,18 +139,22 @@ def verify_thm6(n: int, k: int, lam=None) -> IdentityReport:
     for j in range(n + 1):
         lhs = lhs + math.comb(n + k - 1, j) * stirling_entry(2, n - j + k, k, 2, dom) * \
             _beta(j, 1, dom)
+    # neg_pow[e] = (-lambda)^e for every exponent below, 0 <= e <= n - k + 1
     neg_s = -dom.lam
+    neg_pow = [dom.one]
+    for _ in range(n - k + 1):
+        neg_pow.append(neg_pow[-1] * neg_s)
     inner = dom.zero
     for l in range(k, n + 1):
         m = l + k - 2
         inner = inner + Fraction(1, math.factorial(m)) * stirling_entry(2, m, k - 1, 2, dom) * \
-            neg_s ** (n - l)
+            neg_pow[n - l]
     for j in range(k, n + 1):
         for l in range(k, j + 1):
             m = l + k - 2
             coef = Fraction(1, math.factorial(m) * math.factorial(n - j))
             inner = inner + coef * stirling_entry(2, m, k - 1, 2, dom) * \
-                _beta(n - j, 1, dom) * neg_s ** (j - l + 1)
+                _beta(n - j, 1, dom) * neg_pow[j - l + 1]
     rhs = math.factorial(n + k - 1) * inner
     return _report("thm6", {"n": n, "k": k}, lhs, rhs, dom)
 

@@ -97,3 +97,32 @@ def series_product_coeff(f_coeffs, g_coeffs, m):
         term = f_coeffs[i] * g_coeffs[m - i]
         acc = term if acc is None else acc + term
     return acc
+
+
+def rational_text(q):
+    """Canonical text of a rational: ``p`` for integers, else ``p/q``."""
+    q = Fraction(q)
+    if q.denominator == 1:
+        return str(q.numerator)
+    return "%d/%d" % (q.numerator, q.denominator)
+
+
+def poly_text(coeffs):
+    """Canonical text of a polynomial from its rational coefficients (lowest
+    degree first): nonzero terms in descending degree, ``(c)*l^k`` shape,
+    bare rational constant, ``0`` for the zero polynomial."""
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = Fraction(coeffs[k])
+        if not c:
+            continue
+        parts.append(rational_text(c) if k == 0 else "(%s)*l^%d" % (rational_text(c), k))
+    return " + ".join(parts) or "0"
+
+
+def quotient_text(num, den):
+    """Canonical text of a reduced quotient with a monic denominator, from
+    the coefficient lists of both sides."""
+    if [Fraction(c) for c in den] == [1]:
+        return poly_text(num)
+    return "(%s) / (%s)" % (poly_text(num), poly_text(den))

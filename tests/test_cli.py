@@ -138,17 +138,48 @@ def test_checks_after_parsing_report_with_the_subcommand_usage(capsys, argv, com
     assert "\ndegenstir %s: error: " % command in err
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_fresh(*argv, **env):
+    """``python -m degenstir`` in a new interpreter, with the source tree on
+    the path and no install: (exit code, stdout, stderr)."""
+    proc = subprocess.run([sys.executable, "-m", "degenstir", *argv],
+                          env=dict(os.environ, PYTHONPATH=SRC, **env),
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def test_module_entry_point_reaches_a_deep_power():
-    # python -m degenstir, with the source tree on the path and no install;
     # power 1500 lies far above row 8, so the entry must be zero without
     # filling any triangle
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "degenstir", "eval", "stirling2", "--n", "8", "--k", "1500",
-         "--lambda", "1/3", "--precision", "8"],
-        env=env, capture_output=True, text=True, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+    assert run_fresh("eval", "stirling2", "--n", "8", "--k", "1500",
+                     "--lambda", "1/3", "--precision", "8") == (0, "0\n", "")
+
+
+# an argparse usage error, a check after parsing, a refused --precision,
+# then a valid table
+PARSER_REUSE = (
+    "bogus",
+    "table stirling2 --n-max 3 --r 0",
+    "eval bell --n 2 --precision 3",
+    "table stirling2r --n-max 5 --r 2 --format json",
+)
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    # usage lines wrap at the terminal width, so both sides get the same one
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in PARSER_REUSE:
+        try:
+            code = cli.main(argv.split())
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == run_fresh(*argv.split(), COLUMNS="80"), argv
+        assert code == (0 if argv.startswith("table stirling2r") else 2), argv
+    assert out.startswith("{") and err == ""
 
 
 def test_a_value_past_the_int_to_str_digit_cap_prints(capsys):

@@ -22,8 +22,10 @@ from degenstir import (
     k_lambda,
     lam_elem,
     poly_gcd,
+    poly_str,
+    trunc_degen_bernoulli,
 )
-from oracles import poly_divmod, poly_gcd_monic, poly_mul
+from oracles import poly_divmod, poly_gcd_monic, poly_mul, poly_text, quotient_text, rational_text
 
 LAM = lam_elem()
 
@@ -281,6 +283,44 @@ def test_constant_elements_equal_and_hash_like_their_fraction(q):
     # the direct constant equals the one built through the constructor
     built = FieldElem.from_polys(LambdaPoly((q,)))
     assert built.num == e.num and built == e and hash(built) == hash(e)
+
+
+# The canonical text is rendered from the integer form; the oracle renders
+# the rational coefficients one Fraction at a time.
+gappy_ints = st.lists(st.one_of(st.just(0), st.integers(-10 ** 40, 10 ** 40)), max_size=13)
+big_contents = st.builds(F, st.integers(-2 ** 200, 2 ** 200).filter(bool),
+                         st.integers(1, 2 ** 200))
+big_quotients = st.tuples(
+    st.lists(big_rationals, max_size=4).map(LambdaPoly),
+    st.lists(big_rationals, min_size=1, max_size=4).map(LambdaPoly).filter(lambda p: p.prim),
+).map(lambda nd: FieldElem.from_polys(*nd))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(big_coeffs, gappy_ints), big_contents)
+def test_poly_text_matches_the_coefficient_oracle(cs, q):
+    # zero and negative coefficients, gaps, and contents of some 200 bits
+    for scale in (1, q):
+        p = LambdaPoly(cs) * scale
+        want = poly_text([F(c) * scale for c in cs])
+        assert poly_str(p) == str(p) == poly_text(p.coeffs) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(elems, big_quotients), big_contents)
+def test_element_text_matches_the_coefficient_oracle(e, q):
+    for x in (e, e * q, e / q):
+        assert str(x) == quotient_text(x.num.coeffs, x.den.coeffs)
+    assert str(const(q, F(2, 7))) == rational_text(q)
+
+
+def test_quotient_text_of_a_truncated_bernoulli_value():
+    e = trunc_degen_bernoulli(1, 2, 1)
+    assert str(e) == quotient_text(e.num.coeffs, e.den.coeffs) == \
+        "((-4/3)*l^1 + 2/3) / ((1)*l^1 + -1)"
+    e = trunc_degen_bernoulli(4, 2, 2, x=F(-3, 5))
+    assert not e.den.is_one
+    assert str(e) == quotient_text(e.num.coeffs, e.den.coeffs)
 
 
 pinned_elems = st.builds(const, rationals, st.sampled_from([F(-5, 3), F(0), F(2, 7)]))
