@@ -23,6 +23,9 @@ and exact:
 mode's ``domain``: plain Fractions for ``Pinned(l0)``, the symbolic elements
 for ``SYMBOLIC``; both take the same operators.  A public entry point unwraps
 its element arguments once, with the mode check, and wraps its result once.
+A kernel whose symbolic values are integer polynomials may compute on their
+int coefficients instead and turn each result into its element with
+``int_poly``, which splits content and primitive part on ints.
 
 The parameter prints as ``l`` in the canonical text form, for example
 ``(-1/2)*l^1 + 1/2``.
@@ -61,6 +64,8 @@ def _primitive(ints):
     if not ints:
         return 0, ()
     g = math.gcd(*ints)
+    if g == 1 and ints[-1] > 0:
+        return 1, tuple(ints)
     if ints[-1] < 0:
         g = -g
     return g, tuple(c // g for c in ints)
@@ -479,6 +484,13 @@ def const(value, lam=None) -> FieldElem:
     if lam is None:
         return FieldElem(lam=None, num=_poly(value, (1,)) if value else P_ZERO, den=P_ONE)
     return FieldElem(lam=as_rational(lam), value=value)
+
+
+def int_poly(coeffs) -> FieldElem:
+    """The symbolic element of an integer polynomial, given by its int
+    coefficients, lowest degree first: its canonical form split on ints."""
+    g, prim = _primitive(list(coeffs))
+    return FieldElem(lam=None, num=_poly(Fraction(g), prim) if g else P_ZERO, den=P_ONE)
 
 
 def lam_elem(lam=None) -> FieldElem:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import bernoulli_entry
@@ -30,14 +29,37 @@ AS_DERIVED = "as-derived"
 AS_PRINTED = "as-printed"
 
 
-@dataclass(frozen=True)
 class IdentityReport:
-    identity: str
-    variant: str
-    params: dict
-    lhs: FieldElem
-    rhs: FieldElem
-    equal: bool
+    """The outcome of one identity check: its tag, variant and parameters,
+    both sides, and whether they are equal.  Immutable; reports compare field
+    by field and, holding a dict, are unhashable."""
+
+    __slots__ = ("identity", "variant", "params", "lhs", "rhs", "equal")
+
+    def __init__(self, identity: str, variant: str, params: dict, lhs: FieldElem,
+                 rhs: FieldElem, equal: bool):
+        for name, value in zip(self.__slots__, (identity, variant, params, lhs, rhs, equal)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of an IdentityReport" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r of an IdentityReport" % (name,))
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "IdentityReport(%s)" % ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
 
     def to_json_obj(self):
         return {

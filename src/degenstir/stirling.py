@@ -15,9 +15,16 @@ the truncated Bernoulli values read the denominator of their quotient off
 the same triangle.  The defining series stays as the independent route: ``_block``
 is the base series without its orders below t^r, and the tests check the
 triangle against its powers.  Every entry is exact and needs no working
-precision: coefficient n is fixed by the orders up to n.  The cells are
-values of the mode's domain (see ``field``): ``stirling_entry`` reads one,
-and the public entries wrap it.
+precision: coefficient n is fixed by the orders up to n.
+
+``stirling_entry`` returns a value of the mode's domain (see ``field``), and
+the public entries wrap it.  A pinned cell is that value, a Fraction.  A
+symbolic cell is an integer polynomial in l, because the recurrence's factors
+and its start S(0, 0) = 1 are; the triangle stores its int coefficients and
+fills them with int arithmetic alone, which costs a fraction of the same
+products on elements.  A symbolic cell becomes its canonical element
+(``field.int_poly``) on its first read, not when it is filled, so an entry
+that reads one cell deep in a column wraps that cell alone.
 
 For the truncated second kind three independent routes are implemented:
 
@@ -32,13 +39,14 @@ command lean on that redundancy.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from fractions import Fraction
 from functools import lru_cache
 
 from .combinat import compositions
-from .core import degen_exp, degen_log, descending, int_falling, one_falling
-from .field import FieldElem, const, domain
+from .core import degen_exp, degen_log, int_falling, one_falling
+from .field import FieldElem, const, domain, int_poly
 from .series import Series
 
 
@@ -55,6 +63,43 @@ def _block(kind: int, r: int, precision: int, lam) -> Series:
 _growing = threading.Lock()
 
 
+def _add(p: tuple, q: tuple) -> tuple:
+    # the sum of two coefficient tuples, trailing zeros dropped
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _scale(p: tuple, s: int) -> tuple:
+    return tuple(s * c for c in p) if s else ()
+
+
+def _mul(p: tuple, q: tuple) -> tuple:
+    # the product of two coefficient tuples: one shift-and-scale pass over the
+    # longer per coefficient of the shorter, the two passes of a linear factor
+    # (every row factor) fused into one.  Neither has trailing zeros, so
+    # neither has the product.
+    if not p or not q:
+        return ()
+    if len(p) < len(q):
+        p, q = q, p
+    if len(q) == 2:
+        s, t = q
+        return tuple([s * c + t * d for c, d in zip(p + (0,), (0,) + p)])
+    out = [q[0] * c for c in p] + [0] * (len(q) - 1)
+    for j in range(1, len(q)):
+        s = q[j]
+        if s:
+            for i, c in enumerate(p, j):
+                out[i] += s * c
+    return tuple(out)
+
+
 class _Triangle:
     """The truncated Stirling numbers S(m, j) of one kind, r and parameter,
     filled by the triangle recurrence in n
@@ -66,19 +111,42 @@ class _Triangle:
     rows above j*r being zero, so cell (m, j) is ``cols[j][m - j*r]`` and
     the j - 1 neighbour of a cell sits at the same index in the column before
     it.  Columns grow downward; ``fill`` grows only the columns an entry
-    needs."""
+    needs.
 
-    __slots__ = ("r", "zero", "one", "a", "b", "c", "cols", "factors", "coefs")
+    The domain picks the cell arithmetic (``times``, ``plus``, ``scale``); the
+    rest of the fill is the same in both modes.  A pinned cell is the
+    domain's Fraction.  In the symbolic mode a, b, c and S(0, 0) = 1 are
+    integer polynomials, so every cell is one too: it is stored as its
+    coefficient tuple, lowest degree first (``()`` for 0), and filled by int
+    arithmetic alone, with no element, polynomial or Fraction built.
+    ``stirling_entry`` wraps a symbolic cell into its canonical element on
+    the cell's first read and keeps it in ``values``, which it reads without
+    the lock."""
+
+    __slots__ = ("r", "zero", "one", "a", "c", "step", "times", "plus", "scale",
+                 "cols", "factors", "coefs", "values")
 
     def __init__(self, kind: int, r: int, dom):
-        if kind == 2:
-            self.a, self.b = dom.one, dom.lam
-            self.c = descending(dom.one, r, dom.lam, dom)[-1]
-        else:
-            self.a, self.b = dom.lam, dom.one
-            self.c = descending(dom.lam - 1, r - 1, 1, dom)[-1]
         self.r = r
-        self.zero, self.one = dom.zero, dom.one
+        if dom.mode is None:
+            self.zero, one, lam = (), (1,), (0, 1)
+            self.times, self.plus, self.scale = _mul, _add, _scale
+            self.values = {}  # (j, i) -> the element of cell i of column j
+        else:
+            self.zero, one, lam = dom.zero, dom.one, dom.lam
+            self.times = self.scale = operator.mul
+            self.plus = operator.add
+            self.values = None  # a pinned cell is its own value
+        a, b = (one, lam) if kind == 2 else (lam, one)
+        self.step = self.scale(b, -1)  # a factor's change from one row to the next
+        # c is the descending product x(x - b)(x - 2b)... of r factors from
+        # x = 1 for the second kind, of r - 1 from x = l - 1 for the first
+        x, c, count = a, one, r
+        if kind == 1:
+            x, count = self.plus(a, self.step), r - 1
+        for _ in range(count):
+            c, x = self.times(c, x), self.plus(x, self.step)
+        self.one, self.a, self.c = one, a, c
         self.cols = []     # column j: S(j*r..m, j)
         self.factors = []  # column j: j*a - m*b, the factor of its next row
         self.coefs = []    # row m: C(m, r-1) c; unused at r = 1, where it is 1
@@ -87,24 +155,26 @@ class _Triangle:
         """Grow each column j <= k down to row n - (k - j) r, the rows that
         entry (n, k) reads; the caller holds ``_growing``."""
         r, cols, zero = self.r, self.cols, self.zero
+        times, plus = self.times, self.plus
         last = n - k * r  # the same index in every column
         while r > 1 and len(self.coefs) < n:
-            self.coefs.append(self.c * math.comb(len(self.coefs), r - 1))
+            self.coefs.append(self.scale(self.c, math.comb(len(self.coefs), r - 1)))
         for j in range(k + 1):
             if j == len(cols):
                 # S(0, 0) = 1; rows 0..j*r-1 of column j >= 1 are 0, unstored
                 cols.append([self.one] if j == 0 else [])
-                self.factors.append(self.a * j - self.b * (j * r + len(cols[j]) - 1))
+                m = j * r + len(cols[j]) - 1  # j*a - m*b
+                self.factors.append(plus(self.scale(self.a, j), self.scale(self.step, m)))
             col, f = cols[j], self.factors[j]
             while len(col) <= last:
                 i = len(col)
                 m = j * r + i - 1
-                v = f * col[-1] if i and col[-1] else zero
+                v = times(f, col[-1]) if i and col[-1] else zero
                 left = cols[j - 1][i] if j else zero
                 if left:
-                    v = v + (left if r == 1 else self.coefs[m] * left)
+                    v = plus(v, left if r == 1 else times(self.coefs[m], left))
                 col.append(v)
-                f = f - self.b
+                f = plus(f, self.step)
             self.factors[j] = f
 
 
@@ -117,6 +187,8 @@ def _triangle(kind: int, r: int, dom) -> _Triangle:
 def stirling_entry(kind: int, n: int, k: int, r: int, dom):
     """Entry (n, k), k being the power, of the truncated Stirling triangle of
     the kind (1 or 2) and r, as a value of ``dom``: n! [t^n] block^k / k!."""
+    if kind not in (1, 2):
+        raise ValueError("Stirling numbers are of kind 1 or 2, got kind=%r" % (kind,))
     if n < 0 or k < 0 or r < 1:
         raise ValueError("Stirling entries need n, k >= 0 and r >= 1, got "
                          "n=%d, k=%d, r=%d" % (n, k, r))
@@ -127,7 +199,15 @@ def stirling_entry(kind: int, n: int, k: int, r: int, dom):
     if k >= len(cols) or i >= len(cols[k]):
         with _growing:
             tri.fill(n, k)
-    return cols[k][i]
+    values = tri.values
+    if values is None:
+        return cols[k][i]
+    # read without the lock: two threads that both make a cell's first read
+    # store equal values
+    value = values.get((k, i))
+    if value is None:
+        value = values[k, i] = int_poly(cols[k][i])
+    return value
 
 
 def stirling2_degen(n: int, k: int, lam=None) -> FieldElem:

@@ -5,11 +5,13 @@ its stdout and of its stderr, and its exit code, with values recorded from a
 known-good build.  The set covers ``table`` for every family, symbolic and
 at one pinned parameter value, in CSV (and JSON for two families), and the
 reciprocal polynomials once more to n = 12 on a sequence with zeros and
-mixed signs, and both Bernoulli families once more to n = 17, past the
-values 8/9 and 16/17; ``eval`` for every family; ``verify --identity all`` in both
-modes, at the parameter 0 and at a pole; a low ``--precision`` warning; and
-a pole in ``eval``.  Any change to a value, its canonical text, the row
-order or the JSON layout shows here.
+mixed signs, both Bernoulli families once more to n = 17, past the values
+8/9 and 16/17, and the symbolic truncated tables of both kinds once more at
+r = 3 and r = 4 to n = 24, where the recurrence's factor c has degree 2 and
+3; ``eval`` for every family; ``verify --identity all`` in both modes, at
+the parameter 0 and at a pole; a low ``--precision`` warning; and a pole in
+``eval``.  Any change to a value, its canonical text, the row order or the
+JSON layout shows here.
 """
 
 import hashlib
@@ -61,6 +63,10 @@ GOLDEN = (
     ("table bernoulli --n-max 17 --alpha 2 --x 1/2 --lambda=-2/5", 0, "a8df6024402ba5539b48f173cb7264c46a942535cbdff7ec33b0c1e9bf6bffb4", EMPTY),
     ("table trunc-bernoulli --n-max 17 --r 2 --alpha 3 --x=-1/3", 0, "6c3ea2e0ad9ae0b0255b820a25d5a8323e75f1901e631b90f05967c61a1b55db", EMPTY),
     ("table trunc-bernoulli --n-max 17 --r 2 --alpha 3 --x=-1/3 --lambda=-2/5", 0, "46b3c1210563d1020d342d88536f0265efec763824f43a1c41487d50fb11dcfa", EMPTY),
+    ("table stirling2r --n-max 24 --r 3 --k-max 8", 0, "f28167cc60a620698259027f6f9e9c293593ffcd2e11bfae139ea8139c203f56", EMPTY),
+    ("table stirling1r --n-max 24 --r 3 --k-max 8", 0, "dac1e355eb71e611b67ac3feeca2b85f390253c6be9c8901f05bf941040ef7f8", EMPTY),
+    ("table stirling2r --n-max 24 --r 4 --k-max 6", 0, "ebdb700ca06419faf7e5488b370df04aff9d1ffd47499eb738ae58fa8c3c6b31", EMPTY),
+    ("table stirling1r --n-max 24 --r 4 --k-max 6", 0, "1cc384875e436de44d8b0b8c951dad78a2a691549e3c645b8800853b89fccf24", EMPTY),
 )
 
 

@@ -10,6 +10,7 @@ from degenstir import (
     AS_DERIVED,
     AS_PRINTED,
     DomainViolation,
+    IdentityReport,
     all_derived_equal,
     const,
     lam_elem,
@@ -26,6 +27,26 @@ from degenstir import (
 )
 
 LAM = lam_elem()
+
+
+def test_a_report_is_an_immutable_record_compared_field_by_field():
+    fields = dict(identity="thm4", variant=AS_DERIVED, params={"n": 1},
+                  lhs=const(0), rhs=LAM, equal=False)
+    rep = IdentityReport(**fields)
+    assert rep == IdentityReport(*fields.values())
+    assert [getattr(rep, name) for name in fields] == list(fields.values())
+    assert rep != IdentityReport(**dict(fields, params={"n": 2}))
+    assert repr(rep) == ("IdentityReport(identity='thm4', variant='as-derived', "
+                         "params={'n': 1}, lhs=FieldElem(0), rhs=FieldElem((1)*l^1), "
+                         "equal=False)")
+    with pytest.raises(AttributeError):
+        rep.equal = True
+    with pytest.raises(AttributeError):
+        del rep.lhs
+    with pytest.raises(AttributeError):
+        rep.extra = 1
+    with pytest.raises(TypeError):
+        hash(rep)
 
 
 def test_thm3_desk_cases():

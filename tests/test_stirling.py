@@ -4,9 +4,12 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from degenstir import (
     FieldElem,
+    LambdaPoly,
     Series,
     bell_partial_gf,
     build_triangle,
@@ -25,7 +28,7 @@ from degenstir import (
 )
 from degenstir import bernoulli, stirling
 from degenstir.field import SYMBOLIC, domain
-from degenstir.stirling import _block
+from degenstir.stirling import _block, stirling_entry
 from oracles import classic_stirling1, classic_stirling2
 from threads import threads_agree_with_one_thread
 
@@ -237,23 +240,89 @@ def test_entries_refuse_negative_indices_and_r_below_one():
             stirling2r_gf(n, k, r)
         with pytest.raises(ValueError):
             stirling1r_gf(n, k, r)
+    # a kind other than 1 or 2 is refused before any triangle is made
+    info = stirling._triangle.cache_info()
+    for kind in (0, 3):
+        for lam in (None, F(2, 7)):
+            with pytest.raises(ValueError, match="kind"):
+                stirling_entry(kind, 5, 2, 1, domain(lam))
+    assert stirling._triangle.cache_info().currsize == info.currsize
 
 
-def test_triangle_makes_about_one_product_per_cell(monkeypatch):
-    # measured: 156 products for the 153 cells; the ladder route makes 866
+@pytest.mark.parametrize("lam", [None, F(2, 7)])
+def test_triangle_makes_about_one_product_per_cell(monkeypatch, lam):
+    # measured for the 153 cells: 122 products of coefficient tuples in the
+    # symbolic mode, 155 of Fractions pinned (these count the factors' a*j and
+    # b*m too); the ladder route makes 866
     n_max = 16
     stirling._triangle.cache_clear()
-    mul = FieldElem.__mul__
     calls = []
+    products = [(stirling, "_mul")] if lam is None else [(F, "__mul__"), (F, "__rmul__")]
+    for owner, name in products:
+        def counted(x, y, product=getattr(owner, name)):
+            calls.append(1)
+            return product(x, y)
+
+        monkeypatch.setattr(owner, name, counted)
+    assert len(build_triangle("stirling2", n_max, lam=lam)) == 153
+    assert len(calls) <= 156
+
+
+def test_a_cold_symbolic_triangle_makes_no_polynomial_product(monkeypatch):
+    # the symbolic cells are filled on int tuples; a cell becomes an element
+    # only when it is read, and wrapping multiplies nothing
+    stirling._triangle.cache_clear()
+    calls = []
+    mul = LambdaPoly.__mul__
 
     def counted(self, other):
         calls.append(1)
         return mul(self, other)
 
-    monkeypatch.setattr(FieldElem, "__mul__", counted)
-    monkeypatch.setattr(FieldElem, "__rmul__", counted)
-    assert len(build_triangle("stirling2", n_max)) == 153
-    assert len(calls) <= 156
+    monkeypatch.setattr(LambdaPoly, "__mul__", counted)
+    monkeypatch.setattr(LambdaPoly, "__rmul__", counted)
+    assert len(build_triangle("stirling1r", 16, 8, 2)) == 17 * 9
+    assert calls == []
+
+
+@st.composite
+def _cells(draw):
+    kind, r = draw(st.sampled_from((1, 2))), draw(st.integers(1, 4))
+    n = draw(st.integers(0, 40))
+    return kind, n, draw(st.integers(0, n // r)), r
+
+
+# S_2(2, 1) = 1 - l and S_2(3, 2) = 3 - 3l have negative leading
+# coefficients, the contents -1 and -3; S_1r(7, 2) at r = 3 has content 35
+# and coefficients of both signs
+_CONTENT_EXAMPLES = {(2, 2, 1, 1): -1, (2, 3, 2, 1): -3, (1, 7, 2, 3): 35}
+
+
+def test_the_wrap_examples_have_a_content_other_than_one():
+    for (kind, n, k, r), content in _CONTENT_EXAMPLES.items():
+        assert stirling_entry(kind, n, k, r, SYMBOLIC).num.content == content
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cells(), st.fractions(-3, 3, max_denominator=5))
+@example((2, 2, 1, 1), F(1, 2))
+@example((2, 3, 2, 1), F(2, 7))
+@example((1, 7, 2, 3), F(-5, 3))
+def test_a_wrapped_cell_is_the_canonical_element_of_its_coefficients(cell, lam0):
+    kind, n, k, r = cell
+    value = stirling_entry(kind, n, k, r, SYMBOLIC)
+    coeffs = stirling._triangle(kind, r, SYMBOLIC).cols[k][n - k * r]
+    # the canonical form, checked on its definition: content times a
+    # primitive tuple with gcd 1 and a positive leading coefficient
+    assert value.num.coeffs == coeffs and value.den.is_one
+    assert not coeffs or (value.num.prim[-1] > 0 and math.gcd(*value.num.prim) == 1)
+    expect = FieldElem.from_polys(LambdaPoly(coeffs))
+    assert (value.num.content, value.num.prim, value.den) == \
+        (expect.num.content, expect.num.prim, expect.den)
+    assert value == expect and hash(value) == hash(expect)
+    # a second read returns the kept element
+    assert stirling_entry(kind, n, k, r, SYMBOLIC) is value
+    assert value.instantiate(lam0) == stirling_entry(kind, n, k, r, domain(lam0))
 
 
 def test_threads_filling_one_cold_triangle_agree_with_one_thread():
@@ -266,6 +335,32 @@ def test_threads_filling_one_cold_triangle_agree_with_one_thread():
     threads_agree_with_one_thread(
         stirling._triangle.cache_clear,
         lambda: [stirling2r_gf(n, k, 1) for n in range(17) for k in range(n + 1)],
+        check)
+
+
+def test_threads_making_the_first_reads_of_a_triangle_agree_with_one_thread():
+    # a filled triangle none of whose cells was read: the threads race to
+    # wrap each cell, and every racer must get, and leave, the canonical value
+    kind, r, n_max = 1, 3, 24
+
+    def filled_and_unread():
+        stirling._triangle.cache_clear()
+        tri = stirling._triangle(kind, r, SYMBOLIC)
+        with stirling._growing:
+            for k in range(n_max // r + 1):
+                tri.fill(n_max, k)
+
+    def check():
+        tri = stirling._triangle(kind, r, SYMBOLIC)
+        assert [len(col) for col in tri.cols] == [n_max - j * r + 1 for j in range(n_max // r + 1)]
+        assert len(tri.values) == sum(len(col) for col in tri.cols)
+        for (j, i), value in tri.values.items():
+            assert value == FieldElem.from_polys(LambdaPoly(tri.cols[j][i]))
+
+    threads_agree_with_one_thread(
+        filled_and_unread,
+        lambda: [stirling_entry(kind, n, k, r, SYMBOLIC)
+                 for n in range(n_max + 1) for k in range(n // r + 1)],
         check)
 
 
