@@ -71,7 +71,6 @@ from .stirling import (
     stirling1r_gf,
     stirling2_degen,
     stirling2r_binomial,
-    stirling2r_composition,
     stirling2r_gf,
 )
 

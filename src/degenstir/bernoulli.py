@@ -8,10 +8,10 @@ per power of the order.  The block's alpha-th power is
 alpha! sum_n S_r(n, alpha) t^n / n!, column alpha of the truncated
 second-kind Stirling triangle, so the quotient (t^r / block)^alpha is the
 reciprocal of that column shifted down by alpha r orders.  The values, n!
-times the coefficients, are kept in one row per (r, alpha, x, domain) that
-grows on demand: at x = 0 by the reciprocal recurrence over the column, at
-x != 0 by the Appell form over the x = 0 row.  The plain values are the
-r = 1 case and are computed as such.
+times the coefficients, are kept on the domain (see ``field.domain``) in one
+row per (r, alpha, x) that grows on demand: at x = 0 by the reciprocal
+recurrence over the column, at x != 0 by the Appell form over the x = 0
+row.  The plain values are the r = 1 case and are computed as such.
 
 Partial Bell polynomials are read off a ladder of the powers of their
 defining series, and the reciprocal-series polynomials are the alternating
@@ -52,9 +52,9 @@ class _Row:
         self.prods = [dom.one] if x else None
 
 
-@lru_cache(maxsize=None)
 def _row(r: int, alpha: int, x, dom) -> _Row:
-    return _Row(x, dom)
+    # threads that race on a cold row all get the one row that is stored
+    return dom.memo.setdefault(("row", r, alpha, x), _Row(x, dom))
 
 
 def _grow(row: _Row, n: int, r: int, alpha: int, x, dom):
@@ -117,7 +117,7 @@ def bernoulli_entry(n: int, r: int, alpha: int, x, dom):
     """Truncated order-alpha value at the ``dom`` value x, as a ``dom`` value."""
     if n < 0:
         raise IndexError("negative coefficient index")
-    row = _row(r, alpha, x, dom)
+    row = dom.memo.get(("row", r, alpha, x)) or _row(r, alpha, x, dom)
     if n >= len(row.values):
         _grow(row, n, r, alpha, x, dom)
     return row.values[n]

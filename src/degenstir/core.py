@@ -13,7 +13,6 @@ included.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .field import FieldElem, as_elem, domain
 from .series import Series
@@ -52,23 +51,16 @@ def one_falling(n: int, lam=None) -> FieldElem:
     return int_falling(1, n, lam)
 
 
-@lru_cache(maxsize=None)
 def int_falling(base: int, n: int, lam=None) -> FieldElem:
-    """Descending product for a small integer argument, memoized."""
+    """Descending product for a small integer argument."""
     return gen_falling(base, n, lam=lam)
-
-
-@lru_cache(maxsize=None)
-def exp_coeffs(x, precision: int, dom) -> tuple:
-    """The t^0..t^precision coefficients of e^x(t), x a ``dom`` value."""
-    prods = descending(x, precision, dom.lam, dom)
-    return tuple(p / math.factorial(k) for k, p in enumerate(prods))
 
 
 def degen_exp(x, precision: int, lam=None) -> Series:
     """Deformed exponential of argument x, to the requested precision."""
     dom = domain(as_elem(x, lam).lam)
-    return Series(map(dom.wrap, exp_coeffs(dom.unwrap(x), precision, dom)))
+    prods = descending(dom.unwrap(x), precision, dom.lam, dom)
+    return Series(dom.wrap(p / math.factorial(k)) for k, p in enumerate(prods))
 
 
 def degen_log(precision: int, lam=None) -> Series:

@@ -512,14 +512,16 @@ def as_elem(value, lam=None) -> FieldElem:
 
 
 class Pinned:
-    """The value domain of a pinned mode: Fractions, the parameter at ``mode``."""
+    """The value domain of a pinned mode: Fractions, the parameter at ``mode``.
+    ``memo`` holds what the kernels keep for that parameter."""
 
-    __slots__ = ("mode", "lam")
+    __slots__ = ("mode", "lam", "memo")
     zero, one = Fraction(0), Fraction(1)
     const = staticmethod(as_rational)
 
     def __init__(self, lam0):
         self.mode = self.lam = as_rational(lam0)
+        self.memo = {}
 
     def unwrap(self, value) -> Fraction:
         return as_elem(value, self.mode).value
@@ -540,6 +542,7 @@ class Symbolic:
     mode = None
     zero, one, lam = const(0), const(1), lam_elem()
     const = staticmethod(const)
+    memo = {}
 
     @staticmethod
     def unwrap(value) -> FieldElem:
@@ -558,7 +561,12 @@ class Symbolic:
 SYMBOLIC = Symbolic()
 
 
-@lru_cache(maxsize=None)
+PINNED_KEPT = 8
+_pinned = lru_cache(maxsize=PINNED_KEPT)(Pinned)  # keyed by the Fraction alone
+
+
 def domain(lam=None):
-    """The value domain of a mode; one object per mode, so caches key on it."""
-    return SYMBOLIC if lam is None else Pinned(lam)
+    """The value domain of a mode; its ``memo`` holds all the kernels keep for
+    it.  The symbolic domain is one object; the last ``PINNED_KEPT`` pinned
+    ones used are kept, so a sweep over the parameter holds few tables."""
+    return SYMBOLIC if lam is None else _pinned(as_rational(lam))

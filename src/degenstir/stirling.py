@@ -6,13 +6,14 @@ the deformed logarithm instead.  The truncated variants remove the first r
 coefficients of the base series before powering, which pushes the valuation
 of the k-th power up to k*r.  The plain kinds are the r = 1 case.
 
-Every entry is read from one cached triangle per (kind, r, parameter),
-filled by the triangle recurrence in n (see ``_Triangle``), column by
-column: entry (n, k) grows only the columns 0..k, and column j only down to
-row n - (k - j) r, the rows that entry reads.  Column k of the second
-kind, read as k! sum_n S(n, k) t^n / n!, is the k-th power of the block, so
-the truncated Bernoulli values read the denominator of their quotient off
-the same triangle.  The defining series stays as the independent route: ``_block``
+Every entry is read from one triangle per (kind, r), kept on the
+parameter's domain (see ``field.domain``) and filled by the triangle
+recurrence in n (see ``_Triangle``), column by column: entry (n, k) grows
+only the columns 0..k, and column j only down to row n - (k - j) r, the rows
+that entry reads.  Column k of the second kind, read as
+k! sum_n S(n, k) t^n / n!, is the k-th power of the block, so the truncated
+Bernoulli values read the denominator of their quotient off the same
+triangle.  The defining series stays as the independent route: ``_block``
 is the base series without its orders below t^r, and the tests check the
 triangle against its powers.  Every entry is exact and needs no working
 precision: coefficient n is fixed by the orders up to n.
@@ -26,14 +27,13 @@ products on elements.  A symbolic cell becomes its canonical element
 (``field.int_poly``) on its first read, not when it is filled, so an entry
 that reads one cell deep in a column wraps that cell alone.
 
-For the truncated second kind three independent routes are implemented:
+For the truncated second kind two independent routes are implemented:
 
-* ``stirling2r_gf``           the recurrence-filled triangle,
-* ``stirling2r_composition``  brute-force sum over compositions with parts >= r,
-* ``stirling2r_binomial``     an alternating binomial multiple sum.
+* ``stirling2r_gf``        the recurrence-filled triangle,
+* ``stirling2r_binomial``  an alternating binomial multiple sum.
 
-They must return identical canonical values; the tests and the ``verify``
-command lean on that redundancy.
+They must return identical canonical values; the tests and the benchmark's
+checker lean on that redundancy.
 """
 
 from __future__ import annotations
@@ -42,9 +42,7 @@ import math
 import operator
 import threading
 from fractions import Fraction
-from functools import lru_cache
 
-from .combinat import compositions
 from .core import degen_exp, degen_log, int_falling, one_falling
 from .field import FieldElem, const, domain, int_poly
 from .series import Series
@@ -101,8 +99,9 @@ def _mul(p: tuple, q: tuple) -> tuple:
 
 
 class _Triangle:
-    """The truncated Stirling numbers S(m, j) of one kind, r and parameter,
-    filled by the triangle recurrence in n
+    """The truncated Stirling numbers S(m, j) of one kind and r, kept in its
+    domain's ``memo`` under ("tri", kind, r) and filled by the triangle
+    recurrence in n
 
         S(m+1, j) = (j*a - m*b) S(m, j) + C(m, r-1) c S(m-r+1, j-1),
 
@@ -178,10 +177,9 @@ class _Triangle:
             self.factors[j] = f
 
 
-@lru_cache(maxsize=None)
 def _triangle(kind: int, r: int, dom) -> _Triangle:
-    # keyed by the domain object, one per mode, which hashes by identity
-    return _Triangle(kind, r, dom)
+    # threads that race on a cold triangle all get the one that is stored
+    return dom.memo.setdefault(("tri", kind, r), _Triangle(kind, r, dom))
 
 
 def stirling_entry(kind: int, n: int, k: int, r: int, dom):
@@ -194,7 +192,7 @@ def stirling_entry(kind: int, n: int, k: int, r: int, dom):
                          "n=%d, k=%d, r=%d" % (n, k, r))
     if k * r > n:
         return dom.zero
-    tri = _triangle(kind, r, dom)
+    tri = dom.memo.get(("tri", kind, r)) or _triangle(kind, r, dom)
     cols, i = tri.cols, n - k * r
     if k >= len(cols) or i >= len(cols[k]):
         with _growing:
@@ -230,24 +228,6 @@ def stirling1r_gf(n: int, k: int, r: int, lam=None) -> FieldElem:
     """Truncated first kind, n! [t^n] block^k / k!, from its triangle."""
     dom = domain(lam)
     return dom.wrap(stirling_entry(1, n, k, r, dom))
-
-
-def stirling2r_composition(n: int, k: int, r: int, lam=None) -> FieldElem:
-    """Truncated second kind by brute-force enumeration of the compositions
-    of n into k parts, every part at least r."""
-    if k == 0:
-        return const(1 if n == 0 else 0, lam)
-    total = const(0, lam)
-    n_fact = math.factorial(n)
-    for comp in compositions(n, k, r):
-        coef = Fraction(n_fact)
-        for part in comp:
-            coef /= math.factorial(part)
-        term = const(coef, lam)
-        for part in comp:
-            term = term * one_falling(part, lam)
-        total = total + term
-    return total / math.factorial(k)
 
 
 def stirling2r_binomial(n: int, k: int, r: int, lam=None) -> FieldElem:

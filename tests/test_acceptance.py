@@ -33,7 +33,6 @@ from degenstir import (
     stirling1_degen,
     stirling2_degen,
     stirling2r_binomial,
-    stirling2r_composition,
     stirling2r_gf,
     sweep,
     trunc_degen_bernoulli,
@@ -44,6 +43,7 @@ from degenstir import (
     verify_thm7,
     verify_thm8,
 )
+from degenstir.combinat import compositions
 from degenstir.identities import IdentityReport
 from oracles import bernoulli_numbers, classic_stirling2
 
@@ -64,6 +64,24 @@ def random_lambdas(count, seed):
         if abs(lam0.numerator) >= 2 and lam0 not in out:
             out.append(lam0)
     return out
+
+
+def stirling2r_composition(n: int, k: int, r: int, lam=None):
+    """Truncated second kind by brute-force enumeration of the compositions
+    of n into k parts, every part at least r."""
+    if k == 0:
+        return const(1 if n == 0 else 0, lam)
+    total = const(0, lam)
+    n_fact = math.factorial(n)
+    for comp in compositions(n, k, r):
+        coef = F(n_fact)
+        for part in comp:
+            coef /= math.factorial(part)
+        term = const(coef, lam)
+        for part in comp:
+            term = term * one_falling(part, lam)
+        total = total + term
+    return total / math.factorial(k)
 
 
 def test_triple_route_agreement():

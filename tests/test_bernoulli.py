@@ -86,7 +86,7 @@ def _one_division_series(r, alpha, x, precision, lam):
 
 @pytest.mark.parametrize("lam", [None, F(-5, 3)])
 def test_triangle_quotient_equals_the_one_division_form(lam):
-    bernoulli._row.cache_clear()
+    domain(lam).memo.clear()
     for r in (1, 2, 3):
         for alpha in (3, 1, 2):
             for x in (as_elem(0, lam), as_elem(F(1, 2), lam)):
@@ -108,8 +108,7 @@ def test_rows_divide_no_series(monkeypatch, lam):
 
     monkeypatch.setattr(series, "quotient", counted)
     monkeypatch.setattr(bernoulli, "quotient", counted)
-    bernoulli._row.cache_clear()
-    stirling._triangle.cache_clear()
+    domain(lam).memo.clear()
     for x in (0, F(1, 2)):
         for n in range(13):
             trunc_degen_bernoulli(n, 2, 3, x, lam)
@@ -118,20 +117,31 @@ def test_rows_divide_no_series(monkeypatch, lam):
 
 @pytest.mark.parametrize("lam", [None, F(-5, 3)])
 @pytest.mark.parametrize("x", [0, F(1, 2)])
-def test_threads_growing_one_cold_row_agree_with_one_thread(lam, x):
-    # without a guard on growth two threads append the same value
+def test_threads_growing_one_cold_row_agree_with_one_thread(monkeypatch, lam, x):
+    # without a guard on growth two threads append the same value, and
+    # without one stored row per key they grow rows of their own
     dom = domain(lam)
+    grown = []
+    grow = bernoulli._grow
+
+    def recorded(row, *args):
+        grown.append(row)
+        return grow(row, *args)
+
+    monkeypatch.setattr(bernoulli, "_grow", recorded)
 
     def check():
         row = bernoulli._row(2, 2, dom.unwrap(x), dom)
         assert len(row.values) == 13
+        base = bernoulli._row(2, 2, dom.zero, dom)
         if x:
             assert len(row.prods) == 13
-            assert len(bernoulli._row(2, 2, dom.zero, dom).values) == 13
+            assert len(base.values) == 13
+        assert grown and all(g is row or g is base for g in grown)
 
     def clear():
-        bernoulli._row.cache_clear()
-        stirling._triangle.cache_clear()
+        dom.memo.clear()
+        grown.clear()
 
     threads_agree_with_one_thread(
         clear, lambda: [trunc_degen_bernoulli(n, 2, 2, x, lam) for n in range(13)], check)
@@ -162,8 +172,7 @@ def test_growth_never_nests_the_two_locks(monkeypatch, capsys, lam):
 
     for mod in (bernoulli, stirling):
         monkeypatch.setattr(mod, "_growing", Recorder(mod.__name__, mod._growing))
-    bernoulli._row.cache_clear()
-    stirling._triangle.cache_clear()
+    domain(None if lam is None else F(lam)).memo.clear()
     argv = ["table", "trunc-bernoulli", "--n-max", "10", "--r", "2", "--alpha", "3", "--x", "1/2"]
     assert cli.main(argv + ([] if lam is None else ["--lambda=" + lam])) == 0
     capsys.readouterr()

@@ -22,7 +22,6 @@ from degenstir import (
     stirling1r_gf,
     stirling2_degen,
     stirling2r_binomial,
-    stirling2r_composition,
     stirling2r_gf,
     trunc_degen_bernoulli,
 )
@@ -30,6 +29,7 @@ from degenstir import bernoulli, stirling
 from degenstir.field import SYMBOLIC, domain
 from degenstir.stirling import _block, stirling_entry
 from oracles import classic_stirling1, classic_stirling2
+from test_acceptance import stirling2r_composition
 from threads import threads_agree_with_one_thread
 
 LAM = lam_elem()
@@ -187,7 +187,7 @@ def test_ladder_stops_growing_at_its_first_zero_rung():
 
 @pytest.mark.parametrize("lam", [None, F(-5, 3), F(0), F(7, 2)])
 def test_recurrence_triangle_equals_the_block_power_ladder(lam):
-    stirling._triangle.cache_clear()
+    domain(lam).memo.clear()
     # the highest (n, k) first, then the rest in a scrambled order
     cells = [(n, k) for n in range(15) for k in range(15)]
     cells = cells[::-1][:1] + cells[::7] + cells[3::7] + cells[5::7] + cells
@@ -205,17 +205,18 @@ def test_recurrence_triangle_equals_the_block_power_ladder(lam):
 
 def test_an_entry_grows_only_the_columns_up_to_its_own():
     lam = F(2, 7)
-    stirling._triangle.cache_clear()
+    dom = domain(lam)
+    dom.memo.clear()
     # S(n, 1) is the descending product (1)_{n,l} at r = 1
     assert stirling2r_gf(3000, 1, 1, lam=lam) == one_falling(3000, lam)
-    tri = stirling._triangle(2, 1, domain(lam))
+    tri = stirling._triangle(2, 1, dom)
     # S(3000, 1) reads column 0 only down to row 2999; column 1 starts at row 1
     assert [len(col) for col in tri.cols] == [3000, 3000]
-    # k*r > n: zero, without a cache lookup or any growth
-    info = stirling._triangle.cache_info()
+    # k*r > n: zero, without a new triangle or any growth
+    memo = dict(dom.memo)
     assert stirling2r_gf(8, 1500, 1, lam=lam) == 0
     assert stirling2r_gf(5, 3, 2, lam=lam) == 0
-    assert stirling._triangle.cache_info() == info
+    assert dom.memo == memo
     assert [len(col) for col in tri.cols] == [3000, 3000]
 
 
@@ -225,7 +226,7 @@ def test_a_deep_bernoulli_order_grows_only_a_band_of_each_column():
     # column to row 3003 would compute about 2.3 million.  Column j is
     # stored from row 2j on, so its zero rows take no slots.
     lam, r = F(1, 3), 2
-    stirling._triangle.cache_clear()
+    domain(lam).memo.clear()
     trunc_degen_bernoulli(3, r, 1500, lam=lam)
     cols = stirling._triangle(2, r, domain(lam)).cols
     assert len(cols) == 1501
@@ -241,12 +242,12 @@ def test_entries_refuse_negative_indices_and_r_below_one():
         with pytest.raises(ValueError):
             stirling1r_gf(n, k, r)
     # a kind other than 1 or 2 is refused before any triangle is made
-    info = stirling._triangle.cache_info()
+    memos = {lam: dict(domain(lam).memo) for lam in (None, F(2, 7))}
     for kind in (0, 3):
         for lam in (None, F(2, 7)):
             with pytest.raises(ValueError, match="kind"):
                 stirling_entry(kind, 5, 2, 1, domain(lam))
-    assert stirling._triangle.cache_info().currsize == info.currsize
+    assert {lam: domain(lam).memo for lam in memos} == memos
 
 
 @pytest.mark.parametrize("lam", [None, F(2, 7)])
@@ -255,7 +256,7 @@ def test_triangle_makes_about_one_product_per_cell(monkeypatch, lam):
     # symbolic mode, 155 of Fractions pinned (these count the factors' a*j and
     # b*m too); the ladder route makes 866
     n_max = 16
-    stirling._triangle.cache_clear()
+    domain(lam).memo.clear()
     calls = []
     products = [(stirling, "_mul")] if lam is None else [(F, "__mul__"), (F, "__rmul__")]
     for owner, name in products:
@@ -271,7 +272,7 @@ def test_triangle_makes_about_one_product_per_cell(monkeypatch, lam):
 def test_a_cold_symbolic_triangle_makes_no_polynomial_product(monkeypatch):
     # the symbolic cells are filled on int tuples; a cell becomes an element
     # only when it is read, and wrapping multiplies nothing
-    stirling._triangle.cache_clear()
+    SYMBOLIC.memo.clear()
     calls = []
     mul = LambdaPoly.__mul__
 
@@ -325,15 +326,30 @@ def test_a_wrapped_cell_is_the_canonical_element_of_its_coefficients(cell, lam0)
     assert value.instantiate(lam0) == stirling_entry(kind, n, k, r, domain(lam0))
 
 
-def test_threads_filling_one_cold_triangle_agree_with_one_thread():
-    # without a guard on growth two threads append the same row
+def test_threads_filling_one_cold_triangle_agree_with_one_thread(monkeypatch):
+    # without a guard on growth two threads append the same row, and without
+    # one stored triangle per key they fill triangles of their own
+    filled = []
+    fill = stirling._Triangle.fill
+
+    def recorded(tri, n, k):
+        filled.append(tri)
+        return fill(tri, n, k)
+
+    monkeypatch.setattr(stirling._Triangle, "fill", recorded)
+
+    def clear():
+        SYMBOLIC.memo.clear()
+        filled.clear()
+
     def check():
         tri = stirling._triangle(2, 1, SYMBOLIC)
         # column j holds rows j..16
         assert [len(col) for col in tri.cols] == [17 - j for j in range(17)]
+        assert filled and all(t is tri for t in filled)
 
     threads_agree_with_one_thread(
-        stirling._triangle.cache_clear,
+        clear,
         lambda: [stirling2r_gf(n, k, 1) for n in range(17) for k in range(n + 1)],
         check)
 
@@ -342,16 +358,19 @@ def test_threads_making_the_first_reads_of_a_triangle_agree_with_one_thread():
     # a filled triangle none of whose cells was read: the threads race to
     # wrap each cell, and every racer must get, and leave, the canonical value
     kind, r, n_max = 1, 3, 24
+    made = []
 
     def filled_and_unread():
-        stirling._triangle.cache_clear()
+        SYMBOLIC.memo.clear()
         tri = stirling._triangle(kind, r, SYMBOLIC)
+        made[:] = [tri]
         with stirling._growing:
             for k in range(n_max // r + 1):
                 tri.fill(n_max, k)
 
     def check():
         tri = stirling._triangle(kind, r, SYMBOLIC)
+        assert tri is made[0]
         assert [len(col) for col in tri.cols] == [n_max - j * r + 1 for j in range(n_max // r + 1)]
         assert len(tri.values) == sum(len(col) for col in tri.cols)
         for (j, i), value in tri.values.items():
