@@ -33,7 +33,6 @@ from .errors import (
     RouteDisagreement,
     ValuationTooHigh,
     ZeroDivisorSeries,
-    ZeroPrecision,
 )
 from .field import (
     FieldElem,

@@ -37,10 +37,6 @@ class NonzeroConstantTerm(DegenstirError):
     """Series composition needs an inner series with zero constant term."""
 
 
-class ZeroPrecision(DegenstirError):
-    """The operation needs at least one known order beyond the constant term."""
-
-
 class InputTooShort(DegenstirError):
     """A Bell-polynomial input sequence does not cover the required indices."""
 

@@ -9,7 +9,8 @@ and exact:
   integer tuple (lowest degree first, gcd 1, positive leading coefficient).
   The form is canonical, so equality and hashing are structural.  By Gauss's
   lemma a product of primitive polynomials is primitive, so a product is one
-  integer convolution and one rational multiply; a sum takes one gcd pass.
+  integer convolution (``int_mul``) and one rational multiply; a sum takes
+  one gcd pass.
   ``coeffs``, the rational coefficients, is a view derived on each read;
   the text form is rendered from the integer form.
 * ``FieldElem``: a quotient of two ``LambdaPoly`` values kept in canonical
@@ -24,8 +25,9 @@ mode's ``domain``: plain Fractions for ``Pinned(l0)``, the symbolic elements
 for ``SYMBOLIC``; both take the same operators.  A public entry point unwraps
 its element arguments once, with the mode check, and wraps its result once.
 A kernel whose symbolic values are integer polynomials may compute on their
-int coefficients instead and turn each result into its element with
-``int_poly``, which splits content and primitive part on ints.
+int coefficients instead, with ``int_add``, ``int_scale`` and ``int_mul``,
+the one arithmetic on int coefficient tuples, and turn each result into its
+element with ``int_poly``, which splits content and primitive part on ints.
 
 The parameter prints as ``l`` in the canonical text form, for example
 ``(-1/2)*l^1 + 1/2``.
@@ -69,6 +71,44 @@ def _primitive(ints):
     if ints[-1] < 0:
         g = -g
     return g, tuple(c // g for c in ints)
+
+
+def int_add(p: tuple, q: tuple) -> tuple:
+    """The sum of two int coefficient tuples (lowest degree first, ``()`` for
+    0), trailing zeros dropped."""
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def int_scale(p: tuple, s: int) -> tuple:
+    """A coefficient tuple times an int."""
+    return tuple(s * c for c in p) if s else ()
+
+
+def int_mul(p: tuple, q: tuple) -> tuple:
+    """The product of two coefficient tuples: one shift-and-scale pass over
+    the longer per nonzero coefficient of the shorter, the two passes of a
+    linear factor fused into one.  Neither has trailing zeros, so neither
+    has the product."""
+    if not p or not q:
+        return ()
+    if len(p) < len(q):
+        p, q = q, p
+    if len(q) == 2:
+        s, t = q
+        return tuple([s * c + t * d for c, d in zip(p + (0,), (0,) + p)])
+    out = [0] * (len(p) + len(q) - 1)
+    for j, s in enumerate(q):
+        if s:
+            for i, c in enumerate(p, j):
+                out[i] += s * c
+    return tuple(out)
 
 
 class LambdaPoly:
@@ -148,12 +188,7 @@ class LambdaPoly:
             a, b = b, a
         if b == (1,):  # a constant factor: only the content changes
             return _poly(content, a)
-        out = [0] * (len(a) + len(b) - 1)
-        for j, cb in enumerate(b):
-            if cb:
-                for i, ca in enumerate(a, j):
-                    out[i] += ca * cb
-        return _poly(content, tuple(out))
+        return _poly(content, int_mul(a, b))
 
     __rmul__ = __mul__
 

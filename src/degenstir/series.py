@@ -6,7 +6,6 @@ states how much precision survives:
 
 * sum/product: the smaller operand precision,
 * quotient: the smaller precision minus the divisor's valuation,
-* derivative: one order less,
 * composition: the smaller operand precision (sound because the inner
   series must have zero constant term).
 
@@ -23,7 +22,6 @@ from .errors import (
     PrecisionExceeded,
     ValuationTooHigh,
     ZeroDivisorSeries,
-    ZeroPrecision,
 )
 from .field import FieldElem, as_elem, const
 
@@ -56,20 +54,8 @@ class Series:
         return cls((v,) + (z,) * precision)
 
     @classmethod
-    def zero(cls, precision, lam=None):
-        return cls.constant(0, precision, lam)
-
-    @classmethod
     def one(cls, precision, lam=None):
         return cls.constant(1, precision, lam)
-
-    @classmethod
-    def t_power(cls, k, precision, lam=None):
-        if k > precision:
-            raise PrecisionExceeded("t^%d is not representable at precision %d" % (k, precision))
-        z = const(0, lam)
-        o = const(1, lam)
-        return cls(tuple(o if i == k else z for i in range(precision + 1)))
 
     def coeff(self, n: int):
         if n < 0:
@@ -127,9 +113,6 @@ class Series:
         s = as_elem(other, self.lam)
         return Series(tuple(c / s for c in self.coeffs))
 
-    def __pow__(self, k):
-        return self.pow(k)
-
     def mul(self, other: "Series") -> "Series":
         """Cauchy product to the shared precision."""
         self._check(other)
@@ -162,27 +145,6 @@ class Series:
             acc = acc.mul(inner) + self.coeffs[idx]
         return acc
 
-    def derivative(self) -> "Series":
-        if self.precision < 1:
-            raise ZeroPrecision("derivative needs at least precision 1")
-        return Series(tuple((n + 1) * c for n, c in enumerate(self.coeffs[1:])))
-
-    def valuation(self):
-        """Index of the first known nonzero coefficient, or None if all vanish."""
-        return valuation(self.coeffs)
-
-    def prefix_equal(self, other: "Series", upto=None) -> bool:
-        """Agreement on every shared known order (or the first ``upto`` + 1)."""
-        self._check(other)
-        p = min(self.precision, other.precision)
-        if upto is not None:
-            p = min(p, upto)
-        return all(self.coeffs[i] == other.coeffs[i] for i in range(p + 1))
-
-    def to_strings(self):
-        """Ordered list of canonical coefficient strings."""
-        return [str(c) for c in self.coeffs]
-
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
@@ -192,7 +154,7 @@ class Series:
         return hash(self.coeffs)
 
     def __repr__(self):
-        shown = ", ".join(self.to_strings()[:4])
+        shown = ", ".join(str(c) for c in self.coeffs[:4])
         if self.precision >= 4:
             shown += ", ..."
         return "Series([%s], precision=%d)" % (shown, self.precision)

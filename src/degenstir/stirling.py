@@ -2,9 +2,9 @@
 
 The second-kind numbers are n! times the t^n coefficients of the k-th power
 of the deformed exponential minus one, over k!; the first-kind numbers use
-the deformed logarithm instead.  The truncated variants remove the first r
-coefficients of the base series before powering, which pushes the valuation
-of the k-th power up to k*r.  The plain kinds are the r = 1 case.
+the deformed logarithm instead.  The truncated variants power the block, the
+base series without its first r coefficients, which pushes the valuation of
+the k-th power up to k*r.  The plain kinds are the r = 1 case.
 
 Every entry is read from one triangle per (kind, r), kept on the
 parameter's domain (see ``field.domain``) and filled by the triangle
@@ -13,19 +13,18 @@ only the columns 0..k, and column j only down to row n - (k - j) r, the rows
 that entry reads.  Column k of the second kind, read as
 k! sum_n S(n, k) t^n / n!, is the k-th power of the block, so the truncated
 Bernoulli values read the denominator of their quotient off the same
-triangle.  The defining series stays as the independent route: ``_block``
-is the base series without its orders below t^r, and the tests check the
-triangle against its powers.  Every entry is exact and needs no working
-precision: coefficient n is fixed by the orders up to n.
+triangle.  The tests check the triangle against the block's powers, the
+defining series.  Every entry is exact and needs no working precision:
+coefficient n is fixed by the orders up to n.
 
 ``stirling_entry`` returns a value of the mode's domain (see ``field``), and
 the public entries wrap it.  A pinned cell is that value, a Fraction.  A
 symbolic cell is an integer polynomial in l, because the recurrence's factors
 and its start S(0, 0) = 1 are; the triangle stores its int coefficients and
-fills them with int arithmetic alone, which costs a fraction of the same
-products on elements.  A symbolic cell becomes its canonical element
-(``field.int_poly``) on its first read, not when it is filled, so an entry
-that reads one cell deep in a column wraps that cell alone.
+fills them with ``field``'s int arithmetic alone, which costs a fraction of
+the same products on elements.  A symbolic cell becomes its canonical
+element (``field.int_poly``) on its first read, not when it is filled, so an
+entry that reads one cell deep in a column wraps that cell alone.
 
 For the truncated second kind two independent routes are implemented:
 
@@ -43,59 +42,11 @@ import operator
 import threading
 from fractions import Fraction
 
-from .core import degen_exp, degen_log, int_falling, one_falling
-from .field import FieldElem, const, domain, int_poly
-from .series import Series
-
-
-def _block(kind: int, r: int, precision: int, lam) -> Series:
-    """The kind's base series (the deformed exponential for the second kind,
-    the deformed logarithm of 1 + t for the first) with every coefficient
-    below t^r removed.  For r >= 1 this drops the exponential's constant 1;
-    the logarithm's constant term is 0 already."""
-    base = degen_exp(1, precision, lam) if kind == 2 else degen_log(precision, lam)
-    z = const(0, lam)
-    return Series(tuple(z if i < r else base.coeffs[i] for i in range(precision + 1)))
+from .core import int_falling, one_falling
+from .field import FieldElem, const, domain, int_add, int_mul, int_poly, int_scale
 
 
 _growing = threading.Lock()
-
-
-def _add(p: tuple, q: tuple) -> tuple:
-    # the sum of two coefficient tuples, trailing zeros dropped
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def _scale(p: tuple, s: int) -> tuple:
-    return tuple(s * c for c in p) if s else ()
-
-
-def _mul(p: tuple, q: tuple) -> tuple:
-    # the product of two coefficient tuples: one shift-and-scale pass over the
-    # longer per coefficient of the shorter, the two passes of a linear factor
-    # (every row factor) fused into one.  Neither has trailing zeros, so
-    # neither has the product.
-    if not p or not q:
-        return ()
-    if len(p) < len(q):
-        p, q = q, p
-    if len(q) == 2:
-        s, t = q
-        return tuple([s * c + t * d for c, d in zip(p + (0,), (0,) + p)])
-    out = [q[0] * c for c in p] + [0] * (len(q) - 1)
-    for j in range(1, len(q)):
-        s = q[j]
-        if s:
-            for i, c in enumerate(p, j):
-                out[i] += s * c
-    return tuple(out)
 
 
 class _Triangle:
@@ -129,7 +80,7 @@ class _Triangle:
         self.r = r
         if dom.mode is None:
             self.zero, one, lam = (), (1,), (0, 1)
-            self.times, self.plus, self.scale = _mul, _add, _scale
+            self.times, self.plus, self.scale = int_mul, int_add, int_scale
             self.values = {}  # (j, i) -> the element of cell i of column j
         else:
             self.zero, one, lam = dom.zero, dom.one, dom.lam
@@ -152,18 +103,24 @@ class _Triangle:
 
     def fill(self, n: int, k: int):
         """Grow each column j <= k down to row n - (k - j) r, the rows that
-        entry (n, k) reads; the caller holds ``_growing``."""
+        entry (n, k) reads; the caller holds ``_growing``.  Every fill grows
+        its columns to one index, so no column is longer than the one before
+        it, and the walk starts at the first column too short."""
         r, cols, zero = self.r, self.cols, self.zero
         times, plus = self.times, self.plus
         last = n - k * r  # the same index in every column
         while r > 1 and len(self.coefs) < n:
             self.coefs.append(self.scale(self.c, math.comb(len(self.coefs), r - 1)))
-        for j in range(k + 1):
-            if j == len(cols):
-                # S(0, 0) = 1; rows 0..j*r-1 of column j >= 1 are 0, unstored
-                cols.append([self.one] if j == 0 else [])
-                m = j * r + len(cols[j]) - 1  # j*a - m*b
-                self.factors.append(plus(self.scale(self.a, j), self.scale(self.step, m)))
+        while len(cols) <= k:
+            # S(0, 0) = 1; rows 0..j*r-1 of column j >= 1 are 0, unstored
+            j = len(cols)
+            cols.append([self.one] if j == 0 else [])
+            m = j * r + len(cols[j]) - 1  # j*a - m*b
+            self.factors.append(plus(self.scale(self.a, j), self.scale(self.step, m)))
+        first = k
+        while first and len(cols[first - 1]) <= last:
+            first -= 1
+        for j in range(first, k + 1):
             col, f = cols[j], self.factors[j]
             while len(col) <= last:
                 i = len(col)
@@ -258,15 +215,13 @@ def stirling2r_binomial(n: int, k: int, r: int, lam=None) -> FieldElem:
     return total / math.factorial(k)
 
 
-# family -> (core, truncated?).  The plain kinds are the r = 1 case of the
-# truncated cores.  The lambdas look their core up when called, so that a
-# wrapper later bound over a module attribute (a profiler's, say) sees every
-# entry.
+# family -> (kind, truncated?).  The plain kinds are the r = 1 case of the
+# truncated kinds.
 FAMILIES = {
-    "stirling1": (lambda *a: stirling1r_gf(*a), False),
-    "stirling2": (lambda *a: stirling2r_gf(*a), False),
-    "stirling2r": (lambda *a: stirling2r_gf(*a), True),
-    "stirling1r": (lambda *a: stirling1r_gf(*a), True),
+    "stirling1": (1, False),
+    "stirling2": (2, False),
+    "stirling2r": (2, True),
+    "stirling1r": (1, True),
 }
 
 
@@ -279,8 +234,11 @@ def _family(family: str):
 def family_entry(family: str, n: int, k: int, r: int = 1, lam=None) -> FieldElem:
     """Entry (n, k) of a Stirling family, k being the power; the plain kinds
     take r = 1 whatever r is given."""
-    core, truncated = _family(family)
-    return core(n, k, r if truncated else 1, lam)
+    kind, truncated = _family(family)
+    # the entries are looked up when called, so that a wrapper later bound
+    # over a module attribute (a profiler's, say) sees every entry
+    entry = stirling2r_gf if kind == 2 else stirling1r_gf
+    return entry(n, k, r if truncated else 1, lam)
 
 
 def build_triangle(family: str, n_max: int, k_max=None, r: int = 1, lam=None):

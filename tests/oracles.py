@@ -1,12 +1,18 @@
 """Independent oracles used by the tests.
 
-Everything here is deliberately written against plain Fractions and lists,
-not against the library's own polynomial/series machinery, so that a test
-comparing library output to an oracle value really is a dual-route check.
+Everything here but the series helpers at the end is deliberately written
+against plain Fractions and lists, not against the library's own
+polynomial/series machinery, so that a test comparing library output to an
+oracle value really is a dual-route check.  The series helpers are the
+operations on ``Series`` that only the tests use: the block, whose powers
+define the truncated Stirling numbers, t^k, the derivative and agreement on
+the shared orders.
 """
 
 import math
 from fractions import Fraction
+
+from degenstir import Series, const, degen_exp, degen_log
 
 
 def poly_divmod(num, den):
@@ -126,3 +132,29 @@ def quotient_text(num, den):
     if [Fraction(c) for c in den] == [1]:
         return poly_text(num)
     return "(%s) / (%s)" % (poly_text(num), poly_text(den))
+
+
+def block(kind, r, precision, lam=None):
+    """The kind's base series (the deformed exponential for the second kind,
+    the deformed logarithm of 1 + t for the first) with every coefficient
+    below t^r removed; k! sum_n S_r(n, k) t^n / n! is its k-th power."""
+    base = degen_exp(1, precision, lam) if kind == 2 else degen_log(precision, lam)
+    zero = const(0, lam)
+    return Series(tuple(zero if i < r else c for i, c in enumerate(base.coeffs)))
+
+
+def t_power(k, precision, lam=None):
+    """The series t^k at a precision of at least k."""
+    assert k <= precision
+    return Series(tuple(const(int(i == k), lam) for i in range(precision + 1)))
+
+
+def derivative(f):
+    """d/dt of a series of precision at least 1, one order less precise."""
+    return Series(tuple((n + 1) * c for n, c in enumerate(f.coeffs[1:])))
+
+
+def prefix_equal(f, g):
+    """Whether two series agree on every order both know."""
+    p = min(f.precision, g.precision)
+    return f.truncate(p) == g.truncate(p)

@@ -29,8 +29,7 @@ from degenstir import (
 )
 from degenstir import bernoulli, cli, series, stirling
 from degenstir.field import domain
-from degenstir.stirling import _block
-from oracles import bernoulli_numbers
+from oracles import bernoulli_numbers, block, t_power
 from threads import threads_agree_with_one_thread
 
 LAM = lam_elem()
@@ -78,7 +77,7 @@ def _one_division_series(r, alpha, x, precision, lam):
     # t^(alpha r) / block^alpha built at precision + alpha r, where the
     # division leaves the requested precision
     p = precision + alpha * r
-    q = Series.t_power(alpha * r, p, lam).div(_block(2, r, p, lam).pow(alpha))
+    q = t_power(alpha * r, p, lam).div(block(2, r, p, lam).pow(alpha))
     if not x.is_zero:
         q = q.mul(degen_exp(x, precision, lam))
     return q

@@ -25,6 +25,7 @@ from degenstir import (
     poly_str,
     trunc_degen_bernoulli,
 )
+from degenstir.field import int_add, int_mul, int_scale
 from oracles import poly_divmod, poly_gcd_monic, poly_mul, poly_text, quotient_text, rational_text
 
 LAM = lam_elem()
@@ -238,6 +239,26 @@ def test_kernel_matches_fraction_lists(a, b, x):
         _assert_canonical(got)
         assert got.coeffs == tuple(_strip(want))
     assert pa.evaluate(x) == _horner(a, x)
+
+
+# int coefficient tuples as the int kernel takes them: no trailing zeros, of
+# length 0..12 with gaps and entries of some 130 bits, or linear, the factor
+# the product fuses into one pass
+big_ints = st.integers(-2 ** 130, 2 ** 130)
+int_tuples = st.one_of(
+    st.lists(st.one_of(st.just(0), big_ints), max_size=12).map(lambda cs: tuple(_strip(cs))),
+    st.tuples(big_ints, big_ints.filter(bool)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_tuples, int_tuples, big_ints)
+def test_int_kernel_matches_list_oracles(p, q, s):
+    assert int_mul(p, q) == int_mul(q, p) == tuple(poly_mul(p, q))
+    longest = max(len(p), len(q))
+    pad = lambda cs: list(cs) + [0] * (longest - len(cs))
+    assert int_add(p, q) == tuple(_strip([u + v for u, v in zip(pad(p), pad(q))]))
+    assert int_scale(p, s) == tuple(_strip([s * c for c in p]))
+    assert int_add(p, int_scale(p, -1)) == ()
 
 
 @settings(max_examples=100, deadline=None)

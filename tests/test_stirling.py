@@ -27,8 +27,8 @@ from degenstir import (
 )
 from degenstir import bernoulli, stirling
 from degenstir.field import SYMBOLIC, domain
-from degenstir.stirling import _block, stirling_entry
-from oracles import classic_stirling1, classic_stirling2
+from degenstir.stirling import stirling_entry
+from oracles import block, classic_stirling1, classic_stirling2
 from test_acceptance import stirling2r_composition
 from threads import threads_agree_with_one_thread
 
@@ -194,10 +194,10 @@ def test_recurrence_triangle_equals_the_block_power_ladder(lam):
     for kind, entry in ((1, stirling1r_gf), (2, stirling2r_gf)):
         for r in (1, 2, 3, 4):
             # block^k as a running product, one product per power
-            block = _block(kind, r, 16, lam)
+            base = block(kind, r, 16, lam)
             powers = [Series.one(16, lam)]
             for _ in range(14):
-                powers.append(powers[-1].mul(block))
+                powers.append(powers[-1].mul(base))
             for n, k in cells:
                 ladder = powers[k].coeff(n) * F(math.factorial(n), math.factorial(k))
                 assert entry(n, k, r, lam=lam) == ladder, (kind, r, n, k)
@@ -258,7 +258,7 @@ def test_triangle_makes_about_one_product_per_cell(monkeypatch, lam):
     n_max = 16
     domain(lam).memo.clear()
     calls = []
-    products = [(stirling, "_mul")] if lam is None else [(F, "__mul__"), (F, "__rmul__")]
+    products = [(stirling, "int_mul")] if lam is None else [(F, "__mul__"), (F, "__rmul__")]
     for owner, name in products:
         def counted(x, y, product=getattr(owner, name)):
             calls.append(1)
@@ -267,6 +267,25 @@ def test_triangle_makes_about_one_product_per_cell(monkeypatch, lam):
         monkeypatch.setattr(owner, name, counted)
     assert len(build_triangle("stirling2", n_max, lam=lam)) == 153
     assert len(calls) <= 156
+
+
+def test_a_table_in_row_order_walks_no_column_long_enough_already():
+    # every column step reads that column's next factor once; walking the
+    # columns 0..k on every miss takes C(43, 3) = 12,341 steps here
+    lam = F(1, 3)
+    dom = domain(lam)
+    dom.memo.clear()
+    steps = []
+
+    class Factors(list):
+        def __getitem__(self, j):
+            steps.append(j)
+            return list.__getitem__(self, j)
+
+    stirling._triangle(2, 1, dom).factors = Factors()
+    assert len(build_triangle("stirling2", 40, lam=lam)) == 861
+    assert sum(map(len, stirling._triangle(2, 1, dom).cols)) == 861
+    assert len(steps) <= 861
 
 
 def test_a_cold_symbolic_triangle_makes_no_polynomial_product(monkeypatch):
