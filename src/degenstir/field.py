@@ -24,10 +24,13 @@ and exact:
 mode's ``domain``: plain Fractions for ``Pinned(l0)``, the symbolic elements
 for ``SYMBOLIC``; both take the same operators.  A public entry point unwraps
 its element arguments once, with the mode check, and wraps its result once.
-A kernel whose symbolic values are integer polynomials may compute on their
-int coefficients instead, with ``int_add``, ``int_scale`` and ``int_mul``,
-the one arithmetic on int coefficient tuples, and turn each result into its
+A kernel whose values are integer polynomials may compute on their int
+coefficients instead, with ``int_add``, ``int_scale`` and ``int_mul``, the
+one arithmetic on int coefficient tuples, and turn each result into its
 element with ``int_poly``, which splits content and primitive part on ints.
+Pinned at l = p/q, such a value scaled by a power of q is an integer, the
+one-coefficient tuple of the same arithmetic: the Stirling triangle fills
+both modes this way.
 
 The parameter prints as ``l`` in the canonical text form, for example
 ``(-1/2)*l^1 + 1/2``.

@@ -100,16 +100,12 @@ class Series:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Series):
-            return self.mul(other)
         s = as_elem(other, self.lam)
         return Series(tuple(c * s for c in self.coeffs))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Series):
-            return self.div(other)
         s = as_elem(other, self.lam)
         return Series(tuple(c / s for c in self.coeffs))
 

@@ -18,13 +18,16 @@ defining series.  Every entry is exact and needs no working precision:
 coefficient n is fixed by the orders up to n.
 
 ``stirling_entry`` returns a value of the mode's domain (see ``field``), and
-the public entries wrap it.  A pinned cell is that value, a Fraction.  A
-symbolic cell is an integer polynomial in l, because the recurrence's factors
-and its start S(0, 0) = 1 are; the triangle stores its int coefficients and
-fills them with ``field``'s int arithmetic alone, which costs a fraction of
-the same products on elements.  A symbolic cell becomes its canonical
-element (``field.int_poly``) on its first read, not when it is filled, so an
-entry that reads one cell deep in a column wraps that cell alone.
+the public entries wrap it.  Both modes fill the triangle of the scaled
+cells q^(m-j) S(m, j), l being p/q (q = 1 in the symbolic mode), which are
+integer polynomials in l because the recurrence's factors and its start
+S(0, 0) = 1 are: the triangle stores their int coefficients, a single
+integer when pinned, and fills them with ``field``'s int arithmetic alone,
+with no element, polynomial or Fraction built.  A cell becomes the mode's
+value on its first read, not when it is filled: its canonical element
+(``field.int_poly``) when symbolic, the reduced Fraction when pinned.  So an
+entry that reads one cell deep in a column wraps that cell alone, and that
+wrap is the only place where the modes differ.
 
 For the truncated second kind two independent routes are implemented:
 
@@ -38,7 +41,6 @@ checker lean on that redundancy.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from fractions import Fraction
 
@@ -52,71 +54,64 @@ _growing = threading.Lock()
 class _Triangle:
     """The truncated Stirling numbers S(m, j) of one kind and r, kept in its
     domain's ``memo`` under ("tri", kind, r) and filled by the triangle
-    recurrence in n
+    recurrence in n.  With the parameter written as l = p/q (p = l, q = 1 in
+    the symbolic mode) the scaled cell T(m, j) = q^(m-j) S(m, j) obeys
 
-        S(m+1, j) = (j*a - m*b) S(m, j) + C(m, r-1) c S(m-r+1, j-1),
+        T(m+1, j) = (j*a - m*b) T(m, j) + C(m, r-1) c T(m-r+1, j-1),
 
-    where a, b, c are 1, l, (1)_{r,l} for the second kind and l, 1,
-    (l-1)(l-2)...(l-r+1) for the first.  Column j lists S(j*r..m, j), the
-    rows above j*r being zero, so cell (m, j) is ``cols[j][m - j*r]`` and
-    the j - 1 neighbour of a cell sits at the same index in the column before
-    it.  Columns grow downward; ``fill`` grows only the columns an entry
-    needs.
+    where (a, b) is (q, p) for the second kind and (p, q) for the first, and
+    c = (a - b)(a - 2b)...(a - (r-1)b) is q^(r-1) times (1)_{r,l} for the
+    second kind and (l-1)(l-2)...(l-r+1) for the first.  The factors and the
+    start T(0, 0) = 1 are integer polynomials in l, so every cell is one too:
+    it is stored as its int coefficient tuple, lowest degree first (``()``
+    for 0), and filled by ``field``'s int arithmetic alone.  A pinned cell is
+    the constant (T(m, j),).  Column j lists T(j*r..m, j), the rows above j*r
+    being zero, so cell (m, j) is ``cols[j][m - j*r]`` and the j - 1
+    neighbour of a cell sits at the same index in the column before it.
+    Columns grow downward; ``fill`` grows only the columns an entry needs.
 
-    The domain picks the cell arithmetic (``times``, ``plus``, ``scale``); the
-    rest of the fill is the same in both modes.  A pinned cell is the
-    domain's Fraction.  In the symbolic mode a, b, c and S(0, 0) = 1 are
-    integer polynomials, so every cell is one too: it is stored as its
-    coefficient tuple, lowest degree first (``()`` for 0), and filled by int
-    arithmetic alone, with no element, polynomial or Fraction built.
-    ``stirling_entry`` wraps a symbolic cell into its canonical element on
-    the cell's first read and keeps it in ``values``, which it reads without
-    the lock."""
+    ``stirling_entry`` wraps a cell into the domain's value on the cell's
+    first read and keeps it in ``values``, which it reads without the lock:
+    ``int_poly`` of the coefficients when symbolic, T(m, j) / q^(m-j) when
+    pinned (``den`` is q, None in the symbolic mode)."""
 
-    __slots__ = ("r", "zero", "one", "a", "c", "step", "times", "plus", "scale",
-                 "cols", "factors", "coefs", "values")
+    __slots__ = ("r", "den", "a", "c", "step", "cols", "factors", "coefs", "values")
 
     def __init__(self, kind: int, r: int, dom):
         self.r = r
-        if dom.mode is None:
-            self.zero, one, lam = (), (1,), (0, 1)
-            self.times, self.plus, self.scale = int_mul, int_add, int_scale
-            self.values = {}  # (j, i) -> the element of cell i of column j
+        lam = dom.mode
+        if lam is None:
+            self.den, p, q = None, (0, 1), (1,)
         else:
-            self.zero, one, lam = dom.zero, dom.one, dom.lam
-            self.times = self.scale = operator.mul
-            self.plus = operator.add
-            self.values = None  # a pinned cell is its own value
-        a, b = (one, lam) if kind == 2 else (lam, one)
-        self.step = self.scale(b, -1)  # a factor's change from one row to the next
-        # c is the descending product x(x - b)(x - 2b)... of r factors from
-        # x = 1 for the second kind, of r - 1 from x = l - 1 for the first
-        x, c, count = a, one, r
-        if kind == 1:
-            x, count = self.plus(a, self.step), r - 1
-        for _ in range(count):
-            c, x = self.times(c, x), self.plus(x, self.step)
-        self.one, self.a, self.c = one, a, c
-        self.cols = []     # column j: S(j*r..m, j)
+            self.den = lam.denominator
+            p, q = int_scale((1,), lam.numerator), (lam.denominator,)
+        a, b = (q, p) if kind == 2 else (p, q)
+        self.step = int_scale(b, -1)  # a factor's change from one row to the next
+        # c is the descending product (a - b)(a - 2b)... of r - 1 factors
+        x, c = int_add(a, self.step), (1,)
+        for _ in range(r - 1):
+            c, x = int_mul(c, x), int_add(x, self.step)
+        self.a, self.c = a, c
+        self.cols = []     # column j: T(j*r..m, j)
         self.factors = []  # column j: j*a - m*b, the factor of its next row
         self.coefs = []    # row m: C(m, r-1) c; unused at r = 1, where it is 1
+        self.values = {}   # (j, i) -> the value of cell i of column j
 
     def fill(self, n: int, k: int):
         """Grow each column j <= k down to row n - (k - j) r, the rows that
         entry (n, k) reads; the caller holds ``_growing``.  Every fill grows
         its columns to one index, so no column is longer than the one before
         it, and the walk starts at the first column too short."""
-        r, cols, zero = self.r, self.cols, self.zero
-        times, plus = self.times, self.plus
+        r, cols, step = self.r, self.cols, self.step
         last = n - k * r  # the same index in every column
         while r > 1 and len(self.coefs) < n:
-            self.coefs.append(self.scale(self.c, math.comb(len(self.coefs), r - 1)))
+            self.coefs.append(int_scale(self.c, math.comb(len(self.coefs), r - 1)))
         while len(cols) <= k:
-            # S(0, 0) = 1; rows 0..j*r-1 of column j >= 1 are 0, unstored
+            # T(0, 0) = 1; rows 0..j*r-1 of column j >= 1 are 0, unstored
             j = len(cols)
-            cols.append([self.one] if j == 0 else [])
+            cols.append([(1,)] if j == 0 else [])
             m = j * r + len(cols[j]) - 1  # j*a - m*b
-            self.factors.append(plus(self.scale(self.a, j), self.scale(self.step, m)))
+            self.factors.append(int_add(int_scale(self.a, j), int_scale(step, m)))
         first = k
         while first and len(cols[first - 1]) <= last:
             first -= 1
@@ -125,12 +120,12 @@ class _Triangle:
             while len(col) <= last:
                 i = len(col)
                 m = j * r + i - 1
-                v = times(f, col[-1]) if i and col[-1] else zero
-                left = cols[j - 1][i] if j else zero
+                v = int_mul(f, col[-1]) if i else ()
+                left = cols[j - 1][i] if j else ()
                 if left:
-                    v = plus(v, left if r == 1 else times(self.coefs[m], left))
+                    v = int_add(v, left if r == 1 else int_mul(self.coefs[m], left))
                 col.append(v)
-                f = plus(f, self.step)
+                f = int_add(f, step)
             self.factors[j] = f
 
 
@@ -154,14 +149,13 @@ def stirling_entry(kind: int, n: int, k: int, r: int, dom):
     if k >= len(cols) or i >= len(cols[k]):
         with _growing:
             tri.fill(n, k)
-    values = tri.values
-    if values is None:
-        return cols[k][i]
     # read without the lock: two threads that both make a cell's first read
     # store equal values
-    value = values.get((k, i))
+    value = tri.values.get((k, i))
     if value is None:
-        value = values[k, i] = int_poly(cols[k][i])
+        cell, den = cols[k][i], tri.den
+        value = int_poly(cell) if den is None else Fraction(cell[0] if cell else 0, den ** (n - k))
+        tri.values[k, i] = value
     return value
 
 

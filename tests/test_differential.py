@@ -5,6 +5,9 @@ the two sides of every identity report.
 The pinned values are never poles: every denominator in the library is a
 product of unit descending products 1(1-s)...(1-(j-1)s), which vanish only
 at s = 1/i, and each pinned value here has a numerator of size at least 2.
+The Stirling values have no denominator, so they are also checked at those
+poles and at the other parameters where the pinned triangle fill meets a
+zero factor.
 """
 
 from argparse import Namespace
@@ -17,6 +20,10 @@ from hypothesis import strategies as st
 from degenstir import IDENTITY_TAGS, cli, sweep
 
 PINNED = (F(-5, 3), F(7, 2))
+# l = 0, where the pinned Stirling fill's p is 0, and the l where a factor
+# of the fill's c = (a - b)(a - 2b)... vanishes at some r <= 4: l = 1/i for
+# the second kind and l = i for the first, i < r
+FILL_ZEROS = (F(0), F(1), F(-1), F(2), F(3), F(1, 2), F(-1, 2), F(1, 3), F(-1, 3))
 XS = [F(1, 2), F(-3), F(2, 5), F(4), F(-1, 7), F(5, 3)]
 
 
@@ -35,8 +42,8 @@ def _grid(family, n_max, rs=(1,), alphas=(1,), xs_of_x=(F(0),), triangle=True):
 CASES = {
     "stirling1": _grid("stirling1", 7),
     "stirling2": _grid("stirling2", 7),
-    "stirling1r": _grid("stirling1r", 7, (1, 2, 3)),
-    "stirling2r": _grid("stirling2r", 7, (1, 2, 3)),
+    "stirling1r": _grid("stirling1r", 7, (1, 2, 3, 4)),
+    "stirling2r": _grid("stirling2r", 7, (1, 2, 3, 4)),
     "bernoulli": _grid("bernoulli", 5, (1,), (1, 2, 3), (F(0), F(1, 2)), False),
     "trunc-bernoulli": _grid("trunc-bernoulli", 5, (1, 2, 3), (1, 2, 3), (F(0), F(1, 2)),
                              False),
@@ -52,9 +59,10 @@ def test_every_family_is_covered():
 @pytest.mark.parametrize("family", sorted(CASES))
 def test_pinned_equals_instantiated_symbolic(family):
     value = cli.FAMILIES[family][0]
+    lams = PINNED + FILL_ZEROS if family.startswith("stirling") else PINNED
     for args, n, k in CASES[family]:
         symbolic = value(Namespace(**vars(args), lam=None), n, k)
-        for lam0 in PINNED:
+        for lam0 in lams:
             pinned = value(Namespace(**vars(args), lam=lam0), n, k)
             assert pinned.lam == lam0
             assert symbolic.instantiate(lam0) == pinned.instantiate(lam0), \

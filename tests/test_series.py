@@ -74,6 +74,18 @@ def test_mul_reproduces_shifted_single_block():
         assert prefix_equal(shifted, block)
 
 
+def test_the_operators_scale_and_the_products_are_named():
+    # * and / take a scalar; the product and quotient of two series are
+    # Series.mul and Series.div
+    f = poly_series(2, 4, 6)
+    assert f * F(1, 2) == f / 2 == poly_series(1, 2, 3)
+    assert 3 * f == poly_series(6, 12, 18)
+    with pytest.raises(TypeError):
+        f * f
+    with pytest.raises(TypeError):
+        f / f
+
+
 def test_min_precision_rule():
     f = poly_series(1, 1, 1, 1)
     g = poly_series(1, 1)

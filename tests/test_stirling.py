@@ -252,21 +252,49 @@ def test_entries_refuse_negative_indices_and_r_below_one():
 
 @pytest.mark.parametrize("lam", [None, F(2, 7)])
 def test_triangle_makes_about_one_product_per_cell(monkeypatch, lam):
-    # measured for the 153 cells: 122 products of coefficient tuples in the
-    # symbolic mode, 155 of Fractions pinned (these count the factors' a*j and
-    # b*m too); the ladder route makes 866
+    # measured for the 153 cells: 136 products of coefficient tuples in
+    # either mode, one per cell below the top of its column; the ladder route
+    # makes 866
     n_max = 16
     domain(lam).memo.clear()
     calls = []
-    products = [(stirling, "int_mul")] if lam is None else [(F, "__mul__"), (F, "__rmul__")]
-    for owner, name in products:
-        def counted(x, y, product=getattr(owner, name)):
-            calls.append(1)
-            return product(x, y)
+    product = stirling.int_mul
 
-        monkeypatch.setattr(owner, name, counted)
+    def counted(x, y):
+        calls.append(1)
+        return product(x, y)
+
+    monkeypatch.setattr(stirling, "int_mul", counted)
     assert len(build_triangle("stirling2", n_max, lam=lam)) == 153
     assert len(calls) <= 156
+
+
+def test_a_cold_pinned_triangle_makes_no_fraction_arithmetic(monkeypatch):
+    # the pinned cells are filled on ints, as the symbolic ones are, so a
+    # fill makes no Fraction product or sum
+    lam = F(2, 7)
+    inside, calls = [], []
+    fill = stirling._Triangle.fill
+
+    def recorded(tri, n, k):
+        inside.append(1)
+        try:
+            return fill(tri, n, k)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(stirling._Triangle, "fill", recorded)
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def counted(x, y, op=getattr(F, name)):
+            if inside:
+                calls.append(1)
+            return op(x, y)
+
+        monkeypatch.setattr(F, name, counted)
+    domain(lam).memo.clear()
+    assert len(build_triangle("stirling2", 40, lam=lam)) == 861
+    assert len(build_triangle("stirling1r", 40, 13, 3, lam=lam)) == 41 * 14
+    assert calls == []
 
 
 def test_a_table_in_row_order_walks_no_column_long_enough_already():
@@ -342,7 +370,15 @@ def test_a_wrapped_cell_is_the_canonical_element_of_its_coefficients(cell, lam0)
     assert value == expect and hash(value) == hash(expect)
     # a second read returns the kept element
     assert stirling_entry(kind, n, k, r, SYMBOLIC) is value
-    assert value.instantiate(lam0) == stirling_entry(kind, n, k, r, domain(lam0))
+    # pinned at l = p/q the cell is the scaled integer T = q^(n-k) S(n, k),
+    # and its first read keeps the reduced Fraction T / q^(n-k)
+    pinned = domain(lam0)
+    kept = stirling_entry(kind, n, k, r, pinned)
+    cell = stirling._triangle(kind, r, pinned).cols[k][n - k * r]
+    (scaled,) = cell or (0,)
+    assert type(kept) is F and kept == F(scaled, lam0.denominator ** (n - k))
+    assert stirling_entry(kind, n, k, r, pinned) is kept
+    assert value.instantiate(lam0) == kept
 
 
 def test_threads_filling_one_cold_triangle_agree_with_one_thread(monkeypatch):
@@ -373,31 +409,39 @@ def test_threads_filling_one_cold_triangle_agree_with_one_thread(monkeypatch):
         check)
 
 
-def test_threads_making_the_first_reads_of_a_triangle_agree_with_one_thread():
+@pytest.mark.parametrize("lam", [None, F(-5, 3)])
+def test_threads_making_the_first_reads_of_a_triangle_agree_with_one_thread(lam):
     # a filled triangle none of whose cells was read: the threads race to
     # wrap each cell, and every racer must get, and leave, the canonical value
     kind, r, n_max = 1, 3, 24
+    dom = domain(lam)
     made = []
 
     def filled_and_unread():
-        SYMBOLIC.memo.clear()
-        tri = stirling._triangle(kind, r, SYMBOLIC)
+        dom.memo.clear()
+        tri = stirling._triangle(kind, r, dom)
         made[:] = [tri]
         with stirling._growing:
             for k in range(n_max // r + 1):
                 tri.fill(n_max, k)
 
     def check():
-        tri = stirling._triangle(kind, r, SYMBOLIC)
+        tri = stirling._triangle(kind, r, dom)
         assert tri is made[0]
         assert [len(col) for col in tri.cols] == [n_max - j * r + 1 for j in range(n_max // r + 1)]
         assert len(tri.values) == sum(len(col) for col in tri.cols)
         for (j, i), value in tri.values.items():
-            assert value == FieldElem.from_polys(LambdaPoly(tri.cols[j][i]))
+            cell = tri.cols[j][i]
+            if lam is None:
+                assert value == FieldElem.from_polys(LambdaPoly(cell))
+            else:
+                # cell (j*r + i, j) scaled by q^(j*r + i - j)
+                (scaled,) = cell or (0,)
+                assert value == F(scaled, lam.denominator ** (j * (r - 1) + i))
 
     threads_agree_with_one_thread(
         filled_and_unread,
-        lambda: [stirling_entry(kind, n, k, r, SYMBOLIC)
+        lambda: [stirling_entry(kind, n, k, r, dom)
                  for n in range(n_max + 1) for k in range(n // r + 1)],
         check)
 
