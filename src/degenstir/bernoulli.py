@@ -7,11 +7,19 @@ the block (the exponential without its first r coefficients) and t by t^r,
 per power of the order.  The block's alpha-th power is
 alpha! sum_n S_r(n, alpha) t^n / n!, column alpha of the truncated
 second-kind Stirling triangle, so the quotient (t^r / block)^alpha is the
-reciprocal of that column shifted down by alpha r orders.  The values, n!
-times the coefficients, are kept on the domain (see ``field.domain``) in one
-row per (r, alpha, x) that grows on demand: at x = 0 by the reciprocal
-recurrence over the column, at x != 0 by the Appell form over the x = 0
-row.  The plain values are the r = 1 case and are computed as such.
+reciprocal of that column shifted down by alpha r orders.  Every
+coefficient of the block has E = (1)_{r,l} = (1-l)(1-2l)...(1-(r-1)l) as a
+factor, so the column is E^alpha times a polynomial, its lowest coefficient
+being E^alpha / (r!)^alpha.  The values, n! times the coefficients, are
+therefore kept as numerators over E^alpha, polynomials when x is a
+rational, on the domain (see ``field.domain``) in one row per (r, alpha, x)
+that grows on demand: at x = 0 by the reciprocal recurrence over the column
+divided by E^alpha, an exact division, at x != 0 by the Appell form over
+the x = 0 row.  So a row runs no polynomial gcd; a value is its numerator
+divided by E^alpha once, when it is read, and the verifiers that sum values
+of one row sum its numerators instead.  The plain values are the r = 1
+case, where E = 1 and the numerators are the values, and are computed as
+such.
 
 Partial Bell polynomials are read off a ladder of the powers of their
 defining series, and the reciprocal-series polynomials are the alternating
@@ -43,84 +51,113 @@ _growing = threading.Lock()
 
 class _Row:
     """The truncated order-alpha values at one x known so far, each n! times
-    its t^n coefficient, and at x != 0 the descending products of x."""
+    its t^n coefficient, as numerators over ``den`` = E^alpha: ``nums[m]`` is
+    E^alpha times value m.  Every numerator is a polynomial when x is a
+    rational, and at r = 1, where E = 1, it is the value.  The x = 0 row
+    keeps column alpha of the Stirling triangle over E^alpha, ``quots[i]`` =
+    S_r(i + alpha r, alpha) / E^alpha, and a row at x != 0 the descending
+    products of x, ``prods``."""
 
-    __slots__ = ("values", "prods")
+    __slots__ = ("nums", "den", "quots", "prods")
 
-    def __init__(self, x, dom):
-        self.values = []
+    def __init__(self, den, x, dom):
+        self.nums = []
+        self.den = den
+        self.quots = None if x else []
         self.prods = [dom.one] if x else None
 
 
 def _row(r: int, alpha: int, x, dom) -> _Row:
-    # threads that race on a cold row all get the one row that is stored
-    return dom.memo.setdefault(("row", r, alpha, x), _Row(x, dom))
+    # threads that race on a cold row all get the one row that is stored; a
+    # row at x != 0 shares the denominator of its x = 0 row
+    if x:
+        den = numerator_row(0, r, alpha, dom.zero, dom).den
+    else:
+        den = descending(dom.one, r, dom.lam, dom)[-1] ** alpha
+    return dom.memo.setdefault(("row", r, alpha, x), _Row(den, x, dom))
 
 
 def _grow(row: _Row, n: int, r: int, alpha: int, x, dom):
-    """Grow the row to value n under ``_growing``, so that threads never
+    """Grow the row to numerator n under ``_growing``, so that threads never
     append one value twice; reads take no lock.  What another lock guards is
     filled first, outside this one: a row at x != 0 grows its x = 0 row
     (``_growing`` is not reentrant), and the x = 0 row column alpha of the
     Stirling triangle (under ``stirling``'s lock)."""
     if x:
-        base = _row(r, alpha, dom.zero, dom)
-        if n >= len(base.values):
-            _grow(base, n, r, alpha, dom.zero, dom)
+        base = numerator_row(n, r, alpha, dom.zero, dom)
         with _growing:
-            _appell(row, n, x, base.values, dom)
+            _appell(row, n, x, base.nums, dom)
     else:
         stirling_entry(2, n + alpha * r, alpha, r, dom)
         with _growing:
-            _reciprocal(row.values, n, r, alpha, dom)
+            _reciprocal(row, n, r, alpha, dom)
 
 
-def _reciprocal(vals: list, n: int, r: int, alpha: int, dom):
-    # beta_m = -(1/D_0) sum_{i=1..m} C(m, i) D_i beta_{m-i} and beta_0 = 1/D_0,
-    # where D_i = i! alpha! S_r(i + alpha r, alpha) / (i + alpha r)!
+def _exact_div(value, den, dom):
+    # a quotient of polynomial values known to be a polynomial: symbolic
+    # values divide their numerators, so the quotient keeps denominator 1
+    if dom.mode is not None:
+        return value / den
+    return FieldElem.from_polys(value.num.exact_div(den.num))
+
+
+def _reciprocal(row: _Row, n: int, r: int, alpha: int, dom):
+    # N_m = -(r!)^alpha sum_{i=1..m} C(m, i) d_i N_{m-i} and N_0 = (r!)^alpha,
+    # where d_i = i! alpha! q_i / (i + alpha r)! and q_i, the column
+    # S_r(i + alpha r, alpha) over E^alpha, is a polynomial
+    nums, quots = row.nums, row.quots
     lo, scale = alpha * r, math.factorial(alpha)
-    if not vals:
-        d0 = stirling_entry(2, lo, alpha, r, dom) * Fraction(scale, math.factorial(lo))
-        if not d0:
-            # at a pinned parameter the block's lowest coefficient vanishes
-            # only with the whole block
-            raise ZeroDivisorSeries("division by a series with no known nonzero coefficient")
-        vals.append(dom.inverse(d0))
-    neg = -vals[0]
-    while len(vals) <= n:
-        m = len(vals)
-        top = math.factorial(m) * scale
+    lead = math.factorial(r) ** alpha
+    if not row.den:
+        # at a pinned zero of E every coefficient of the block vanishes
+        raise ZeroDivisorSeries("division by a series with no known nonzero coefficient")
+    while len(quots) <= n:
+        quots.append(_exact_div(stirling_entry(2, len(quots) + lo, alpha, r, dom), row.den, dom))
+    if not nums:
+        nums.append(dom.const(lead))
+    while len(nums) <= n:
+        m = len(nums)
+        top = -math.factorial(m) * scale * lead
         acc = dom.zero
         for i in range(1, m + 1):
-            s = stirling_entry(2, i + lo, alpha, r, dom)
-            b = vals[m - i]
-            if s and b:
-                acc = acc + Fraction(top, math.factorial(m - i) * math.factorial(i + lo)) * s * b
-        vals.append(acc * neg)
+            q, b = quots[i], nums[m - i]
+            if q and b:
+                acc = acc + Fraction(top, math.factorial(m - i) * math.factorial(i + lo)) * q * b
+        nums.append(acc)
 
 
 def _appell(row: _Row, n: int, x, base: list, dom):
-    # beta_m(x) = sum_j C(m, j) beta_j (x)_{m-j}, over the x = 0 values
-    prods, vals = row.prods, row.values
+    # N_m(x) = sum_j C(m, j) N_j (x)_{m-j}, over the x = 0 numerators
+    prods, nums = row.prods, row.nums
     while len(prods) <= n:
         prods.append(prods[-1] * (x - (len(prods) - 1) * dom.lam))
-    while len(vals) <= n:
-        m = len(vals)
+    while len(nums) <= n:
+        m = len(nums)
         acc = dom.zero
         for j in range(m + 1):
             if base[j]:
                 acc = acc + math.comb(m, j) * base[j] * prods[m - j]
-        vals.append(acc)
+        nums.append(acc)
 
 
-def bernoulli_entry(n: int, r: int, alpha: int, x, dom):
-    """Truncated order-alpha value at the ``dom`` value x, as a ``dom`` value."""
+def numerator_row(n: int, r: int, alpha: int, x, dom) -> _Row:
+    """The row of the truncated order-alpha values at the ``dom`` value x,
+    grown to numerator n: ``nums[m]`` is E^alpha times value m, ``den`` is
+    E^alpha, and ``quots`` (at x = 0) or ``prods`` (at x != 0) is at least
+    as long."""
     if n < 0:
         raise IndexError("negative coefficient index")
     row = dom.memo.get(("row", r, alpha, x)) or _row(r, alpha, x, dom)
-    if n >= len(row.values):
+    if n >= len(row.nums):
         _grow(row, n, r, alpha, x, dom)
-    return row.values[n]
+    return row
+
+
+def bernoulli_entry(n: int, r: int, alpha: int, x, dom):
+    """Truncated order-alpha value at the ``dom`` value x, as a ``dom`` value:
+    its numerator over E^alpha, which is 1 at r = 1."""
+    row = numerator_row(n, r, alpha, x, dom)
+    return row.nums[n] if r == 1 else row.nums[n] / row.den
 
 
 def trunc_degen_bernoulli(n: int, r: int, alpha: int, x=0, lam=None) -> FieldElem:

@@ -25,9 +25,10 @@ mode's ``domain``: plain Fractions for ``Pinned(l0)``, the symbolic elements
 for ``SYMBOLIC``; both take the same operators.  A public entry point unwraps
 its element arguments once, with the mode check, and wraps its result once.
 A kernel whose values are integer polynomials may compute on their int
-coefficients instead, with ``int_add``, ``int_scale`` and ``int_mul``, the
-one arithmetic on int coefficient tuples, and turn each result into its
-element with ``int_poly``, which splits content and primitive part on ints.
+coefficients instead, with ``int_add``, ``int_scale``, ``int_mul`` and
+``int_add_mul`` (a sum plus a product in one pass), the one arithmetic on int
+coefficient tuples, and turn each result into its element with ``int_poly``,
+which splits content and primitive part on ints.
 Pinned at l = p/q, such a value scaled by a power of q is an integer, the
 one-coefficient tuple of the same arithmetic: the Stirling triangle fills
 both modes this way.
@@ -111,6 +112,23 @@ def int_mul(p: tuple, q: tuple) -> tuple:
         if s:
             for i, c in enumerate(p, j):
                 out[i] += s * c
+    return tuple(out)
+
+
+def int_add_mul(acc: tuple, p: tuple, q: tuple) -> tuple:
+    """acc + p q in one pass: each nonzero coefficient of p (best the shorter
+    factor) adds its shift-and-scale of q into one copy of acc, so no tuple
+    is built for the product; trailing zeros dropped."""
+    if not p or not q:
+        return acc
+    out = list(acc)
+    out += [0] * (len(p) + len(q) - 1 - len(out))
+    for j, s in enumerate(p):
+        if s:
+            for i, c in enumerate(q, j):
+                out[i] += s * c
+    while out and not out[-1]:
+        out.pop()
     return tuple(out)
 
 

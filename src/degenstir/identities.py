@@ -9,7 +9,13 @@ also computed and reported ("as-printed") without being asserted.
 
 Verdicts are exact: two sides are equal iff their canonical forms match
 componentwise.  A verifier computes both sides on the values of its mode's
-domain (see ``field``) and wraps them once, into the report.
+domain (see ``field``) and wraps them once, into the report.  The truncated
+Bernoulli verifiers (``delta``, ``expansion``, ``beta-closed``) read the
+numerators over E^alpha of ``bernoulli.numerator_row`` instead of values:
+``delta`` pairs them with the Stirling column over E^alpha and
+``expansion`` with the unit products over E, so both sum polynomials, and
+``beta-closed`` compares numerators and divides each side by E once, to
+wrap it.  No equality there needs a polynomial gcd.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .bernoulli import bernoulli_entry
+from .bernoulli import bernoulli_entry, numerator_row
 from .combinat import compositions
 from .core import descending
 from .errors import DomainViolation
@@ -72,9 +78,15 @@ class IdentityReport:
         }
 
 
-def _report(identity, params, lhs, rhs, dom, variant=AS_DERIVED):
+def _report(identity, params, lhs, rhs, dom, variant=AS_DERIVED, den=None):
+    equal = lhs == rhs
+    if den is not None:
+        # the sides are numerators over den, decided on as such: each is
+        # divided once, the rhs not at all when it is the lhs
+        lhs = lhs / den
+        rhs = lhs if equal else rhs / den
     return IdentityReport(identity=identity, variant=variant, params=params,
-                          lhs=dom.wrap(lhs), rhs=dom.wrap(rhs), equal=lhs == rhs)
+                          lhs=dom.wrap(lhs), rhs=dom.wrap(rhs), equal=equal)
 
 
 def _beta(n, alpha, dom):  # the plain order-alpha value at x = 0
@@ -230,15 +242,16 @@ def verify_thm8(n: int, k: int, lam=None):
 def verify_delta(alpha: int, r: int, n: int, lam=None) -> IdentityReport:
     """Orthogonality of the truncated block with its Bernoulli reciprocal:
     the binomial cross-sum collapses to (alpha*r)!/alpha! at n = alpha*r and
-    to zero above."""
+    to zero above.  Each term pairs column alpha over E^alpha with a
+    numerator over E^alpha, so the sum is a polynomial."""
     ar = alpha * r
     if n < ar:
         raise DomainViolation("requires n >= alpha * r")
     dom = domain(lam)
+    row = numerator_row(n - ar, r, alpha, dom.zero, dom)
     total = dom.zero
     for l in range(n - ar + 1):
-        total = total + math.comb(n, l) * stirling_entry(2, n - l, alpha, r, dom) * \
-            bernoulli_entry(l, r, alpha, dom.zero, dom)
+        total = total + math.comb(n, l) * row.quots[n - ar - l] * row.nums[l]
     if n == ar:
         target = dom.const(Fraction(math.factorial(ar), math.factorial(alpha)))
     else:
@@ -248,15 +261,21 @@ def verify_delta(alpha: int, r: int, n: int, lam=None) -> IdentityReport:
 
 def verify_expansion(n: int, r: int, x, lam=None) -> IdentityReport:
     """The descending product of x expanded over truncated Bernoulli
-    polynomials, checked at one sample point x."""
+    polynomials, checked at one sample point x.  The unit products
+    (1)_{j+r} over E are column 1 of the triangle over E, the x = 0 row's
+    ``quots`` at alpha = 1, and each meets a numerator over E."""
     dom = domain(as_elem(x, lam).lam)
     xv = dom.unwrap(x)
-    lhs = descending(xv, n, dom.lam, dom)[-1]
-    units = descending(dom.one, n + r, dom.lam, dom)
+    row = numerator_row(n, r, 1, xv, dom)
+    units = numerator_row(n, r, 1, dom.zero, dom).quots
+    if xv:
+        lhs = row.prods[n]
+    else:
+        lhs = dom.zero if n else dom.one  # (0)_n
     rhs = dom.zero
     for j in range(n + 1):
         coef = Fraction(math.comb(n, j) * math.factorial(j), math.factorial(j + r))
-        rhs = rhs + coef * units[j + r] * bernoulli_entry(n - j, r, 1, xv, dom)
+        rhs = rhs + coef * units[j] * row.nums[n - j]
     return _report("expansion", {"n": n, "r": r, "x": str(dom.wrap(xv))}, lhs, rhs, dom)
 
 
@@ -264,20 +283,23 @@ def verify_beta_closed(n: int, r: int, x, lam=None):
     """Closed forms of the first three truncated Bernoulli polynomials at
     one sample point.  For n = 2 the published display has its last three
     signs flipped relative to what its own expansion gives; the corrected
-    version is the asserted variant, the display is reported as printed."""
+    version is the asserted variant, the display is reported as printed.
+    Both sides are compared as numerators over E = (1)_{r,l}: the closed
+    forms' lead r!/E becomes r!."""
     if n not in (0, 1, 2):
         raise DomainViolation("closed forms exist for n in {0, 1, 2}")
     dom = domain(as_elem(x, lam).lam)
     xv, s = dom.unwrap(x), dom.lam
-    lhs = bernoulli_entry(n, r, 1, xv, dom)
-    lead = math.factorial(r) * dom.inverse(descending(dom.one, r, s, dom)[-1])
+    row = numerator_row(n, r, 1, xv, dom)
+    lhs, den = row.nums[n], row.den
+    lead = math.factorial(r)
     params = {"n": n, "r": r, "x": str(dom.wrap(xv))}
     if n == 0:
-        return (_report("beta-closed", params, lhs, lead, dom),)
+        return (_report("beta-closed", params, lhs, dom.const(lead), dom, den=den),)
     g = dom.one - r * s
     if n == 1:
         rhs = lead * (xv - g / (r + 1))
-        return (_report("beta-closed", params, lhs, rhs, dom),)
+        return (_report("beta-closed", params, lhs, rhs, dom, den=den),)
     h = dom.one - (r + 1) * s
     quad = xv * (xv - s)
     mid = 2 * xv * g / (r + 1)
@@ -286,8 +308,8 @@ def verify_beta_closed(n: int, r: int, x, lam=None):
     rhs_derived = lead * (quad - mid + sq - tail)
     rhs_printed = lead * (quad + mid - sq + tail)
     return (
-        _report("beta-closed", params, lhs, rhs_derived, dom, AS_DERIVED),
-        _report("beta-closed", params, lhs, rhs_printed, dom, AS_PRINTED),
+        _report("beta-closed", params, lhs, rhs_derived, dom, AS_DERIVED, den),
+        _report("beta-closed", params, lhs, rhs_printed, dom, AS_PRINTED, den),
     )
 
 

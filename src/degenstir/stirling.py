@@ -45,7 +45,8 @@ import threading
 from fractions import Fraction
 
 from .core import int_falling, one_falling
-from .field import FieldElem, const, domain, int_add, int_mul, int_poly, int_scale
+from .field import (FieldElem, const, domain, int_add, int_add_mul, int_mul, int_poly,
+                    int_scale)
 
 
 _growing = threading.Lock()
@@ -68,7 +69,8 @@ class _Triangle:
     the constant (T(m, j),).  Column j lists T(j*r..m, j), the rows above j*r
     being zero, so cell (m, j) is ``cols[j][m - j*r]`` and the j - 1
     neighbour of a cell sits at the same index in the column before it.
-    Columns grow downward; ``fill`` grows only the columns an entry needs.
+    Columns grow downward; ``fill`` grows only the columns an entry needs,
+    and at r > 1 adds the left term's product into the cell in one pass.
 
     ``stirling_entry`` wraps a cell into the domain's value on the cell's
     first read and keeps it in ``values``, which it reads without the lock:
@@ -123,7 +125,7 @@ class _Triangle:
                 v = int_mul(f, col[-1]) if i else ()
                 left = cols[j - 1][i] if j else ()
                 if left:
-                    v = int_add(v, left if r == 1 else int_mul(self.coefs[m], left))
+                    v = int_add(v, left) if r == 1 else int_add_mul(v, self.coefs[m], left)
                 col.append(v)
                 f = int_add(f, step)
             self.factors[j] = f

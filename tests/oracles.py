@@ -1,18 +1,21 @@
 """Independent oracles used by the tests.
 
-Everything here but the series helpers at the end is deliberately written
+Everything here but the helpers at the end is deliberately written
 against plain Fractions and lists, not against the library's own
 polynomial/series machinery, so that a test comparing library output to an
 oracle value really is a dual-route check.  The series helpers are the
 operations on ``Series`` that only the tests use: the block, whose powers
 define the truncated Stirling numbers, t^k, the derivative and agreement on
-the shared orders.
+the shared orders.  The last, ``bernoulli_values``, grows the truncated
+Bernoulli values as values of a domain, quotients in the symbolic mode,
+where the library grows numerators over E^alpha.
 """
 
 import math
 from fractions import Fraction
 
 from degenstir import Series, const, degen_exp, degen_log
+from degenstir.stirling import stirling_entry
 
 
 def poly_divmod(num, den):
@@ -158,3 +161,28 @@ def prefix_equal(f, g):
     """Whether two series agree on every order both know."""
     p = min(f.precision, g.precision)
     return f.truncate(p) == g.truncate(p)
+
+
+def bernoulli_values(n, r, alpha, x, dom):
+    """The truncated order-alpha values 0..n at the ``dom`` value x: at x = 0
+    by the reciprocal recurrence over column alpha of the Stirling triangle,
+    beta_m = -(1/D_0) sum_{i=1..m} C(m, i) D_i beta_{m-i}, beta_0 = 1/D_0,
+    where D_i = i! alpha! S_r(i + alpha r, alpha) / (i + alpha r)!, and at
+    x != 0 by the Appell form sum_j C(m, j) beta_j (x)_{m-j}."""
+    lo, scale = alpha * r, math.factorial(alpha)
+    col = [stirling_entry(2, i + lo, alpha, r, dom) * Fraction(scale * math.factorial(i),
+                                                               math.factorial(i + lo))
+           for i in range(n + 1)]
+    vals = [dom.inverse(col[0])]
+    for m in range(1, n + 1):
+        acc = dom.zero
+        for i in range(1, m + 1):
+            acc = acc + math.comb(m, i) * col[i] * vals[m - i]
+        vals.append(-vals[0] * acc)
+    if not x:
+        return vals
+    prods = [dom.one]
+    for k in range(n):
+        prods.append(prods[-1] * (x - k * dom.lam))
+    return [sum((math.comb(m, j) * vals[j] * prods[m - j] for j in range(m + 1)), dom.zero)
+            for m in range(n + 1)]

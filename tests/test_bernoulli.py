@@ -5,7 +5,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degenstir import (
@@ -29,7 +29,7 @@ from degenstir import (
 )
 from degenstir import bernoulli, cli, series, stirling
 from degenstir.field import domain
-from oracles import bernoulli_numbers, block, t_power
+from oracles import bernoulli_numbers, bernoulli_values, block, t_power
 from threads import threads_agree_with_one_thread
 
 LAM = lam_elem()
@@ -96,6 +96,52 @@ def test_triangle_quotient_equals_the_one_division_form(lam):
                         want.coeff(n) * math.factorial(n), (r, alpha, str(x), n)
 
 
+_X = st.fractions(-3, 3, max_denominator=4)
+
+
+def _unit_power(r, alpha, dom):
+    # E^alpha, E = (1 - l)(1 - 2l)...(1 - (r-1)l), multiplied out here
+    e = dom.one
+    for i in range(1, r):
+        e = e * (dom.one - i * dom.lam)
+    return e ** alpha
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 12), _X)
+@example(3, 2, 3, F(0))
+def test_numerators_over_e_alpha_are_polynomials_of_degree_at_most_n(r, alpha, n, x):
+    dom = domain(None)
+    xv = dom.unwrap(x)
+    num = bernoulli_values(n, r, alpha, xv, dom)[n] * _unit_power(r, alpha, dom)
+    assert num.den.is_one and num.num.degree <= n, (r, alpha, n, x, str(num))
+    assert bernoulli.numerator_row(n, r, alpha, xv, dom).nums[n] == num
+
+
+def test_a_reduced_denominator_can_be_a_proper_divisor_of_e_alpha():
+    # at r = 3, alpha = 2, n = 3 the value's numerator over E^2 shares a
+    # factor with it: the reduced denominator has degree 3, not 4
+    value = trunc_degen_bernoulli(3, 3, 2)
+    assert value.den.degree == 3
+    assert value * _unit_power(3, 2, domain(None)) == \
+        bernoulli.numerator_row(3, 3, 2, const(0), domain(None)).nums[3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([None, F(-5, 3), F(2, 7)]), st.integers(1, 4), st.integers(0, 3), _X)
+@example(None, 3, 2, F(0))
+@example(F(2, 7), 3, 2, F(1, 2))
+def test_rows_agree_with_the_value_recurrence_in_value_and_hash(lam, r, alpha, x):
+    dom = domain(lam)
+    xv = dom.unwrap(const(x, lam))
+    want = bernoulli_values(10, r, alpha, xv, dom)
+    got = [trunc_degen_bernoulli(n, r, alpha, x, lam) for n in range(11)]
+    assert got == [dom.wrap(v) for v in want]
+    assert [hash(v) for v in got] == [hash(dom.wrap(v)) for v in want]
+    den = _unit_power(r, alpha, dom)
+    assert bernoulli.numerator_row(10, r, alpha, xv, dom).nums[:11] == [den * v for v in want]
+
+
 @pytest.mark.parametrize("lam", [None, F(-5, 3)])
 def test_rows_divide_no_series(monkeypatch, lam):
     quotient = series.quotient
@@ -131,11 +177,11 @@ def test_threads_growing_one_cold_row_agree_with_one_thread(monkeypatch, lam, x)
 
     def check():
         row = bernoulli._row(2, 2, dom.unwrap(x), dom)
-        assert len(row.values) == 13
+        assert len(row.nums) == 13
         base = bernoulli._row(2, 2, dom.zero, dom)
         if x:
             assert len(row.prods) == 13
-            assert len(base.values) == 13
+            assert len(base.nums) == 13
         assert grown and all(g is row or g is base for g in grown)
 
     def clear():

@@ -25,7 +25,7 @@ from degenstir import (
     poly_str,
     trunc_degen_bernoulli,
 )
-from degenstir.field import int_add, int_mul, int_scale
+from degenstir.field import int_add, int_add_mul, int_mul, int_scale
 from oracles import poly_divmod, poly_gcd_monic, poly_mul, poly_text, quotient_text, rational_text
 
 LAM = lam_elem()
@@ -259,6 +259,14 @@ def test_int_kernel_matches_list_oracles(p, q, s):
     assert int_add(p, q) == tuple(_strip([u + v for u, v in zip(pad(p), pad(q))]))
     assert int_scale(p, s) == tuple(_strip([s * c for c in p]))
     assert int_add(p, int_scale(p, -1)) == ()
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_tuples, int_tuples, int_tuples)
+def test_a_sum_plus_a_product_in_one_pass_matches_the_two_steps(acc, p, q):
+    assert int_add_mul(acc, p, q) == int_add_mul(acc, q, p) == int_add(acc, int_mul(p, q))
+    # a sum that cancels drops every trailing zero
+    assert int_add_mul(int_scale(int_mul(p, q), -1), p, q) == ()
 
 
 @settings(max_examples=100, deadline=None)

@@ -25,6 +25,7 @@ from degenstir import (
     verify_thm7,
     verify_thm8,
 )
+from degenstir import bernoulli, core, field, identities
 
 LAM = lam_elem()
 
@@ -144,6 +145,56 @@ def test_beta_closed_forms_and_variant_split():
     assert not verify_beta_closed(2, 1, 0)[1].equal
     with pytest.raises(DomainViolation):
         verify_beta_closed(3, 1, 0)
+
+
+def test_rational_function_samples_take_the_general_route():
+    # the CLI passes rationals only; through the API x may be a quotient in
+    # the parameter, and the numerators are then quotients too
+    for x in (LAM / (1 + LAM), 1 / (1 - 2 * LAM)):
+        for r in (1, 2, 3):
+            for n in range(4):
+                assert verify_expansion(n, r, x).equal
+            derived, printed = verify_beta_closed(2, r, x)
+            assert derived.equal and not printed.equal
+            assert derived.lhs.instantiate(F(1, 7)) == \
+                verify_beta_closed(2, r, x.instantiate(F(1, 7)), lam=F(1, 7))[0].lhs.value
+
+
+def _counted(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(1)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_expansion_sweep_reads_its_products_off_the_rows(monkeypatch):
+    # the lhs (x)_n is the x row's own descending product and the unit
+    # products (1)_{j+r} / E the x = 0 row's column over E, so a cold default
+    # sweep multiplies out only E, once per r (two per report before)
+    calls = _counted(monkeypatch, core, "descending")
+    for module in (bernoulli, identities):
+        monkeypatch.setattr(module, "descending", core.descending)
+    field.SYMBOLIC.memo.clear()
+    reports = sweep("expansion")
+    assert len(reports) == 84 and all_derived_equal(reports)
+    assert len(calls) <= 3
+
+
+def test_numerator_sweeps_run_no_polynomial_gcd(monkeypatch):
+    # delta and expansion sum numerators over E^alpha, which are
+    # polynomials; beta-closed divides each side once by E to wrap it
+    calls = _counted(monkeypatch, field, "poly_gcd")
+    for tag in ("delta", "expansion", "beta-closed"):
+        field.SYMBOLIC.memo.clear()
+        calls.clear()
+        reports = sweep(tag)
+        assert all_derived_equal(reports)
+        assert len(calls) <= (2 * len(reports) if tag == "beta-closed" else 0), tag
 
 
 def test_sweep_and_report_shape():
