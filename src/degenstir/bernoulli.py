@@ -15,17 +15,20 @@ therefore kept as numerators over E^alpha, polynomials when x is a
 rational, on the domain (see ``field.domain``) in one row per (r, alpha, x)
 that grows on demand: at x = 0 by the reciprocal recurrence over the column
 divided by E^alpha, an exact division, at x != 0 by the Appell form over
-the x = 0 row.  So a row runs no polynomial gcd; a value is its numerator
-divided by E^alpha once, when it is read, and the verifiers that sum values
-of one row sum its numerators instead.  The plain values are the r = 1
-case, where E = 1 and the numerators are the values, and are computed as
-such.
+the x = 0 row, each numerator one ``sum_products`` of the domain (see
+``field``), reduced once.  So a row runs no polynomial gcd; a value is its
+numerator divided by E^alpha on its first read and kept, and the verifiers
+that sum values of one row sum its numerators instead.  The plain values
+are the r = 1 case, where E = 1 and the numerators are the values, and are
+computed as such.
 
 Partial Bell polynomials are read off a ladder of the powers of their
 defining series, and the reciprocal-series polynomials are the alternating
-sum of the rungs of the scaled series' ladder.  The enumeration of the
-partition multiplicity vectors and a plain series reciprocal are their
-independent routes; the public entry points check that the pairs agree.
+sum of the rungs of the scaled series' ladder; each rung is a
+``series.product``, and the alternating sum one ``sum_products``.  The
+enumeration of the partition multiplicity vectors and a plain series
+reciprocal are their independent routes; the public entry points check
+that the pairs agree.
 Every route computes on domain values (see ``field``); the public entry
 points unwrap their arguments and wrap their result.
 """
@@ -56,13 +59,15 @@ class _Row:
     rational, and at r = 1, where E = 1, it is the value.  The x = 0 row
     keeps column alpha of the Stirling triangle over E^alpha, ``quots[i]`` =
     S_r(i + alpha r, alpha) / E^alpha, and a row at x != 0 the descending
-    products of x, ``prods``."""
+    products of x, ``prods``.  ``values`` keeps each value N_m / E^alpha
+    read at r > 1, by m, from its first read on."""
 
-    __slots__ = ("nums", "den", "quots", "prods")
+    __slots__ = ("nums", "den", "quots", "prods", "values")
 
     def __init__(self, den, x, dom):
         self.nums = []
         self.den = den
+        self.values = {}
         self.quots = None if x else []
         self.prods = [dom.one] if x else None
 
@@ -118,12 +123,9 @@ def _reciprocal(row: _Row, n: int, r: int, alpha: int, dom):
     while len(nums) <= n:
         m = len(nums)
         top = -math.factorial(m) * scale * lead
-        acc = dom.zero
-        for i in range(1, m + 1):
-            q, b = quots[i], nums[m - i]
-            if q and b:
-                acc = acc + Fraction(top, math.factorial(m - i) * math.factorial(i + lo)) * q * b
-        nums.append(acc)
+        nums.append(dom.sum_products(
+            (Fraction(top, math.factorial(m - i) * math.factorial(i + lo)), quots[i], nums[m - i])
+            for i in range(1, m + 1)))
 
 
 def _appell(row: _Row, n: int, x, base: list, dom):
@@ -133,11 +135,8 @@ def _appell(row: _Row, n: int, x, base: list, dom):
         prods.append(prods[-1] * (x - (len(prods) - 1) * dom.lam))
     while len(nums) <= n:
         m = len(nums)
-        acc = dom.zero
-        for j in range(m + 1):
-            if base[j]:
-                acc = acc + math.comb(m, j) * base[j] * prods[m - j]
-        nums.append(acc)
+        nums.append(dom.sum_products((math.comb(m, j), base[j], prods[m - j])
+                                     for j in range(m + 1)))
 
 
 def numerator_row(n: int, r: int, alpha: int, x, dom) -> _Row:
@@ -155,9 +154,17 @@ def numerator_row(n: int, r: int, alpha: int, x, dom) -> _Row:
 
 def bernoulli_entry(n: int, r: int, alpha: int, x, dom):
     """Truncated order-alpha value at the ``dom`` value x, as a ``dom`` value:
-    its numerator over E^alpha, which is 1 at r = 1."""
+    its numerator over E^alpha, which is 1 at r = 1, divided on its first
+    read and kept."""
     row = numerator_row(n, r, alpha, x, dom)
-    return row.nums[n] if r == 1 else row.nums[n] / row.den
+    if r == 1:
+        return row.nums[n]
+    # read without the lock: two threads that both make a value's first read
+    # store equal values
+    value = row.values.get(n)
+    if value is None:
+        value = row.values[n] = row.nums[n] / row.den
+    return value
 
 
 def trunc_degen_bernoulli(n: int, r: int, alpha: int, x=0, lam=None) -> FieldElem:
@@ -222,7 +229,7 @@ def _climb(coeffs: tuple, k: int, dom) -> list:
     if k >= len(rungs):
         with _growing:
             while len(rungs) <= k:
-                rungs.append(product(rungs[-1], rungs[1], dom.zero))
+                rungs.append(product(rungs[-1], rungs[1], dom))
     return rungs
 
 
@@ -260,7 +267,7 @@ def k_lambda_series(n: int, xs, lam=None) -> FieldElem:
     _require_xs(xs, n)
     units = descending(dom.one, n, dom.lam, dom)
     coeffs = [dom.one] + [units[l] * xs[l - 1] / math.factorial(l) for l in range(1, n + 1)]
-    rec = quotient((dom.one,) + (dom.zero,) * n, coeffs, dom.inverse)
+    rec = quotient((dom.one,) + (dom.zero,) * n, coeffs, dom)
     return dom.wrap(rec[n] * math.factorial(n))
 
 
@@ -275,10 +282,9 @@ def k_lambda_bell(n: int, xs, lam=None) -> FieldElem:
     v = valuation(g)
     # g^k starts at t^(kv), so the rungs past n // v add nothing at t^n
     top = 0 if v is None else n // v
-    total = dom.zero
-    for k, rung in enumerate(_climb(g, top, dom)[:top + 1]):
-        total = total + (-1) ** k * rung[n]
-    return dom.wrap(total * math.factorial(n))
+    total = dom.sum_products(((-1) ** k * math.factorial(n), rung[n])
+                             for k, rung in enumerate(_climb(g, top, dom)[:top + 1]))
+    return dom.wrap(total)
 
 
 def k_lambda(n: int, xs, lam=None) -> FieldElem:

@@ -33,6 +33,16 @@ Pinned at l = p/q, such a value scaled by a power of q is an integer, the
 one-coefficient tuple of the same arithmetic: the Stirling triangle fills
 both modes this way.
 
+Every sum the kernels form is a sum of products, and each domain has one
+kernel for it, ``sum_products``: the sum of c v1 ... vk over tuples
+(c, v1, ..., vk), c an int or Fraction.  It reduces once per sum, not once
+per term.  Pinned, it multiplies numerators and denominators on ints, keeps
+the sum over the lcm of the term denominators and builds one Fraction;
+symbolic, it convolves the primitive parts of polynomial values and adds
+them into one int coefficient list over one int denominator, split into
+content and primitive part at the end, and adds a term with a genuine
+quotient among its factors as elements.
+
 The parameter prints as ``l`` in the canonical text form, for example
 ``(-1/2)*l^1 + 1/2``.
 """
@@ -591,6 +601,23 @@ class Pinned:
             raise DivisionByZero("inverse of zero")
         return 1 / value
 
+    @staticmethod
+    def sum_products(terms) -> Fraction:
+        """The sum of c v1 ... vk over the tuples (c, v1, ..., vk), c an int
+        or Fraction: each term's numerator and denominator multiplied on
+        ints, the sum kept over the lcm of the term denominators, and one
+        Fraction built, reduced once."""
+        num, den = 0, 1
+        for term in terms:
+            n = d = 1
+            for v in term:
+                n *= v.numerator
+                d *= v.denominator
+            if n:
+                g = math.gcd(den, d)
+                num, den = num * (d // g) + n * (den // g), den // g * d
+        return Fraction(num, den)
+
 
 class Symbolic:
     """The value domain of the symbolic mode: the symbolic ``FieldElem`` s."""
@@ -612,6 +639,44 @@ class Symbolic:
         return value
 
     inverse = staticmethod(FieldElem.inverse)
+
+    @staticmethod
+    def sum_products(terms) -> FieldElem:
+        """The sum of c v1 ... vk over the tuples (c, v1, ..., vk), c an int
+        or Fraction.  A term of polynomials is its contents multiplied on
+        ints and its primitive parts convolved, added into one int
+        coefficient list over the lcm of the term denominators, which is
+        split into content and primitive part once, at the end.  A term with
+        a genuine quotient among its factors is multiplied and added as
+        elements."""
+        acc, den, rest = (), 1, None
+        for term in terms:
+            c, factors = term[0], term[1:]
+            num, d, prims = c.numerator, c.denominator, []
+            for v in factors:
+                if v.den.prim != (1,):
+                    break
+                content = v.num.content
+                num *= content.numerator
+                d *= content.denominator
+                prims.append(v.num.prim)
+            else:
+                if num:
+                    g = math.gcd(den, d)
+                    if g != d:
+                        acc = int_scale(acc, d // g)
+                    head = (num * (den // g),)
+                    den = den // g * d
+                    for p in prims[:-1]:
+                        head = int_mul(head, p)
+                    acc = int_add_mul(acc, head, prims[-1]) if prims else int_add(acc, head)
+                continue
+            for v in factors:
+                c = c * v
+            rest = c if rest is None else rest + c
+        g, prim = _primitive(list(acc))
+        total = FieldElem(lam=None, num=_poly(Fraction(g, den), prim) if g else P_ZERO, den=P_ONE)
+        return total if rest is None else total + rest
 
 
 SYMBOLIC = Symbolic()

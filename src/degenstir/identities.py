@@ -9,7 +9,10 @@ also computed and reported ("as-printed") without being asserted.
 
 Verdicts are exact: two sides are equal iff their canonical forms match
 componentwise.  A verifier computes both sides on the values of its mode's
-domain (see ``field``) and wraps them once, into the report.  The truncated
+domain (see ``field``) and wraps them once, into the report.  Each sum of
+a side is one ``sum_products`` of the domain, reduced once: thm3 keeps its
+enumeration of compositions, each one a term of k factors, and thm6 reads
+its two nested sums off one Horner recurrence.  The truncated
 Bernoulli verifiers (``delta``, ``expansion``, ``beta-closed``) read the
 numerators over E^alpha of ``bernoulli.numerator_row`` instead of values:
 ``delta`` pairs them with the Stirling column over E^alpha and
@@ -101,12 +104,7 @@ def verify_thm3(n: int, k: int, r: int, lam=None) -> IdentityReport:
     big = n + k * r
     lhs = Fraction(math.factorial(k), math.factorial(big)) * stirling_entry(2, big, k, r, dom)
     singles = [stirling_entry(2, j + r, 1, r, dom) / math.factorial(j + r) for j in range(n + 1)]
-    rhs = dom.zero
-    for comp in compositions(n, k, 0):
-        term = dom.one
-        for j in comp:
-            term = term * singles[j]
-        rhs = rhs + term
+    rhs = dom.sum_products((1, *(singles[j] for j in comp)) for comp in compositions(n, k, 0))
     return _report("thm3", {"n": n, "k": k, "r": r}, lhs, rhs, dom)
 
 
@@ -121,26 +119,22 @@ def verify_thm4(n: int, lam=None):
     # (s-1)(s-2)...(s-k)/(k+1), the form computed: a polynomial, defined also
     # when the parameter is pinned to zero and the reciprocal step does not exist
     recips = [p / (k + 1) for k, p in enumerate(descending(dom.lam - 1, n, 1, dom))]
-    rhs1 = dom.zero
-    for k in range(n + 1):
-        rhs1 = rhs1 + recips[k] * stirling_entry(2, n, k, 1, dom)
+    rhs1 = dom.sum_products((1, recips[k], stirling_entry(2, n, k, 1, dom))
+                            for k in range(n + 1))
     first = _report("thm4", {"n": n, "part": "bernoulli-expansion"}, betas[n], rhs1, dom)
 
-    rhs2 = dom.zero
-    for k in range(n + 1):
-        rhs2 = rhs2 + betas[k] * stirling_entry(1, n, k, 1, dom)
+    rhs2 = dom.sum_products((1, betas[k], stirling_entry(1, n, k, 1, dom))
+                            for k in range(n + 1))
     second = _report("thm4", {"n": n, "part": "log-inverse-expansion"}, recips[n], rhs2, dom)
     return first, second
 
 
 def _thm5_rhs(n: int, k: int, sign: int, dom):
-    total = sign * math.comb(n + k, k) * _beta(n, 1, dom)
     big = math.factorial(n + k)
-    for j in range(1, k + 1):
-        coef = Fraction((-1) ** (k - j) * big,
-                        j * math.factorial(k - j) * math.factorial(n + j - 1))
-        total = total + coef * stirling_entry(2, n + j - 1, j - 1, 1, dom)
-    return total
+    return dom.sum_products(
+        [(sign * math.comb(n + k, k), _beta(n, 1, dom))]
+        + [(Fraction((-1) ** (k - j) * big, j * math.factorial(k - j) * math.factorial(n + j - 1)),
+            stirling_entry(2, n + j - 1, j - 1, 1, dom)) for j in range(1, k + 1)])
 
 
 def verify_thm5(n: int, k: int, lam=None, variant: str = AS_DERIVED) -> IdentityReport:
@@ -148,14 +142,9 @@ def verify_thm5(n: int, k: int, lam=None, variant: str = AS_DERIVED) -> Identity
     carries binomial (n+k choose j) and sign (-1)^k; the printed statement
     has (n+j choose k) and (-1)^n and is reportable but not asserted."""
     dom = domain(lam)
-    lhs = dom.zero
-    for j in range(n + 1):
-        s_val = stirling_entry(2, n - j + k, k, 2, dom)
-        if variant == AS_DERIVED:
-            binom = math.comb(n + k, j)
-        else:
-            binom = math.comb(n + j, k)
-        lhs = lhs + binom * s_val * _beta(j, 1, dom)
+    lhs = dom.sum_products(
+        (math.comb(n + k, j) if variant == AS_DERIVED else math.comb(n + j, k),
+         stirling_entry(2, n - j + k, k, 2, dom), _beta(j, 1, dom)) for j in range(n + 1))
     sign = (-1) ** k if variant == AS_DERIVED else (-1) ** n
     rhs = _thm5_rhs(n, k, sign, dom)
     return _report("thm5", {"n": n, "k": k}, lhs, rhs, dom, variant)
@@ -169,27 +158,25 @@ def verify_thm6(n: int, k: int, lam=None) -> IdentityReport:
     if n < k:
         raise DomainViolation("stated domain requires n >= k")
     dom = domain(lam)
-    lhs = dom.zero
-    for j in range(n + 1):
-        lhs = lhs + math.comb(n + k - 1, j) * stirling_entry(2, n - j + k, k, 2, dom) * \
-            _beta(j, 1, dom)
-    # neg_pow[e] = (-lambda)^e for every exponent below, 0 <= e <= n - k + 1
-    neg_s = -dom.lam
-    neg_pow = [dom.one]
-    for _ in range(n - k + 1):
-        neg_pow.append(neg_pow[-1] * neg_s)
-    inner = dom.zero
-    for l in range(k, n + 1):
-        m = l + k - 2
-        inner = inner + Fraction(1, math.factorial(m)) * stirling_entry(2, m, k - 1, 2, dom) * \
-            neg_pow[n - l]
+    lhs = dom.sum_products(
+        (math.comb(n + k - 1, j), stirling_entry(2, n - j + k, k, 2, dom), _beta(j, 1, dom))
+        for j in range(n + 1))
+    # the statement's sums, with s_l = S_2(l+k-2, k-1)/(l+k-2)!, are
+    # sum_{l=k..n} s_l (-lambda)^(n-l) and, per j = k..n, beta_{n-j}/(n-j)!
+    # times sum_{l=k..j} s_l (-lambda)^(j-l+1).  Both read h_j =
+    # sum_{l=k..j} s_l (-lambda)^(j-l), which Horner's rule gives as
+    # h_j = -lambda h_{j-1} + s_j: the first sum is h_n, the inner sum of
+    # term j is -lambda h_j.  No step divides by lambda, so lambda = 0 holds.
+    neg = -dom.lam
+    h = [dom.zero]  # h[j - k + 1] = h_j
     for j in range(k, n + 1):
-        for l in range(k, j + 1):
-            m = l + k - 2
-            coef = Fraction(1, math.factorial(m) * math.factorial(n - j))
-            inner = inner + coef * stirling_entry(2, m, k - 1, 2, dom) * \
-                _beta(n - j, 1, dom) * neg_pow[j - l + 1]
-    rhs = math.factorial(n + k - 1) * inner
+        m = j + k - 2
+        s_j = stirling_entry(2, m, k - 1, 2, dom)
+        h.append(dom.sum_products(((1, neg, h[-1]), (Fraction(1, math.factorial(m)), s_j))))
+    big = math.factorial(n + k - 1)
+    rhs = dom.sum_products(
+        [(big, h[-1])] + [(big // math.factorial(n - j), _beta(n - j, 1, dom), neg, h[j - k + 1])
+                          for j in range(k, n + 1)])
     return _report("thm6", {"n": n, "k": k}, lhs, rhs, dom)
 
 
@@ -197,15 +184,12 @@ def verify_thm7(n: int, k: int, lam=None) -> IdentityReport:
     """Double-truncation sum against order-k Bernoulli numbers, with an
     alternating sum over lower orders on the other side."""
     dom = domain(lam)
-    lhs = dom.zero
-    for j in range(n + 1):
-        lhs = lhs + math.comb(n + k, j) * stirling_entry(2, n - j + k, k, 2, dom) * \
-            _beta(j, k, dom)
-    inner = dom.zero
-    for j in range(k + 1):
-        sign = (-1) ** (k - j)
-        inner = inner + (sign * math.comb(k, j)) * _beta(n, k - j, dom)
-    rhs = math.comb(n + k, k) * inner
+    lhs = dom.sum_products(
+        (math.comb(n + k, j), stirling_entry(2, n - j + k, k, 2, dom), _beta(j, k, dom))
+        for j in range(n + 1))
+    rhs = dom.sum_products(
+        ((-1) ** (k - j) * math.comb(k, j) * math.comb(n + k, k), _beta(n, k - j, dom))
+        for j in range(k + 1))
     return _report("thm7", {"n": n, "k": k}, lhs, rhs, dom)
 
 
@@ -214,27 +198,28 @@ def verify_thm8(n: int, k: int, lam=None):
     keeps the l = 0 terms of the second sum, which the printed statement
     drops; both variants are reported, the corrected one first."""
     dom = domain(lam)
-    lhs = dom.zero
-    for j in range(n + 1):
-        lhs = lhs + math.comb(n + k, j + k) * stirling_entry(2, j + k, k, 3, dom) * \
-            _beta(n - j, 1, dom)
+    lhs = dom.sum_products(
+        (math.comb(n + k, j + k), stirling_entry(2, j + k, k, 3, dom), _beta(n - j, 1, dom))
+        for j in range(n + 1))
+    top = min(n, k)
     half = (dom.one - dom.lam) / 2
+    halves = [half ** l for l in range(top + 1)]
     big = math.factorial(n + k)
-    first = dom.zero
-    for j in range(min(n, k) + 1):
-        coef = Fraction(math.comb(k, j) * big, math.factorial(n - j) * math.factorial(k))
-        first = first + coef * half ** j * _beta(n - j, 1, dom)
-    second = [dom.zero] * (min(n, k) + 1)  # the second sum's terms, by l
+    # the first sum, with its sign, and the terms of the second sum, by l
+    first = [(Fraction((-1) ** k * math.comb(k, j) * big,
+                       math.factorial(n - j) * math.factorial(k)), halves[j], _beta(n - j, 1, dom))
+             for j in range(top + 1)]
+    second = [[] for _ in range(top + 1)]
     for j in range(1, k + 1):
-        coef_j = Fraction((-1) ** (k - j) * big, j * math.factorial(k - j))
         for l in range(min(n, k - j) + 1):
             m = n - l + j - 1
-            coef = coef_j * Fraction(math.comb(k - j, l), math.factorial(m))
-            second[l] = second[l] + coef * half ** l * stirling_entry(2, m, j - 1, 1, dom)
-    printed = sum(second[1:], (-1) ** k * first)
+            coef = Fraction((-1) ** (k - j) * big * math.comb(k - j, l),
+                            j * math.factorial(k - j) * math.factorial(m))
+            second[l].append((coef, halves[l], stirling_entry(2, m, j - 1, 1, dom)))
+    printed = dom.sum_products(itertools.chain(first, *second[1:]))
     params = {"n": n, "k": k}
     return (
-        _report("thm8", params, lhs, printed + second[0], dom, AS_DERIVED),
+        _report("thm8", params, lhs, printed + dom.sum_products(second[0]), dom, AS_DERIVED),
         _report("thm8", params, lhs, printed, dom, AS_PRINTED),
     )
 
@@ -249,9 +234,8 @@ def verify_delta(alpha: int, r: int, n: int, lam=None) -> IdentityReport:
         raise DomainViolation("requires n >= alpha * r")
     dom = domain(lam)
     row = numerator_row(n - ar, r, alpha, dom.zero, dom)
-    total = dom.zero
-    for l in range(n - ar + 1):
-        total = total + math.comb(n, l) * row.quots[n - ar - l] * row.nums[l]
+    total = dom.sum_products((math.comb(n, l), row.quots[n - ar - l], row.nums[l])
+                             for l in range(n - ar + 1))
     if n == ar:
         target = dom.const(Fraction(math.factorial(ar), math.factorial(alpha)))
     else:
@@ -272,10 +256,9 @@ def verify_expansion(n: int, r: int, x, lam=None) -> IdentityReport:
         lhs = row.prods[n]
     else:
         lhs = dom.zero if n else dom.one  # (0)_n
-    rhs = dom.zero
-    for j in range(n + 1):
-        coef = Fraction(math.comb(n, j) * math.factorial(j), math.factorial(j + r))
-        rhs = rhs + coef * units[j] * row.nums[n - j]
+    rhs = dom.sum_products(
+        (Fraction(math.comb(n, j) * math.factorial(j), math.factorial(j + r)),
+         units[j], row.nums[n - j]) for j in range(n + 1))
     return _report("expansion", {"n": n, "r": r, "x": str(dom.wrap(xv))}, lhs, rhs, dom)
 
 

@@ -10,8 +10,10 @@ states how much precision survives:
   series must have zero constant term).
 
 Coefficients are :class:`FieldElem` values, all in one mode per series.
-``Series.mul`` and ``Series.div`` call ``product`` and ``quotient``, which
-work on coefficient sequences; the kernels call them on domain values.
+``product`` and ``quotient`` work on sequences of values of a domain (see
+``field``), each coefficient one ``sum_products``; the kernels call them on
+domain values, and ``Series.mul`` and ``Series.div`` unwrap their
+coefficients to their domain and wrap the result back.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     ValuationTooHigh,
     ZeroDivisorSeries,
 )
-from .field import FieldElem, as_elem, const
+from .field import as_elem, const, domain
 
 
 class Series:
@@ -111,13 +113,18 @@ class Series:
 
     def mul(self, other: "Series") -> "Series":
         """Cauchy product to the shared precision."""
-        self._check(other)
-        return Series(product(self.coeffs, other.coeffs, const(0, self.lam)))
+        return self._binary(product, other)
 
     def div(self, other: "Series") -> "Series":
         """Quotient; the divisor's valuation is subtracted from the precision."""
+        return self._binary(quotient, other)
+
+    def _binary(self, op, other: "Series") -> "Series":
+        # op computes on the coefficients as values of the series' domain
         self._check(other)
-        return Series(quotient(self.coeffs, other.coeffs, FieldElem.inverse))
+        dom = domain(self.lam)
+        a, b = (tuple(map(dom.unwrap, s.coeffs)) for s in (self, other))
+        return Series(map(dom.wrap, op(a, b, dom)))
 
     def pow(self, k: int) -> "Series":
         """Repeated product; the zeroth power is the unit at this precision."""
@@ -164,24 +171,17 @@ def valuation(coeffs):
     return None
 
 
-def product(a, b, zero) -> tuple:
-    """Cauchy product of two coefficient sequences; ``zero`` is their zero."""
-    out = []
-    for n in range(min(len(a), len(b))):
-        acc = zero
-        for i in range(n + 1):
-            ai = a[i]
-            if ai:
-                bj = b[n - i]
-                if bj:
-                    acc = acc + ai * bj
-        out.append(acc)
-    return tuple(out)
+def product(a, b, dom) -> tuple:
+    """Cauchy product of two sequences of ``dom`` values, each coefficient
+    one ``dom.sum_products``."""
+    return tuple(dom.sum_products((1, a[i], b[n - i]) for i in range(n + 1))
+                 for n in range(min(len(a), len(b))))
 
 
-def quotient(f, g, inverse) -> tuple:
-    """Quotient of two coefficient sequences, as ``Series.div`` states it;
-    ``inverse`` is the reciprocal of their values."""
+def quotient(f, g, dom) -> tuple:
+    """Quotient of two sequences of ``dom`` values, as ``Series.div`` states
+    it, each coefficient one ``dom.sum_products`` times the reciprocal of
+    the divisor's first nonzero coefficient."""
     v = valuation(g)
     if v is None:
         raise ZeroDivisorSeries("division by a series with no known nonzero coefficient")
@@ -194,15 +194,9 @@ def quotient(f, g, inverse) -> tuple:
         raise PrecisionExceeded("no quotient coefficients are determined")
     f = f[v: v + p + 1]
     g = g[v: v + p + 1]
-    inv0 = inverse(g[0])
+    inv0 = dom.inverse(g[0])
     out = []
     for n in range(p + 1):
-        acc = f[n]
-        for i in range(n):
-            hi = out[i]
-            if hi:
-                gj = g[n - i]
-                if gj:
-                    acc = acc - hi * gj
-        out.append(acc * inv0)
+        terms = [(1, f[n])] + [(-1, out[i], g[n - i]) for i in range(n)]
+        out.append(dom.sum_products(terms) * inv0)
     return tuple(out)

@@ -243,10 +243,15 @@ def build_triangle(family: str, n_max: int, k_max=None, r: int = 1, lam=None):
     kinds, k*r for the truncated kinds.  Plain kinds emit the classical
     region k <= n; truncated kinds emit every power up to k_max so the
     vanishing cells below the staircase (n < k*r) appear as explicit zeros."""
-    _, truncated = _family(family)
+    kind, truncated = _family(family)
     if not truncated:
         r = 1
     k_max = n_max if k_max is None else k_max
-    return [(n, k * r, family_entry(family, n, k, r, lam))
+    dom = domain(lam)
+    # grow every column the table reads down to row n_max first, so that the
+    # reads in row order fill nothing
+    for k in range(min(k_max, n_max) + 1):
+        stirling_entry(kind, n_max, k, r, dom)
+    return [(n, k * r, dom.wrap(stirling_entry(kind, n, k, r, dom)))
             for n in range(n_max + 1)
             for k in range(k_max + 1 if truncated else min(k_max, n) + 1)]

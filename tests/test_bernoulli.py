@@ -27,7 +27,7 @@ from degenstir import (
     stirling2r_gf,
     trunc_degen_bernoulli,
 )
-from degenstir import bernoulli, cli, series, stirling
+from degenstir import bernoulli, cli, field, series, stirling
 from degenstir.field import domain
 from oracles import bernoulli_numbers, bernoulli_values, block, t_power
 from threads import threads_agree_with_one_thread
@@ -177,7 +177,7 @@ def test_threads_growing_one_cold_row_agree_with_one_thread(monkeypatch, lam, x)
 
     def check():
         row = bernoulli._row(2, 2, dom.unwrap(x), dom)
-        assert len(row.nums) == 13
+        assert len(row.nums) == 13 and sorted(row.values) == list(range(13))
         base = bernoulli._row(2, 2, dom.zero, dom)
         if x:
             assert len(row.prods) == 13
@@ -241,6 +241,26 @@ def _closed_beta2_derived(r, x):
     xe = const(x) if not hasattr(x, "lam") else x
     return lead * (xe * (xe - LAM) - 2 * xe * g / (r + 1)
                    + 2 * g * g / (r + 1) ** 2 - 2 * g * h / ((r + 1) * (r + 2)))
+
+
+@pytest.mark.parametrize("lam", [None, F(-2, 7)])
+def test_a_warm_truncated_read_returns_the_kept_value(monkeypatch, lam):
+    # at r > 1 a value is its numerator divided by E^alpha on its first read
+    dom = domain(lam)
+    dom.memo.clear()
+    first = [bernoulli.bernoulli_entry(n, 3, 3, dom.zero, dom) for n in range(12)]
+    divided = []
+    gcd = field.poly_gcd
+
+    def counted(*args):
+        divided.append(1)
+        return gcd(*args)
+
+    monkeypatch.setattr(field, "poly_gcd", counted)
+    again = [bernoulli.bernoulli_entry(n, 3, 3, dom.zero, dom) for n in range(12)]
+    assert all(a is b for a, b in zip(first, again))
+    assert divided == []
+    assert dom.wrap(first[11]) == trunc_degen_bernoulli(11, 3, 3, lam=lam)
 
 
 def test_second_value_closed_form():

@@ -25,7 +25,7 @@ from degenstir import (
     poly_str,
     trunc_degen_bernoulli,
 )
-from degenstir.field import int_add, int_add_mul, int_mul, int_scale
+from degenstir.field import domain, int_add, int_add_mul, int_mul, int_scale
 from oracles import poly_divmod, poly_gcd_monic, poly_mul, poly_text, quotient_text, rational_text
 
 LAM = lam_elem()
@@ -404,3 +404,43 @@ def test_an_explicit_lambda_refuses_an_element_of_another_mode(name, call):
     assert call(pinned, lam=F(1, 3)) == call(pinned)
     assert call(pinned).lam == F(1, 3)
     assert call(lam_elem()).lam is None
+
+
+# sum_products takes (c, v1, ..., vk) tuples: an int or Fraction coefficient
+# and k domain values; symbolic values mix polynomials with genuine quotients
+sum_coefs = st.one_of(st.just(0), st.integers(-30, 30), st.fractions(-4, 4, max_denominator=6))
+symbolic_values = st.one_of(st.just(const(0)), polys.map(FieldElem.from_polys), elems)
+pinned_values = st.one_of(st.just(F(0)), rationals)
+
+
+def _products(values):
+    term = st.tuples(sum_coefs, st.lists(values, max_size=3)).map(lambda cv: (cv[0], *cv[1]))
+    return st.lists(term, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sum_products_matches_the_term_by_term_loop(data):
+    lam = data.draw(st.sampled_from([None, F(-3, 7), F(0), F(5, 2)]))
+    dom = domain(lam)
+    terms = data.draw(_products(symbolic_values if lam is None else pinned_values))
+    acc = dom.zero
+    for c, *factors in terms:
+        term = c
+        for v in factors:
+            term = term * v
+        acc = acc + term
+    got = dom.sum_products(iter(terms))
+    assert type(got) is type(acc)
+    assert got == acc and hash(got) == hash(acc)
+    if lam is None:
+        assert (got.num, got.den) == (acc.num, acc.den)
+        _assert_canonical(_canonical(got).num)
+
+
+def test_sum_products_of_no_terms_is_the_domain_zero():
+    for lam in (None, F(-3, 7)):
+        dom = domain(lam)
+        for terms in ([], [(0, dom.lam)], [(F(1, 2), dom.zero, dom.lam)]):
+            got = dom.sum_products(terms)
+            assert got == dom.zero and hash(got) == hash(dom.zero) and not got

@@ -8,6 +8,7 @@ import pytest
 
 from degenstir import (
     AS_DERIVED,
+    IDENTITY_TAGS,
     AS_PRINTED,
     DomainViolation,
     IdentityReport,
@@ -92,6 +93,15 @@ def test_thm6_desk_cases():
         verify_thm6(0, 1)
     with pytest.raises(DomainViolation):
         verify_thm6(3, 0)
+
+
+def test_thm6_holds_at_lambda_zero():
+    # the rhs is a Horner form in -lambda, which divides by no power of it
+    reports = sweep("thm6", lam=0)
+    assert len(reports) == 21 and all_derived_equal(reports)
+    for rep in reports:
+        sym = verify_thm6(rep.params["n"], rep.params["k"])
+        assert rep.rhs.value == sym.rhs.instantiate(0)
 
 
 def test_thm7_desk_cases():
@@ -195,6 +205,24 @@ def test_numerator_sweeps_run_no_polynomial_gcd(monkeypatch):
         reports = sweep(tag)
         assert all_derived_equal(reports)
         assert len(calls) <= (2 * len(reports) if tag == "beta-closed" else 0), tag
+
+
+def test_a_cold_pinned_sweep_sums_its_terms_on_ints(monkeypatch):
+    # each sum is one sum_products, which multiplies and adds on ints and
+    # builds one Fraction; summed term by term the sweep makes 9,296 Fraction
+    # products and sums here
+    lam = F(-3, 7)
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def counted(x, y, op=getattr(F, name)):
+            calls.append(1)
+            return op(x, y)
+
+        monkeypatch.setattr(F, name, counted)
+    field.domain(lam).memo.clear()
+    for tag in IDENTITY_TAGS:
+        assert all_derived_equal(sweep(tag, lam=lam)), tag
+    assert len(calls) <= 4000
 
 
 def test_sweep_and_report_shape():

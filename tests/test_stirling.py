@@ -269,6 +269,23 @@ def test_triangle_makes_about_one_product_per_cell(monkeypatch, lam):
     assert len(calls) <= 156
 
 
+def test_a_table_looks_up_its_domain_once(monkeypatch):
+    # the table fills its triangle once and reads every cell on that domain
+    calls = []
+    lookup = stirling.domain
+
+    def counted(*args):
+        calls.append(1)
+        return lookup(*args)
+
+    monkeypatch.setattr(stirling, "domain", counted)
+    lam = F(-2, 7)
+    rows = build_triangle("stirling2r", 20, 6, 3, lam=lam)
+    assert len(rows) == 21 * 7 and len(calls) == 1
+    assert [v for _, _, v in rows] == [stirling2r_gf(n, k, 3, lam) for n in range(21)
+                                       for k in range(7)]
+
+
 def test_a_cold_pinned_triangle_makes_no_fraction_arithmetic(monkeypatch):
     # the pinned cells are filled on ints, as the symbolic ones are, so a
     # fill makes no Fraction product or sum
