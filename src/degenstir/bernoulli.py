@@ -22,13 +22,15 @@ that sum values of one row sum its numerators instead.  The plain values
 are the r = 1 case, where E = 1 and the numerators are the values, and are
 computed as such.
 
-Partial Bell polynomials are read off a ladder of the powers of their
-defining series, and the reciprocal-series polynomials are the alternating
-sum of the rungs of the scaled series' ladder; each rung is a
-``series.product``, and the alternating sum one ``sum_products``.  The
-enumeration of the partition multiplicity vectors and a plain series
-reciprocal are their independent routes; the public entry points check
-that the pairs agree.
+Partial Bell polynomials are read off one triangle per domain, filled in
+ascending rows, each only in the columns read, by the recurrence
+B(n, k) = sum_{i=1..n-k+1} C(n-1, i-1) x_i B(n-i, k-1), one ``sum_products``
+per cell; the domain keeps the triangle of the last sequence asked for.  The
+reciprocal-series polynomials are the alternating sum
+sum_k (-1)^k k! B(n, k) over the triangle of the scaled sequence
+(1)_l x_l, one ``sum_products``.  The enumeration of the partition
+multiplicity vectors and a plain series reciprocal are their independent
+routes; the public entry points check that the pairs agree.
 Every route computes on domain values (see ``field``); the public entry
 points unwrap their arguments and wrap their result.
 """
@@ -39,13 +41,12 @@ import math
 import threading
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 
 from .combinat import partitions_exact
 from .core import descending
 from .errors import InputTooShort, RouteDisagreement, ZeroDivisorSeries
 from .field import FieldElem, as_elem, domain
-from .series import product, quotient, valuation
+from .series import quotient
 from .stirling import stirling_entry
 
 
@@ -180,25 +181,22 @@ def degen_bernoulli(n: int, alpha: int, x=0, lam=None) -> FieldElem:
     return trunc_degen_bernoulli(n, 1, alpha, x, lam)
 
 
-def _prepare_xs(xs, lam):
+def _prepare_xs(xs, lam, n: int, k: int, needed: int):
+    # negative indices are refused before any work, as stirling_entry does;
     # the domain comes from lam, or else from the mode of the first element
+    if n < 0 or k < 0:
+        raise ValueError("Bell and reciprocal-series polynomials need n, k >= 0, "
+                         "got n=%d, k=%d" % (n, k))
     dom = domain(as_elem(xs[0], lam).lam if xs else lam)
-    return tuple(dom.unwrap(v) for v in xs), dom
-
-
-def _require_xs(xs, needed: int):
     if len(xs) < needed:
         raise InputTooShort(
             "need sequence values up to index %d, got %d" % (needed, len(xs)))
+    return tuple(dom.unwrap(v) for v in xs), dom
 
 
 def bell_partial_enum(n: int, k: int, xs, lam=None) -> FieldElem:
     """Partial Bell polynomial by enumerating partition multiplicities."""
-    xs, dom = _prepare_xs(xs, lam)
-    if 1 <= k <= n:
-        _require_xs(xs, n - k + 1)
-    if k == 0:
-        return dom.wrap(dom.one if n == 0 else dom.zero)
+    xs, dom = _prepare_xs(xs, lam, n, k, n - k + 1 if 1 <= k <= n else 0)
     total = dom.zero
     n_fact = math.factorial(n)
     for part in partitions_exact(n, k):
@@ -211,44 +209,37 @@ def bell_partial_enum(n: int, k: int, xs, lam=None) -> FieldElem:
     return dom.wrap(total)
 
 
-# A Bell table row n, or one reciprocal polynomial of order n, reads the
-# powers k <= n of one series, so its powers are a ladder; the next row's
-# series is longer, so only the last few are kept.
-@lru_cache(maxsize=4)
-def _bell_rungs(coeffs: tuple, dom) -> list:
-    # rung k is the k-th power of the series with these coefficients, values
-    # of dom; _climb extends the list
-    return [(dom.one,) + (dom.zero,) * (len(coeffs) - 1), coeffs]
-
-
-def _climb(coeffs: tuple, k: int, dom) -> list:
-    """The ladder of the series ``coeffs``, with its rungs 0..k filled in a
-    loop, one product each, under ``_growing`` so that threads never append
-    one rung twice; reads take no lock."""
-    rungs = _bell_rungs(coeffs, dom)
-    if k >= len(rungs):
+def _bell_triangle(n: int, k: int, xs: tuple, dom) -> list:
+    """The partial Bell triangle of the ``dom`` values xs, ``rows[m][j]`` =
+    B(m, j) (x_i read as 0 past the end of xs), each row m <= n filled in
+    columns 0..min(m, k) at least.  The domain keeps the triangle of the last
+    sequence asked for, grown under ``_growing`` in ascending m, so that
+    threads never append one cell twice, and read without the lock."""
+    seq, rows = dom.memo.get("bell", (None, ()))
+    if seq != xs or len(rows) <= n or len(rows[n]) <= k:
         with _growing:
-            while len(rungs) <= k:
-                rungs.append(product(rungs[-1], rungs[1], dom))
-    return rungs
+            seq, rows = dom.memo.get("bell", (None, None))
+            if seq != xs:
+                rows = [[dom.one]]
+                dom.memo["bell"] = (xs, rows)
+            rows += [[dom.zero] for _ in range(len(rows), n + 1)]
+            for m in range(1, n + 1):
+                # B(m, j) = sum_{i=1..m-j+1} C(m-1, i-1) x_i B(m-i, j-1)
+                row = rows[m]
+                for j in range(len(row), min(m, k) + 1):
+                    row.append(dom.sum_products(
+                        (math.comb(m - 1, i - 1), xs[i - 1], rows[m - i][j - 1])
+                        for i in range(1, min(m - j + 1, len(xs)) + 1)))
+    return rows
 
 
 def bell_partial_gf(n: int, k: int, xs, lam=None) -> FieldElem:
-    """Partial Bell polynomial from the defining series power, read off the
-    ladder of the powers of that series."""
-    xs, dom = _prepare_xs(xs, lam)
-    if 1 <= k <= n:
-        _require_xs(xs, n - k + 1)
-    if k == 0:
-        return dom.wrap(dom.one if n == 0 else dom.zero)
-    coeffs = (dom.zero,) + tuple(xs[l - 1] / math.factorial(l) if l <= len(xs) else dom.zero
-                                 for l in range(1, n + 1))
-    v = valuation(coeffs)
-    if v is None or k * v > n:
-        # the k-th power starts at t^(kv), past t^n
-        return dom.wrap(dom.zero)
-    rungs = _climb(coeffs, k, dom)
-    return dom.wrap(rungs[k][n] * Fraction(math.factorial(n), math.factorial(k)))
+    """Partial Bell polynomial read off the domain's triangle of xs, filled
+    by the recurrence in n; B(n, k) reads only x_1..x_(n-k+1)."""
+    xs, dom = _prepare_xs(xs, lam, n, k, n - k + 1 if 1 <= k <= n else 0)
+    if k == 0 or k > n:
+        return dom.wrap(dom.one if n == k else dom.zero)
+    return dom.wrap(_bell_triangle(n, k, xs, dom)[n][k])
 
 
 def bell_partial(n: int, k: int, xs, lam=None) -> FieldElem:
@@ -263,8 +254,7 @@ def bell_partial(n: int, k: int, xs, lam=None) -> FieldElem:
 def k_lambda_series(n: int, xs, lam=None) -> FieldElem:
     """Reciprocal-series polynomial: n! [t^n] of the reciprocal of the
     series with coefficients (1)_l x_l / l! (constant term fixed at 1)."""
-    xs, dom = _prepare_xs(xs, lam)
-    _require_xs(xs, n)
+    xs, dom = _prepare_xs(xs, lam, n, 0, n)
     units = descending(dom.one, n, dom.lam, dom)
     coeffs = [dom.one] + [units[l] * xs[l - 1] / math.factorial(l) for l in range(1, n + 1)]
     rec = quotient((dom.one,) + (dom.zero,) * n, coeffs, dom)
@@ -272,19 +262,13 @@ def k_lambda_series(n: int, xs, lam=None) -> FieldElem:
 
 
 def k_lambda_bell(n: int, xs, lam=None) -> FieldElem:
-    """Same polynomial from the alternating partial-Bell sum of the scaled
-    sequence (1)_l x_l: n! sum_k (-1)^k [t^n] g^k for the series
-    g = sum_l (1)_l x_l t^l / l!, read off the ladder of the powers of g."""
-    xs, dom = _prepare_xs(xs, lam)
-    _require_xs(xs, n)
-    units = descending(dom.one, n, dom.lam, dom)
-    g = (dom.zero,) + tuple(xs[l - 1] * units[l] / math.factorial(l) for l in range(1, n + 1))
-    v = valuation(g)
-    # g^k starts at t^(kv), so the rungs past n // v add nothing at t^n
-    top = 0 if v is None else n // v
-    total = dom.sum_products(((-1) ** k * math.factorial(n), rung[n])
-                             for k, rung in enumerate(_climb(g, top, dom)[:top + 1]))
-    return dom.wrap(total)
+    """Same polynomial as sum_k (-1)^k k! B(n, k) over the triangle of the whole
+    scaled sequence (1)_l x_l, so that every n of one sequence reads one triangle."""
+    xs, dom = _prepare_xs(xs, lam, n, 0, n)
+    units = descending(dom.one, len(xs), dom.lam, dom)
+    row = _bell_triangle(n, n, tuple(x * u for x, u in zip(xs, units[1:])), dom)[n]
+    terms = (((-1) ** k * math.factorial(k), b) for k, b in enumerate(row))
+    return dom.wrap(dom.sum_products(terms))
 
 
 def k_lambda(n: int, xs, lam=None) -> FieldElem:

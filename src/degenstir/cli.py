@@ -142,10 +142,11 @@ def _check_index(args, n: int):
                                 % (n, args.precision))
 
 
-def _default_xs(args, length: int):
+def _default_xs(args, n: int):
+    # all ones up to a table's last row, so that its rows read one triangle
     if args.xs is not None:
         return args.xs
-    return [Fraction(1)] * length
+    return [Fraction(1)] * max(getattr(args, "n_max", n), 1)
 
 
 def _triangle_rows(args, value):
@@ -191,9 +192,9 @@ FAMILIES = {
                   _order_rows, True),
     "trunc-bernoulli": (lambda a, n, k: trunc_degen_bernoulli(n, a.r, a.alpha, a.x, a.lam),
                         _order_rows, True),
-    "bell": (lambda a, n, k: bell_partial(n, k, _default_xs(a, max(n, 1)), a.lam),
+    "bell": (lambda a, n, k: bell_partial(n, k, _default_xs(a, n), a.lam),
              _bell_rows, False),
-    "klambda": (lambda a, n, k: k_lambda(n, _default_xs(a, max(n, 1)), a.lam),
+    "klambda": (lambda a, n, k: k_lambda(n, _default_xs(a, n), a.lam),
                 _sequence_rows, False),
 }
 

@@ -300,29 +300,48 @@ def test_bell_routes_agree_on_symbolic_inputs():
             assert bell_partial_enum(n, k, xs) == bell_partial_gf(n, k, xs)
 
 
-def test_bell_row_climbs_one_ladder(monkeypatch):
+def _bell_slot(dom):
+    # the (sequence, rows) of the domain's one partial Bell triangle
+    return dom.memo.get("bell", (None, []))
+
+
+def test_bell_row_fills_one_triangle_row(monkeypatch):
     xs = [LAM + l for l in range(1, 11)]
-    product = bernoulli.product
+    sum_products = field.Symbolic.sum_products
     calls = []
 
-    def counted(*args):
+    def counted(terms):
         calls.append(1)
-        return product(*args)
+        return sum_products(terms)
 
-    monkeypatch.setattr(bernoulli, "product", counted)
-    bernoulli._bell_rungs.cache_clear()
+    monkeypatch.setattr(field.Symbolic, "sum_products", staticmethod(counted))
+    field.SYMBOLIC.memo.clear()
     for n in range(11):
         before = len(calls)
         row = [bell_partial_gf(n, k, xs) for k in range(n + 1)]
-        # from scratch the row would take 0 + 1 + ... + n products
+        # one sum per cell of row n; from scratch the row would take
+        # 1 + 2 + ... + n of them
         assert len(calls) - before <= n
         ser = Series([const(0)] + [xs[l - 1] / math.factorial(l) for l in range(1, n + 1)])
         for k, value in enumerate(row):
             assert value == ser.pow(k).coeff(n) * F(math.factorial(n), math.factorial(k))
-    assert calls  # the rungs are products
-    # one ladder per row, and only the last few rows are kept
-    info = bernoulli._bell_rungs.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize < 11
+        # the domain keeps one triangle, grown to row n (row 0 is k = 0 alone,
+        # which reads no triangle)
+        seq, rows = _bell_slot(field.SYMBOLIC)
+        assert (seq, len(rows)) == ((tuple(xs), n + 1) if n else (None, 0))
+    assert calls  # the cells are sums of products
+
+
+@pytest.mark.parametrize("family", ["bell", "klambda"])
+def test_a_table_fills_one_bell_triangle(capsys, family):
+    # every row of a table reads one default sequence, so one triangle
+    dom = domain(F(1, 3))
+    dom.memo.clear()
+    assert cli.main(["table", family, "--n-max", "16", "--lambda=1/3"]) == 0
+    capsys.readouterr()
+    assert list(dom.memo) == ["bell"]
+    seq, rows = _bell_slot(dom)
+    assert len(seq) == 16 and len(rows) == 17
 
 
 def test_bell_input_too_short():
@@ -359,24 +378,20 @@ def test_reciprocal_polynomials_never_enumerate_partitions(monkeypatch, lam):
     def refuse(*args):
         raise AssertionError("the partition enumeration ran")
 
-    product = bernoulli.product
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return product(*args)
-
     monkeypatch.setattr(bernoulli, "partitions_exact", refuse)
-    monkeypatch.setattr(bernoulli, "product", counted)
-    # with x_1 = 0 the scaled series has valuation 2 and climbs half as far
+    dom = domain(lam)
     for xs in ([F(l - 4, l + 1) for l in range(1, 13)],
                [F(0)] + [F((-1) ** l * l, 3) for l in range(2, 13)]):
+        dom.memo.clear()
         for n in range(13):
-            bernoulli._bell_rungs.cache_clear()
-            before = len(calls)
             k_lambda(n, xs, lam)
-            # a cold ladder climbs to rung n at most, one product per rung
-            assert len(calls) - before <= n, (n, xs)
+            # every n reads the one triangle of the whole scaled sequence,
+            # grown by one row per order and never past row n
+            seq, rows = _bell_slot(dom)
+            assert len(seq) == 12 and len(rows) == n + 1, (n, xs)
+            if n == 0:
+                first = rows
+            assert rows is first
 
 
 _SEQ = st.lists(st.one_of(st.just(F(0)), st.fractions(-3, 3, max_denominator=4)),
@@ -395,3 +410,40 @@ def test_reciprocal_routes_agree_on_sequences_with_zeros_and_negatives(xs, lam):
     for k in range(n + 1):
         enum = enum + (-1) ** k * math.factorial(k) * bell_partial_enum(n, k, scaled, lam)
     assert k_lambda_bell(n, xs, lam) == k_lambda_series(n, xs, lam) == enum
+
+
+@settings(max_examples=30, deadline=None)
+@given(_SEQ, st.sampled_from([None, F(-5, 3), F(2, 7)]), st.data())
+def test_bell_routes_agree_with_the_series_power_on_sequences_with_zeros_and_negatives(
+        xs, lam, data):
+    xs = [const(x, lam) for x in xs]
+    if lam is None:
+        # one entry a polynomial in the parameter
+        xs[data.draw(st.integers(0, len(xs) - 1))] = LAM + 1
+    ser = Series([const(0, lam)] + [x / math.factorial(l) for l, x in enumerate(xs, 1)])
+    power = Series.one(ser.precision, lam)
+    for k in range(len(xs) + 1):
+        for n in range(k, len(xs) + 1):
+            want = power.coeff(n) * F(math.factorial(n), math.factorial(k))
+            assert bell_partial_gf(n, k, xs, lam) == bell_partial_enum(n, k, xs, lam) == want
+        power = power.mul(ser)
+
+
+@pytest.mark.parametrize("entry, args", [
+    (bell_partial, (-1, 0, [1])),
+    (bell_partial, (3, -1, [1, 1, 1])),
+    (bell_partial_gf, (-2, -1, [1, 1, 1])),
+    (bell_partial_gf, (3, -1, [1, 1, 1])),
+    (bell_partial_enum, (3, -1, [1, 1, 1])),
+    (bell_partial_enum, (-2, -1, [1, 1, 1])),
+    (k_lambda, (-1, [1])),
+    (k_lambda_bell, (-1, [1])),
+    (k_lambda_series, (-1, [1])),
+])
+@pytest.mark.parametrize("lam", [None, F(-5, 3)])
+def test_bell_and_reciprocal_polynomials_refuse_negative_indices(entry, args, lam):
+    # refused before any work, naming the indices, not read as 0 or left to
+    # fail inside the factorials or the descending products
+    n, k = args[0], args[1] if len(args) == 3 else 0
+    with pytest.raises(ValueError, match=r"need n, k >= 0, got n=%d, k=%d\Z" % (n, k)):
+        entry(*args, lam=lam)

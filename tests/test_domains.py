@@ -1,6 +1,7 @@
 """Parameter domains: one per parameter value, a bounded number kept, and
 values that read the same after their domain was dropped."""
 
+import gc
 import tracemalloc
 from fractions import Fraction as F
 
@@ -59,6 +60,31 @@ def test_a_sweep_over_the_parameter_holds_bounded_memory():
     finally:
         tracemalloc.stop()
     assert end - settled <= 250_000, (settled, end)
+
+
+def test_many_sequences_at_one_parameter_hold_bounded_memory():
+    # 1,000 distinct sequences at one pinned l, each read by both Bell routes
+    # and both reciprocal routes; the domain keeps the partial Bell triangle
+    # of the last sequence only, so memory settles once tracing has seen a
+    # few triangles replaced.  A full collection empties the interpreter's
+    # free lists, which fill over the first few hundred sequences.
+    lam = F(-2, 9)
+    dom = domain(lam)
+    seqs = [[F(q, l + 1) - l for l in range(8)] for q in range(1, 1001)]
+    tracemalloc.start()
+    try:
+        for i, xs in enumerate(seqs):
+            bell_partial(8, 3, xs, lam)
+            k_lambda(8, xs, lam)
+            if i == 99:
+                gc.collect()
+                settled = tracemalloc.get_traced_memory()[0]
+        gc.collect()
+        end = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert list(dom.memo) == ["bell"]
+    assert end - settled <= 50_000, (settled, end)
 
 
 def _values(lam, x):

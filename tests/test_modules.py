@@ -44,3 +44,25 @@ def test_no_cache_is_unbounded_but_the_cli_parser():
             if _unbounded(node) and (isinstance(node, ast.Call) or id(node) in decorated):
                 found.append("%s.%s" % (path.stem, decorated.get(id(node), node.lineno)))
     assert found == ["cli.build_parser"]
+
+
+def _is_cache(node):
+    # functools' caches, called (lru_cache(...), cache(f)) or bare (@cache)
+    if isinstance(node, ast.Call):
+        node = node.func
+    return _name(node) in ("lru_cache", "cache")
+
+
+def test_no_cache_but_the_cli_parser_and_the_pinned_domains():
+    # every table the kernels keep lives on a parameter's domain: the only
+    # caches are the one parser per process and the kept pinned domains
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if any(map(_is_cache, node.decorator_list)):
+                    found.append("%s.%s" % (path.stem, node.name))
+            elif isinstance(node, ast.Assign):
+                if any(isinstance(n, ast.Call) and _is_cache(n) for n in ast.walk(node.value)):
+                    found += ["%s.%s" % (path.stem, _name(t)) for t in node.targets]
+    assert sorted(found) == ["cli.build_parser", "field._pinned"]

@@ -11,6 +11,7 @@ from degenstir import (
     FieldElem,
     LambdaPoly,
     Series,
+    bell_partial_enum,
     bell_partial_gf,
     build_triangle,
     const,
@@ -164,25 +165,39 @@ def test_diagonal_is_one_for_plain_kinds():
         assert entries[(n, n)] == 1
 
 
-def _bell_ladder(xs):
-    # the ladder that bell_partial_gf(len(xs), k, xs) climbs, keyed by the
-    # coefficients of its series and their domain
-    coeffs = (const(0),) + tuple(x / math.factorial(l) for l, x in enumerate(xs, 1))
-    return bernoulli._bell_rungs(coeffs, SYMBOLIC)
+def _bell_rows():
+    # the rows of the symbolic domain's one partial Bell triangle
+    return SYMBOLIC.memo.get("bell", (None, []))[1]
 
 
-def test_ladder_stops_growing_at_its_first_zero_rung():
-    # the k-th power of a series of valuation v starts at t^(kv), so row n
-    # reads zero from every rung with k*v > n and the ladder never grows it
+def test_bell_triangle_grows_no_row_past_the_one_read():
+    # B(n, k) = 0 for k > n, so row 8 at k = 5000 reads nothing past row 8
     xs = [const(F(l, l + 1)) for l in range(1, 9)]
-    bernoulli._bell_rungs.cache_clear()
+    SYMBOLIC.memo.clear()
     assert bell_partial_gf(8, 5000, xs) == 0
-    assert len(_bell_ladder(xs)) == 2
-    # with x_1 = 0 the valuation is 2, so row 8 climbs only to rung 4
+    assert len(_bell_rows()) <= 9
+    assert bell_partial_gf(8, 8, xs) == xs[0] ** 8
+    assert bell_partial_gf(8, 5000, xs) == 0
+    assert len(_bell_rows()) == 9
+    # with x_1 = 0 every B(8, k) with 2k > 8 vanishes, read off row 8 alone
     xs[0] = const(0)
     row = [bell_partial_gf(8, k, xs) for k in range(9)]
     assert row[5:] == [0] * 4 and row[4] != 0
-    assert len(_bell_ladder(xs)) == 5
+    assert len(_bell_rows()) == 9
+
+
+def test_one_bell_cell_fills_only_the_columns_it_reads():
+    # B(n, k) reads columns 0..k of the rows above it, so one cell of a far
+    # row costs O(k n^2) terms, not the whole triangle's O(n^3)
+    xs = [const(F(l, l + 1)) for l in range(1, 31)]
+    SYMBOLIC.memo.clear()
+    assert bell_partial_gf(30, 2, xs) == bell_partial_enum(30, 2, xs)
+    assert [len(row) for row in _bell_rows()] == [1, 2] + [3] * 29
+    # a later cell of a wider column extends the rows it reads in place
+    rows = _bell_rows()
+    assert bell_partial_gf(12, 5, xs) == bell_partial_enum(12, 5, xs)
+    assert _bell_rows() is rows
+    assert [len(row) for row in rows] == list(range(1, 7)) + [6] * 7 + [3] * 18
 
 
 @pytest.mark.parametrize("lam", [None, F(-5, 3), F(0), F(7, 2)])
@@ -463,14 +478,27 @@ def test_threads_making_the_first_reads_of_a_triangle_agree_with_one_thread(lam)
         check)
 
 
-def test_threads_climbing_one_cold_ladder_agree_with_one_thread():
-    # without a guard on growth two threads append the same rung
+def test_threads_filling_one_cold_bell_triangle_agree_with_one_thread(monkeypatch):
+    # without a guard on growth two threads append the same row, and without
+    # one stored triangle per domain they fill triangles of their own
     xs = [const(F(l, l + 1)) for l in range(1, 17)]
+    read = []
+    triangle = bernoulli._bell_triangle
+
+    def recorded(*args):
+        read.append(triangle(*args))
+        return read[-1]
+
+    monkeypatch.setattr(bernoulli, "_bell_triangle", recorded)
+
+    def clear():
+        SYMBOLIC.memo.clear()
+        read.clear()
 
     def check():
-        assert len(_bell_ladder(xs)) == 17
+        rows = _bell_rows()
+        assert [len(row) for row in rows] == list(range(1, 18))
+        assert read and all(r is rows for r in read)
 
     threads_agree_with_one_thread(
-        bernoulli._bell_rungs.cache_clear,
-        lambda: [bell_partial_gf(16, k, xs) for k in range(17)],
-        check)
+        clear, lambda: [bell_partial_gf(16, k, xs) for k in range(17)], check)
