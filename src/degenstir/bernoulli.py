@@ -28,9 +28,10 @@ B(n, k) = sum_{i=1..n-k+1} C(n-1, i-1) x_i B(n-i, k-1), one ``sum_products``
 per cell; the domain keeps the triangle of the last sequence asked for.  The
 reciprocal-series polynomials are the alternating sum
 sum_k (-1)^k k! B(n, k) over the triangle of the scaled sequence
-(1)_l x_l, one ``sum_products``.  The enumeration of the partition
-multiplicity vectors and a plain series reciprocal are their independent
-routes; the public entry points check that the pairs agree.
+(1)_l x_l, one ``sum_products``.  The enumeration of the partitions of n
+into k parts (``partitions_exact``), by their multiplicity vectors, and a
+plain series reciprocal are their independent routes; the public entry
+points check that the pairs agree.
 Every route computes on domain values (see ``field``); the public entry
 points unwrap their arguments and wrap their result.
 """
@@ -42,7 +43,6 @@ import threading
 from collections import Counter
 from fractions import Fraction
 
-from .combinat import partitions_exact
 from .core import descending
 from .errors import InputTooShort, RouteDisagreement, ZeroDivisorSeries
 from .field import FieldElem, as_elem, domain
@@ -192,6 +192,25 @@ def _prepare_xs(xs, lam, n: int, k: int, needed: int):
         raise InputTooShort(
             "need sequence values up to index %d, got %d" % (needed, len(xs)))
     return tuple(dom.unwrap(v) for v in xs), dom
+
+
+def partitions_exact(total: int, parts: int, max_part=None):
+    """Yield nonincreasing tuples of exactly ``parts`` positive integers
+    summing to total."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if total < parts:
+        return
+    top = total - parts + 1
+    if max_part is not None:
+        top = min(top, max_part)
+    for first in range(top, 0, -1):
+        if first * parts < total:
+            break
+        for rest in partitions_exact(total - first, parts - 1, first):
+            yield (first,) + rest
 
 
 def bell_partial_enum(n: int, k: int, xs, lam=None) -> FieldElem:

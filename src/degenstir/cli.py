@@ -47,7 +47,9 @@ def _lambda_mode(text: str):
 
 
 def _xs_list(text: str):
-    return [_rational(part) for part in text.split(",") if part != ""]
+    # an empty entry is refused by _rational, not dropped: that would move
+    # every later x_i down one index
+    return [_rational(part) for part in text.split(",")] if text else []
 
 
 @lru_cache(maxsize=None)
@@ -117,6 +119,7 @@ _LEAST = (
     ("k_max", 0, "--k-max must be nonnegative"),
     ("n", 0, "--n must be nonnegative"),
     ("k", 0, "--k must be nonnegative"),
+    ("precision", 0, "--precision must be nonnegative"),
 )
 
 

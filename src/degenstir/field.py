@@ -15,10 +15,12 @@ and exact:
   the text form is rendered from the integer form.
 * ``FieldElem``: a quotient of two ``LambdaPoly`` values kept in canonical
   form (fully reduced, monic denominator), so equality is plain structural
-  comparison.  Alternatively an element can be *instantiated*: the parameter
-  is pinned to a specific rational, the element collapses to a single
-  rational, and arithmetic gets much cheaper.  The two modes never mix;
-  combining them raises :class:`ModeMismatch`.
+  comparison.  A sum or product of two polynomials is one; any other sum or
+  product is canonicalised by ``from_polys``, one gcd.  Alternatively an
+  element can be *instantiated*: the parameter is pinned to a specific
+  rational, the element collapses to a single rational, and arithmetic gets
+  much cheaper.  The two modes never mix; combining them raises
+  :class:`ModeMismatch`.
 
 ``FieldElem`` is the public wrapper.  The kernels compute on the values of a
 mode's ``domain``: plain Fractions for ``Pinned(l0)``, the symbolic elements
@@ -397,11 +399,6 @@ class FieldElem:
         an, ad, bn, bd = self.num, self.den, other.num, other.den
         if ad.is_one and bd.is_one:
             return FieldElem(lam=None, num=an + bn, den=P_ONE)
-        if ad == bd:
-            return FieldElem.from_polys(an + bn, ad)
-        if ad.is_one or bd.is_one:
-            # a polynomial plus a reduced quotient is already reduced
-            return FieldElem(lam=None, num=an * bd + bn * ad, den=ad * bd)
         return FieldElem.from_polys(an * bd + bn * ad, ad * bd)
 
     __radd__ = __add__
@@ -437,18 +434,7 @@ class FieldElem:
             return FieldElem(lam=None, num=P_ZERO, den=P_ONE)
         if ad.is_one and bd.is_one:
             return FieldElem(lam=None, num=an * bn, den=P_ONE)
-        # cross-reduce so the product is born canonical
-        if not bd.is_one:
-            g1 = poly_gcd(an, bd)
-            if g1.degree > 0:
-                an = an.exact_div(g1)
-                bd = bd.exact_div(g1)
-        if not ad.is_one:
-            g2 = poly_gcd(bn, ad)
-            if g2.degree > 0:
-                bn = bn.exact_div(g2)
-                ad = ad.exact_div(g2)
-        return FieldElem(lam=None, num=an * bn, den=ad * bd)
+        return FieldElem.from_polys(an * bn, ad * bd)
 
     __rmul__ = __mul__
 

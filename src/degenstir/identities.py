@@ -10,8 +10,9 @@ also computed and reported ("as-printed") without being asserted.
 Verdicts are exact: two sides are equal iff their canonical forms match
 componentwise.  A verifier computes both sides on the values of its mode's
 domain (see ``field``) and wraps them once, into the report.  Each sum of
-a side is one ``sum_products`` of the domain, reduced once: thm3 keeps its
-enumeration of compositions, each one a term of k factors, and thm6 reads
+a side is one ``sum_products`` of the domain, reduced once: thm3 reads its
+composition sum as the coefficient of the k-th power of the single-block
+series, k - 2 ``series.product`` calls and one last sum, and thm6 reads
 its two nested sums off one Horner recurrence.  The truncated
 Bernoulli verifiers (``delta``, ``expansion``, ``beta-closed``) read the
 numerators over E^alpha of ``bernoulli.numerator_row`` instead of values:
@@ -25,50 +26,27 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .bernoulli import bernoulli_entry, numerator_row
-from .combinat import compositions
 from .core import descending
 from .errors import DomainViolation
-from .field import FieldElem, as_elem, domain
+from .field import as_elem, domain
+from .series import product
 from .stirling import stirling_entry
 
 AS_DERIVED = "as-derived"
 AS_PRINTED = "as-printed"
 
 
-class IdentityReport:
+class IdentityReport(namedtuple("IdentityReport", "identity variant params lhs rhs equal")):
     """The outcome of one identity check: its tag, variant and parameters,
-    both sides, and whether they are equal.  Immutable; reports compare field
-    by field and, holding a dict, are unhashable."""
+    both sides, and whether they are equal.  An immutable record; reports
+    compare field by field and, holding a dict, are unhashable."""
 
-    __slots__ = ("identity", "variant", "params", "lhs", "rhs", "equal")
-
-    def __init__(self, identity: str, variant: str, params: dict, lhs: FieldElem,
-                 rhs: FieldElem, equal: bool):
-        for name, value in zip(self.__slots__, (identity, variant, params, lhs, rhs, equal)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r of an IdentityReport" % (name,))
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r of an IdentityReport" % (name,))
-
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
+    __slots__ = ()
     __hash__ = None
-
-    def __repr__(self):
-        return "IdentityReport(%s)" % ", ".join(
-            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
 
     def to_json_obj(self):
         return {
@@ -99,12 +77,21 @@ def _beta(n, alpha, dom):  # the plain order-alpha value at x = 0
 def verify_thm3(n: int, k: int, r: int, lam=None) -> IdentityReport:
     """Convolution: k!/(n+kr)! times the truncated number of full weight
     equals the sum over weak compositions of products of single-block
-    values."""
+    values, read as the t^n coefficient of the k-th power of their series."""
     dom = domain(lam)
     big = n + k * r
     lhs = Fraction(math.factorial(k), math.factorial(big)) * stirling_entry(2, big, k, r, dom)
     singles = [stirling_entry(2, j + r, 1, r, dom) / math.factorial(j + r) for j in range(n + 1)]
-    rhs = dom.sum_products((1, *(singles[j] for j in comp)) for comp in compositions(n, k, 0))
+    if k == 0:
+        rhs = dom.one if n == 0 else dom.zero
+    elif k == 1:
+        rhs = singles[n]
+    else:
+        # the (k-1)-th power, then only its coefficient n of one more product
+        power = singles
+        for _ in range(k - 2):
+            power = product(power, singles, dom)
+        rhs = dom.sum_products((1, power[i], singles[n - i]) for i in range(n + 1))
     return _report("thm3", {"n": n, "k": k, "r": r}, lhs, rhs, dom)
 
 
@@ -350,7 +337,7 @@ def sweep(identity: str, n_max=None, k_max=None, r_max=None, alpha_max=None,
     reports = []
     for args in grid(bounds):
         out = verify(*args, lam=lam)
-        reports.extend(out if isinstance(out, tuple) else (out,))
+        reports.extend((out,) if isinstance(out, IdentityReport) else out)
     return reports
 
 

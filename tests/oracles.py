@@ -6,16 +6,33 @@ polynomial/series machinery, so that a test comparing library output to an
 oracle value really is a dual-route check.  The series helpers are the
 operations on ``Series`` that only the tests use: the block, whose powers
 define the truncated Stirling numbers, t^k, the derivative and agreement on
-the shared orders.  The last, ``bernoulli_values``, grows the truncated
-Bernoulli values as values of a domain, quotients in the symbolic mode,
-where the library grows numerators over E^alpha.
+the shared orders.  ``bernoulli_values`` grows the truncated Bernoulli
+values as values of a domain, quotients in the symbolic mode, where the
+library grows numerators over E^alpha.  The last, ``thm3_composition_sum``,
+is the right side of thm3 as printed, one product per weak composition,
+where the library reads it off a power of one series.
 """
 
 import math
 from fractions import Fraction
 
-from degenstir import Series, const, degen_exp, degen_log
+from degenstir import Series, const, degen_exp, degen_log, gen_falling
 from degenstir.stirling import stirling_entry
+
+
+def compositions(total: int, parts: int, min_part: int = 0):
+    """Yield tuples of ``parts`` integers, each >= min_part, summing to total."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if parts == 1:
+        if total >= min_part:
+            yield (total,)
+        return
+    for first in range(min_part, total - min_part * (parts - 1) + 1):
+        for rest in compositions(total - first, parts - 1, min_part):
+            yield (first,) + rest
 
 
 def poly_divmod(num, den):
@@ -186,3 +203,17 @@ def bernoulli_values(n, r, alpha, x, dom):
         prods.append(prods[-1] * (x - k * dom.lam))
     return [sum((math.comb(m, j) * vals[j] * prods[m - j] for j in range(m + 1)), dom.zero)
             for m in range(n + 1)]
+
+
+def thm3_composition_sum(n, k, r, lam=None):
+    """The sum over the weak compositions of n into k parts of the products
+    of the single-block values s_j = (1)_{j+r}/(j+r)!, each read off
+    ``gen_falling`` rather than the Stirling triangle, term by term."""
+    singles = [gen_falling(1, j + r, lam=lam) / math.factorial(j + r) for j in range(n + 1)]
+    total = const(0, lam)
+    for comp in compositions(n, k):
+        term = const(1, lam)
+        for j in comp:
+            term = term * singles[j]
+        total = total + term
+    return total

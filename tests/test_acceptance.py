@@ -43,9 +43,8 @@ from degenstir import (
     verify_thm7,
     verify_thm8,
 )
-from degenstir.combinat import compositions
 from degenstir.identities import IdentityReport
-from oracles import bernoulli_numbers, classic_stirling2, derivative
+from oracles import bernoulli_numbers, classic_stirling2, compositions, derivative
 
 LAM = lam_elem()
 

@@ -124,6 +124,24 @@ def test_usage_errors_exit_two(capsys):
         assert out == "" and "error:" in err and "Traceback" not in err, argv
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("table stirling2 --n-max 2 --precision -5", "error: --precision must be nonnegative"),
+    # dropping the empty entry would read 1,2: every later x_i one index down
+    ("eval klambda --n 2 --xs 1,,2", "error: argument --xs: "),
+    ("eval klambda --n 2 --xs 1,2,", "error: argument --xs: "),
+])
+def test_malformed_common_flags_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err and "warning" not in err
+
+
+def test_an_empty_xs_is_the_empty_sequence(capsys):
+    assert run_cli(capsys, "eval", "klambda", "--n", "0", "--xs", "") == (0, "1\n", "")
+
+
 @pytest.mark.parametrize("argv,command", [
     ("eval stirling2 --n 3 --r 0", "eval"),
     ("table bell --n-max 3 --precision 1", "table"),
@@ -289,8 +307,9 @@ def test_precision_at_or_above_the_bound_changes_no_output(capsys, family, extra
 @pytest.mark.parametrize("lam", ["symbolic", "1/3"])
 @pytest.mark.parametrize("family,extra", _PRECISION_FAMILIES)
 def test_precision_below_the_bound_warns_then_fails_past_it(capsys, family, extra, lam):
+    # a negative --precision is a usage error (see the malformed-flag test)
     for argv, index in _precision_commands(family, extra, lam):
-        for p in (-1, 0, 3, 4):
+        for p in (0, 3, 4):
             err = ("warning: --precision %d is below the derived safe bound 5\n"
                    "error: index %d exceeds requested precision %d\n" % (p, index(p), p))
             assert run_cli(capsys, *argv, "--precision=%d" % p) == (2, "", err), (argv, p)

@@ -5,6 +5,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from degenstir import (
     AS_DERIVED,
@@ -27,6 +29,7 @@ from degenstir import (
     verify_thm8,
 )
 from degenstir import bernoulli, core, field, identities
+from oracles import thm3_composition_sum
 
 LAM = lam_elem()
 
@@ -58,6 +61,36 @@ def test_thm3_desk_cases():
         assert verify_thm3(n, 1, 2).equal  # tautological single-part case
     assert verify_thm3(0, 0, 1).equal and verify_thm3(0, 0, 1).lhs == 1
     assert verify_thm3(3, 0, 2).lhs == 0
+
+
+# at 1/2 and r = 3 every single-block value has the factor 1 - 2 l, so s_0 = 0
+@pytest.mark.parametrize("lam", [None, F(-5, 3), F(2, 7), F(1, 2)])
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(0, 8), k=st.integers(0, 6), r=st.integers(1, 3))
+@example(n=8, k=6, r=3)
+@example(n=0, k=0, r=1)
+@example(n=3, k=0, r=2)
+def test_thm3_power_of_the_single_block_series_is_the_composition_sum(lam, n, k, r):
+    rep = verify_thm3(n, k, r, lam)
+    assert rep.rhs == thm3_composition_sum(n, k, r, lam)
+    assert rep.equal
+
+
+def test_a_cold_symbolic_thm3_sweep_sums_a_power_not_the_compositions(monkeypatch):
+    # k - 2 series products and one last sum per report; one k-factor term
+    # per weak composition passes 13,104 terms here
+    sum_products = field.Symbolic.sum_products
+    terms = []
+
+    def counted(ts):
+        ts = list(ts)
+        terms.append(len(ts))
+        return sum_products(ts)
+
+    monkeypatch.setattr(field.Symbolic, "sum_products", staticmethod(counted))
+    field.SYMBOLIC.memo.clear()
+    assert all_derived_equal(sweep("thm3", n_max=10, k_max=5))
+    assert sum(terms) <= 8000
 
 
 def test_thm4_desk_cases():
