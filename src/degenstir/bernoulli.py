@@ -30,8 +30,14 @@ reciprocal-series polynomials are the alternating sum
 sum_k (-1)^k k! B(n, k) over the triangle of the scaled sequence
 (1)_l x_l, one ``sum_products``.  The enumeration of the partitions of n
 into k parts (``partitions_exact``), by their multiplicity vectors, and a
-plain series reciprocal are their independent routes; the public entry
-points check that the pairs agree.
+plain series reciprocal are their independent routes.  Each quantity has
+one core on a prepared sequence, its values unwrapped once, that computes
+both routes and checks that they agree.  The per-value entries
+(``bell_partial``, ``k_lambda``) prepare the sequence per call; the table
+rows (``bell_rows``, ``k_lambda_rows``) prepare it once per table and still
+check every cell, the reciprocal-series values against one series
+reciprocal to the table's last order, since coefficient n of a reciprocal
+reads the first n coefficients alone.
 Every route computes on domain values (see ``field``); the public entry
 points unwrap their arguments and wrap their result.
 """
@@ -181,6 +187,12 @@ def degen_bernoulli(n: int, alpha: int, x=0, lam=None) -> FieldElem:
     return trunc_degen_bernoulli(n, 1, alpha, x, lam)
 
 
+def _need(xs, needed: int):
+    if len(xs) < needed:
+        raise InputTooShort(
+            "need sequence values up to index %d, got %d" % (needed, len(xs)))
+
+
 def _prepare_xs(xs, lam, n: int, k: int, needed: int):
     # negative indices are refused before any work, as stirling_entry does;
     # the domain comes from lam, or else from the mode of the first element
@@ -188,10 +200,13 @@ def _prepare_xs(xs, lam, n: int, k: int, needed: int):
         raise ValueError("Bell and reciprocal-series polynomials need n, k >= 0, "
                          "got n=%d, k=%d" % (n, k))
     dom = domain(as_elem(xs[0], lam).lam if xs else lam)
-    if len(xs) < needed:
-        raise InputTooShort(
-            "need sequence values up to index %d, got %d" % (needed, len(xs)))
+    _need(xs, needed)
     return tuple(dom.unwrap(v) for v in xs), dom
+
+
+def _bell_needs(n: int, k: int) -> int:
+    # B(n, k) reads x_1..x_(n-k+1), and B(n, 0) and B(n, k > n) none
+    return n - k + 1 if 1 <= k <= n else 0
 
 
 def partitions_exact(total: int, parts: int, max_part=None):
@@ -213,9 +228,8 @@ def partitions_exact(total: int, parts: int, max_part=None):
             yield (first,) + rest
 
 
-def bell_partial_enum(n: int, k: int, xs, lam=None) -> FieldElem:
-    """Partial Bell polynomial by enumerating partition multiplicities."""
-    xs, dom = _prepare_xs(xs, lam, n, k, n - k + 1 if 1 <= k <= n else 0)
+def _bell_enum(n: int, k: int, xs: tuple, dom):
+    # B(n, k) of the dom values xs, a sum over the partitions of n into k parts
     total = dom.zero
     n_fact = math.factorial(n)
     for part in partitions_exact(n, k):
@@ -225,7 +239,13 @@ def bell_partial_enum(n: int, k: int, xs, lam=None) -> FieldElem:
             coef /= math.factorial(j) ** m * math.factorial(m)
             term = term * xs[j - 1] ** m
         total = total + coef * term
-    return dom.wrap(total)
+    return total
+
+
+def bell_partial_enum(n: int, k: int, xs, lam=None) -> FieldElem:
+    """Partial Bell polynomial by enumerating partition multiplicities."""
+    xs, dom = _prepare_xs(xs, lam, n, k, _bell_needs(n, k))
+    return dom.wrap(_bell_enum(n, k, xs, dom))
 
 
 def _bell_triangle(n: int, k: int, xs: tuple, dom) -> list:
@@ -233,12 +253,14 @@ def _bell_triangle(n: int, k: int, xs: tuple, dom) -> list:
     B(m, j) (x_i read as 0 past the end of xs), each row m <= n filled in
     columns 0..min(m, k) at least.  The domain keeps the triangle of the last
     sequence asked for, grown under ``_growing`` in ascending m, so that
-    threads never append one cell twice, and read without the lock."""
+    threads never append one cell twice, and read without the lock.  A table
+    passes one tuple to every cell, which is found by identity, not compared
+    value by value."""
     seq, rows = dom.memo.get("bell", (None, ()))
-    if seq != xs or len(rows) <= n or len(rows[n]) <= k:
+    if (seq is not xs and seq != xs) or len(rows) <= n or len(rows[n]) <= k:
         with _growing:
             seq, rows = dom.memo.get("bell", (None, None))
-            if seq != xs:
+            if seq is not xs and seq != xs:
                 rows = [[dom.one]]
                 dom.memo["bell"] = (xs, rows)
             rows += [[dom.zero] for _ in range(len(rows), n + 1)]
@@ -252,48 +274,102 @@ def _bell_triangle(n: int, k: int, xs: tuple, dom) -> list:
     return rows
 
 
+def _bell_gf(n: int, k: int, xs: tuple, dom):
+    # B(n, k) of the dom values xs, read off the domain's triangle
+    if k == 0 or k > n:
+        return dom.one if n == k else dom.zero
+    return _bell_triangle(n, k, xs, dom)[n][k]
+
+
 def bell_partial_gf(n: int, k: int, xs, lam=None) -> FieldElem:
     """Partial Bell polynomial read off the domain's triangle of xs, filled
     by the recurrence in n; B(n, k) reads only x_1..x_(n-k+1)."""
-    xs, dom = _prepare_xs(xs, lam, n, k, n - k + 1 if 1 <= k <= n else 0)
-    if k == 0 or k > n:
-        return dom.wrap(dom.one if n == k else dom.zero)
-    return dom.wrap(_bell_triangle(n, k, xs, dom)[n][k])
+    xs, dom = _prepare_xs(xs, lam, n, k, _bell_needs(n, k))
+    return dom.wrap(_bell_gf(n, k, xs, dom))
+
+
+def _bell(n: int, k: int, xs: tuple, dom):
+    # the one core of B(n, k) on prepared values: both routes, cross-checked
+    _need(xs, _bell_needs(n, k))
+    value = _bell_enum(n, k, xs, dom)
+    if value != _bell_gf(n, k, xs, dom):
+        raise RouteDisagreement("internal error: Bell routes disagree at (%d, %d)" % (n, k))
+    return value
 
 
 def bell_partial(n: int, k: int, xs, lam=None) -> FieldElem:
     """Partial Bell polynomial, computed by both routes and cross-checked."""
-    a = bell_partial_enum(n, k, xs, lam)
-    b = bell_partial_gf(n, k, xs, lam)
-    if a != b:
-        raise RouteDisagreement("internal error: Bell routes disagree at (%d, %d)" % (n, k))
-    return a
+    xs, dom = _prepare_xs(xs, lam, n, k, _bell_needs(n, k))
+    return dom.wrap(_bell(n, k, xs, dom))
+
+
+def bell_rows(n_max: int, k_max: int, xs, lam=None) -> list:
+    """The rows (n, k, B(n, k)) of a table, n <= n_max and k <= min(n,
+    k_max) ascending, each cell cross-checked as by ``bell_partial``, on xs
+    prepared once.  A sequence too short for a cell fails at that cell."""
+    xs, dom = _prepare_xs(xs, lam, 0, 0, 0)
+    return [(n, k, dom.wrap(_bell(n, k, xs, dom)))
+            for n in range(n_max + 1) for k in range(min(n, k_max) + 1)]
+
+
+def _scaled(xs: tuple, dom) -> tuple:
+    # the scaled sequence (1)_l x_l, l = 1..len(xs), whose Bell triangle and
+    # exponential series both routes read
+    units = descending(dom.one, len(xs), dom.lam, dom)
+    return tuple(x * u for x, u in zip(xs, units[1:]))
+
+
+def _series_reciprocal(n: int, scaled: tuple, dom) -> tuple:
+    # the coefficients 0..n of the reciprocal of 1 + sum_l scaled_l t^l / l!;
+    # coefficient m depends on scaled_1..scaled_m alone, so one quotient to
+    # the last order serves every lower one
+    coeffs = [dom.one] + [scaled[l - 1] / math.factorial(l) for l in range(1, n + 1)]
+    return quotient((dom.one,) + (dom.zero,) * n, coeffs, dom)
 
 
 def k_lambda_series(n: int, xs, lam=None) -> FieldElem:
     """Reciprocal-series polynomial: n! [t^n] of the reciprocal of the
     series with coefficients (1)_l x_l / l! (constant term fixed at 1)."""
     xs, dom = _prepare_xs(xs, lam, n, 0, n)
-    units = descending(dom.one, n, dom.lam, dom)
-    coeffs = [dom.one] + [units[l] * xs[l - 1] / math.factorial(l) for l in range(1, n + 1)]
-    rec = quotient((dom.one,) + (dom.zero,) * n, coeffs, dom)
-    return dom.wrap(rec[n] * math.factorial(n))
+    return dom.wrap(_series_reciprocal(n, _scaled(xs[:n], dom), dom)[n] * math.factorial(n))
+
+
+def _k_lambda_bell(n: int, scaled: tuple, dom):
+    # sum_k (-1)^k k! B(n, k) over row n of the triangle of the scaled sequence
+    row = _bell_triangle(n, n, scaled, dom)[n]
+    return dom.sum_products(((-1) ** k * math.factorial(k), b) for k, b in enumerate(row))
 
 
 def k_lambda_bell(n: int, xs, lam=None) -> FieldElem:
     """Same polynomial as sum_k (-1)^k k! B(n, k) over the triangle of the whole
     scaled sequence (1)_l x_l, so that every n of one sequence reads one triangle."""
     xs, dom = _prepare_xs(xs, lam, n, 0, n)
-    units = descending(dom.one, len(xs), dom.lam, dom)
-    row = _bell_triangle(n, n, tuple(x * u for x, u in zip(xs, units[1:])), dom)[n]
-    terms = (((-1) ** k * math.factorial(k), b) for k, b in enumerate(row))
-    return dom.wrap(dom.sum_products(terms))
+    return dom.wrap(_k_lambda_bell(n, _scaled(xs, dom), dom))
+
+
+def _k_lambda(n: int, scaled: tuple, rec: tuple, dom):
+    # the one core of K(n) on a prepared scaled sequence: the Bell route,
+    # checked against coefficient n of the series reciprocal rec
+    _need(scaled, n)
+    value = _k_lambda_bell(n, scaled, dom)
+    if value != rec[n] * math.factorial(n):
+        raise RouteDisagreement("internal error: reciprocal routes disagree at n=%d" % (n,))
+    return value
 
 
 def k_lambda(n: int, xs, lam=None) -> FieldElem:
     """Reciprocal-series polynomial, both routes cross-checked."""
-    a = k_lambda_bell(n, xs, lam)
-    b = k_lambda_series(n, xs, lam)
-    if a != b:
-        raise RouteDisagreement("internal error: reciprocal routes disagree at n=%d" % (n,))
-    return a
+    xs, dom = _prepare_xs(xs, lam, n, 0, n)
+    scaled = _scaled(xs, dom)
+    return dom.wrap(_k_lambda(n, scaled, _series_reciprocal(n, scaled, dom), dom))
+
+
+def k_lambda_rows(n_max: int, xs, lam=None) -> list:
+    """The rows (n, 0, K(n)) of a table, n <= n_max ascending, each value
+    cross-checked as by ``k_lambda``, on xs scaled once and one series
+    reciprocal to the last order the sequence reaches.  A sequence too short
+    for a row fails at that row."""
+    xs, dom = _prepare_xs(xs, lam, 0, 0, 0)
+    scaled = _scaled(xs, dom)
+    rec = _series_reciprocal(min(n_max, len(xs)), scaled, dom)
+    return [(n, 0, dom.wrap(_k_lambda(n, scaled, rec, dom))) for n in range(n_max + 1)]

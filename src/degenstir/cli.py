@@ -3,8 +3,12 @@
 Exactness is the product, so the parameter is entered either as the literal
 ``symbolic`` or as a rational ``p/q``; there is no floating-point entry.
 Output is deterministic byte for byte: fixed row order (n ascending, then
-the column index ascending), canonical value strings, two-space JSON
-indentation.
+the column index ascending), canonical value strings, and JSON laid out as
+``json.dumps(obj, indent=2)`` lays it out.  One JSON writer serves tables
+and ``verify`` reports: it writes one record at a time, each from a literal
+template, so a document is never held whole as dicts or as text.  Every row
+or report is computed before the first byte is written, so a command that
+fails prints nothing on stdout.
 
 Exit codes: 0 on success (for ``verify``: every as-derived report holds),
 1 when an as-derived report fails, 2 on usage or computation errors.
@@ -13,14 +17,21 @@ Exit codes: 0 on success (for ``verify``: every as-derived report holds),
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import identities
-from .bernoulli import bell_partial, degen_bernoulli, k_lambda, trunc_degen_bernoulli
+from .bernoulli import (
+    bell_partial,
+    bell_rows,
+    degen_bernoulli,
+    k_lambda,
+    k_lambda_rows,
+    trunc_degen_bernoulli,
+)
 from .errors import DegenstirError, PrecisionExceeded
 from .field import rational_str
 from .stirling import FAMILIES as STIRLING_FAMILIES
@@ -172,13 +183,14 @@ def _order_rows(args, value):
 
 
 def _bell_rows(args, value):
+    # the cells of bell_partial, on one sequence prepared once for the table
     k_max = args.n_max if args.k_max is None else args.k_max
-    return [(n, k, value(args, n, k))
-            for n in range(args.n_max + 1) for k in range(min(n, k_max) + 1)]
+    return bell_rows(args.n_max, k_max, _default_xs(args, args.n_max), args.lam)
 
 
-def _sequence_rows(args, value):
-    return [(n, 0, value(args, n, 0)) for n in range(args.n_max + 1)]
+def _klambda_rows(args, value):
+    # the values of k_lambda, on one sequence prepared once for the table
+    return k_lambda_rows(args.n_max, _default_xs(args, args.n_max), args.lam)
 
 
 def _stirling_value(a, n, k):
@@ -198,8 +210,58 @@ FAMILIES = {
     "bell": (lambda a, n, k: bell_partial(n, k, _default_xs(a, n), a.lam),
              _bell_rows, False),
     "klambda": (lambda a, n, k: k_lambda(n, _default_xs(a, n), a.lam),
-                _sequence_rows, False),
+                _klambda_rows, False),
 }
+
+
+# The JSON writer: each document laid out byte for byte as
+# json.dumps(obj, indent=2) lays it out, written one record at a time, each
+# from a literal template with its strings escaped as json escapes them.
+_ENTRY = '{\n      "n": %d,\n      "k": %d,\n      "value": %s\n    }'
+_REPORT = ('{\n    "identity": %s,\n    "variant": %s,\n    "params": %s,\n'
+           '    "lhs": %s,\n    "rhs": %s,\n    "equal": %s\n  }')
+
+
+def _json_scalar(value) -> str:
+    if isinstance(value, str):
+        return _json_str(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError("no JSON text for %r" % (value,))
+
+
+def _json_params(params) -> str:
+    if not params:
+        return "{}"
+    return "{\n%s\n    }" % ",\n".join(
+        "      %s: %s" % (_json_str(key), _json_scalar(value)) for key, value in params.items())
+
+
+def _write_array(write, records, pad: str):
+    # a JSON array of formatted records, each on lines indented by pad;
+    # json.dumps writes an empty array as []
+    sep = "[\n"
+    for record in records:
+        write(sep + pad + record)
+        sep = ",\n"
+    write("[]" if sep == "[\n" else "\n%s]" % pad[2:])
+
+
+def _write_table(write, family: str, lam_label: str, rows):
+    write('{\n  "family": %s,\n  "lambda": %s,\n  "entries": '
+          % (_json_str(family), _json_str(lam_label)))
+    _write_array(write, (_ENTRY % (n, k, _json_str(str(v))) for n, k, v in rows), "    ")
+    write("\n}\n")
+
+
+def _write_reports(write, reports):
+    _write_array(write, (_REPORT % (
+        _json_str(rep.identity), _json_str(rep.variant), _json_params(rep.params),
+        _json_str(str(rep.lhs)), _json_str(str(rep.rhs)), _json_scalar(rep.equal))
+        for rep in reports), "  ")
+    write("\n")
 
 
 def _run_table(args) -> int:
@@ -211,12 +273,7 @@ def _run_table(args) -> int:
         for n, k, v in rows:
             print("%d,%d,%s" % (n, k, v))
     else:
-        obj = {
-            "family": args.family,
-            "lambda": lam_label,
-            "entries": [{"n": n, "k": k, "value": str(v)} for n, k, v in rows],
-        }
-        print(json.dumps(obj, indent=2))
+        _write_table(sys.stdout.write, args.family, lam_label, rows)
     return 0
 
 
@@ -235,7 +292,7 @@ def _run_verify(args) -> int:
         reports.extend(identities.sweep(
             tag, n_max=args.n_max, k_max=args.k_max,
             r_max=args.r_max, alpha_max=args.alpha_max, lam=args.lam))
-    print(json.dumps([rep.to_json_obj() for rep in reports], indent=2))
+    _write_reports(sys.stdout.write, reports)
     return 0 if identities.all_derived_equal(reports) else 1
 
 

@@ -576,7 +576,10 @@ class Pinned:
         self.memo = {}
 
     def unwrap(self, value) -> Fraction:
-        return as_elem(value, self.mode).value
+        # a rational is its own value; an element is checked for its mode
+        if isinstance(value, FieldElem):
+            return as_elem(value, self.mode).value
+        return as_rational(value)
 
     def wrap(self, value: Fraction) -> FieldElem:
         return FieldElem(lam=self.mode, value=value)

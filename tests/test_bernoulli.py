@@ -344,6 +344,54 @@ def test_a_table_fills_one_bell_triangle(capsys, family):
     assert len(seq) == 16 and len(rows) == 17
 
 
+def _counted(monkeypatch, name):
+    # the calls of bernoulli's name, counted
+    calls = []
+    original = getattr(bernoulli, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bernoulli, name, counted)
+    return calls
+
+
+def test_a_reciprocal_table_divides_one_series(capsys, monkeypatch):
+    # one series reciprocal to the last order serves every row's cross-check
+    calls = _counted(monkeypatch, "quotient")
+    domain(F(1, 3)).memo.clear()
+    assert cli.main(["table", "klambda", "--n-max", "16", "--lambda=1/3"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_a_bell_table_prepares_its_sequence_once(capsys, monkeypatch):
+    # not twice per cell: each preparation unwraps the whole sequence
+    calls = _counted(monkeypatch, "_prepare_xs")
+    domain(F(1, 3)).memo.clear()
+    assert cli.main(["table", "bell", "--n-max", "12", "--lambda=1/3"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("lam", [None, F(-2, 7)])
+def test_table_rows_are_the_per_value_entries(lam):
+    xs = [F(0), F(1, 2), F(-3), F(2), F(0), F(5), F(1, 3)]
+    assert bernoulli.bell_rows(7, 4, xs, lam) == [
+        (n, k, bell_partial(n, k, xs, lam)) for n in range(8) for k in range(min(n, 4) + 1)]
+    assert bernoulli.k_lambda_rows(7, xs, lam) == [(n, 0, k_lambda(n, xs, lam)) for n in range(8)]
+
+
+@pytest.mark.parametrize("rows, args", [
+    (bernoulli.bell_rows, (5, 5)),
+    (bernoulli.k_lambda_rows, (5,)),
+])
+def test_table_rows_fail_at_the_first_cell_past_the_sequence(rows, args):
+    with pytest.raises(InputTooShort, match=r"need sequence values up to index 3, got 2\Z"):
+        rows(*args, [F(1), F(2)])
+
+
 def test_bell_input_too_short():
     with pytest.raises(InputTooShort):
         bell_partial(5, 2, [const(1), const(2)])

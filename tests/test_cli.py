@@ -1,13 +1,18 @@
 """Command-line behaviour: formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from degenstir import bernoulli, cli
+from degenstir import bernoulli, cli, field
 from degenstir.field import const
 from degenstir.identities import IdentityReport
 
@@ -222,17 +227,104 @@ def test_split_negative_rationals_parse_like_the_joined_form(capsys, command, fl
 
 
 def test_route_disagreement_exits_two(capsys, monkeypatch):
-    monkeypatch.setattr(bernoulli, "bell_partial_gf", lambda *a, **kw: const(7))
+    monkeypatch.setattr(bernoulli, "_bell_gf", lambda *a, **kw: const(7))
     code, out, err = run_cli(capsys, "eval", "bell", "--n", "3", "--k", "2")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Bell routes disagree" in err
 
 
 def test_reciprocal_route_disagreement_exits_two(capsys, monkeypatch):
-    monkeypatch.setattr(bernoulli, "k_lambda_series", lambda *a, **kw: const(7))
+    monkeypatch.setattr(bernoulli, "_series_reciprocal",
+                        lambda n, scaled, dom: (const(7),) * (n + 1))
     code, out, err = run_cli(capsys, "eval", "klambda", "--n", "3")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "reciprocal routes disagree" in err
+
+
+@pytest.mark.parametrize("lam", ["symbolic", "-2/7"])
+@pytest.mark.parametrize("cell", [(1, 1), (4, 2), (6, 6)])
+def test_a_bell_table_checks_every_cell_against_the_enumeration(capsys, monkeypatch, lam, cell):
+    # a table prepares its sequence once, but each cell still meets both routes
+    enum = bernoulli._bell_enum
+
+    def corrupted(n, k, xs, dom):
+        value = enum(n, k, xs, dom)
+        return value + 1 if (n, k) == cell else value
+
+    monkeypatch.setattr(bernoulli, "_bell_enum", corrupted)
+    got = run_cli(capsys, "table", "bell", "--n-max", "6", "--lambda=" + lam)
+    assert got == (2, "", "error: internal error: Bell routes disagree at %s\n" % (cell,))
+
+
+@pytest.mark.parametrize("lam", ["symbolic", "-2/7"])
+@pytest.mark.parametrize("bad", [0, 4, 6])
+def test_a_reciprocal_table_checks_every_value_against_the_series(capsys, monkeypatch, lam, bad):
+    # one series reciprocal serves the table, and each row is checked against it
+    reciprocal = bernoulli._series_reciprocal
+
+    def corrupted(n, scaled, dom):
+        rec = list(reciprocal(n, scaled, dom))
+        rec[bad] = rec[bad] + 1
+        return tuple(rec)
+
+    monkeypatch.setattr(bernoulli, "_series_reciprocal", corrupted)
+    got = run_cli(capsys, "table", "klambda", "--n-max", "6", "--lambda=" + lam)
+    assert got == (2, "", "error: internal error: reciprocal routes disagree at n=%d\n" % bad)
+
+
+def _traced_peak(argv):
+    # the traced peak of one cold command, its output held in memory
+    field.SYMBOLIC.memo.clear()
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_json_table_peaks_near_its_csv_peak():
+    # the JSON document is written record by record, so it holds no second
+    # copy of the table: not its records as dicts, nor the whole text
+    argv = ["table", "stirling2", "--n-max", "100", "--format"]
+    csv, as_json = _traced_peak(argv + ["csv"]), _traced_peak(argv + ["json"])
+    assert as_json <= 1.2 * csv, (as_json, csv)
+
+
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600'),
+                          st.characters()), max_size=8)
+_INT = st.integers(-10 ** 30, 10 ** 30)
+_ROWS = st.lists(st.tuples(_INT, _INT, _TEXT), max_size=4)
+_REPORTS = st.lists(st.builds(
+    IdentityReport, identity=_TEXT, variant=_TEXT,
+    params=st.dictionaries(_TEXT, st.one_of(_INT, st.booleans(), _TEXT), max_size=3),
+    lhs=_TEXT, rhs=_TEXT, equal=st.booleans()), max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TEXT, _TEXT, _ROWS)
+@example("bell", "symbolic", [])
+@example("klambda", "-2/7", [(0, 0, const(1, -2)), (-3, 5, const(-1)), (1, -1, "a\"b\\")])
+def test_the_table_writer_is_json_dumps_with_indent_two(family, lam_label, rows):
+    out = io.StringIO()
+    cli._write_table(out.write, family, lam_label, rows)
+    obj = {"family": family, "lambda": lam_label,
+           "entries": [{"n": n, "k": k, "value": str(v)} for n, k, v in rows]}
+    assert out.getvalue() == json.dumps(obj, indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_REPORTS)
+@example([])
+@example([IdentityReport("thm3", "as-derived", {}, const(1), const(2), False),
+          IdentityReport("delta", "as-printed", {"n": -1, "x": "\u00e9\n", "odd": True},
+                         "\"", "\\", True)])
+def test_the_report_writer_is_json_dumps_with_indent_two(reports):
+    out = io.StringIO()
+    cli._write_reports(out.write, reports)
+    assert out.getvalue() == json.dumps([rep.to_json_obj() for rep in reports], indent=2) + "\n"
 
 
 def test_computation_errors_exit_two(capsys):

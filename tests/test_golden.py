@@ -3,15 +3,16 @@
 Each case runs one command through ``cli.main`` and compares the sha256 of
 its stdout and of its stderr, and its exit code, with values recorded from a
 known-good build.  The set covers ``table`` for every family, symbolic and
-at one pinned parameter value, in CSV (and JSON for two families), and the
+at one pinned parameter value, in CSV (and JSON for three families), and the
 reciprocal polynomials once more to n = 12 on a sequence with zeros and
 mixed signs, both Bernoulli families once more to n = 17, past the values
 8/9 and 16/17, and the symbolic truncated tables of both kinds once more at
 r = 3 and r = 4 to n = 24, where the recurrence's factor c has degree 2 and
-3; ``eval`` for every family; ``verify --identity all`` in both modes, at
-the parameter 0 and at a pole; a low ``--precision`` warning; and a pole in
-``eval``.  Any change to a value, its canonical text, the row order or the
-JSON layout shows here.
+3; tables of both sequence families whose sequence runs out, which exit 2
+before any row is printed; ``eval`` for every family; ``verify --identity
+all`` in both modes, at the parameter 0, at a negative parameter and at a
+pole; a low ``--precision`` warning; and a pole in ``eval``.  Any change to
+a value, its canonical text, the row order or the JSON layout shows here.
 """
 
 import hashlib
@@ -67,6 +68,10 @@ GOLDEN = (
     ("table stirling1r --n-max 24 --r 3 --k-max 8", 0, "dac1e355eb71e611b67ac3feeca2b85f390253c6be9c8901f05bf941040ef7f8", EMPTY),
     ("table stirling2r --n-max 24 --r 4 --k-max 6", 0, "ebdb700ca06419faf7e5488b370df04aff9d1ffd47499eb738ae58fa8c3c6b31", EMPTY),
     ("table stirling1r --n-max 24 --r 4 --k-max 6", 0, "1cc384875e436de44d8b0b8c951dad78a2a691549e3c645b8800853b89fccf24", EMPTY),
+    ("table bell --n-max 8 --xs 0,1/2,-3,2,0,5", 2, EMPTY, "b73dc519a0a00545c66b959d0bbb7c7a4888e78abcd37f0b0edc375931dfaafa"),
+    ("table klambda --n-max 8 --xs 1,2,3", 2, EMPTY, "7d7c1d2f7ebda663fdd525f248ef66b984fa43414575a2573f4a601c4e7cfd09"),
+    ("verify --identity all --lambda=-2/7", 0, "10c4844bc6c811be476e7e0eb77cf44294b60522bab25048b492ca32aab6fc4a", EMPTY),
+    ("table bell --n-max 6 --xs 0,1/2,-3,2,0,5 --lambda=-2/7 --format json", 0, "02b6541901f06a51cf22036b0976b0a5a892385790a8499e98a9229da355f1b3", EMPTY),
 )
 
 
