@@ -39,13 +39,14 @@ check every cell, the reciprocal-series values against one series
 reciprocal to the table's last order, since coefficient n of a reciprocal
 reads the first n coefficients alone.
 Every route computes on domain values (see ``field``); the public entry
-points unwrap their arguments and wrap their result.
+points unwrap their arguments and wrap their result.  The rows and the
+triangle grow under the domain's lock and are read without it, and of the
+rows at x != 0 a domain keeps the last ``X_ROWS_KEPT`` made.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -56,7 +57,10 @@ from .series import quotient
 from .stirling import stirling_entry
 
 
-_growing = threading.Lock()
+# the rows at x != 0 a domain keeps, the oldest made dropped first:
+# ``verify --identity expansion --n-max N`` cycles through the N values
+# x = 1..N per r, so a bound below N would regrow rows at almost every report
+X_ROWS_KEPT = 64
 
 
 class _Row:
@@ -80,29 +84,21 @@ class _Row:
 
 
 def _row(r: int, alpha: int, x, dom) -> _Row:
-    # threads that race on a cold row all get the one row that is stored; a
-    # row at x != 0 shares the denominator of its x = 0 row
-    if x:
-        den = numerator_row(0, r, alpha, dom.zero, dom).den
-    else:
-        den = descending(dom.one, r, dom.lam, dom)[-1] ** alpha
-    return dom.memo.setdefault(("row", r, alpha, x), _Row(den, x, dom))
-
-
-def _grow(row: _Row, n: int, r: int, alpha: int, x, dom):
-    """Grow the row to numerator n under ``_growing``, so that threads never
-    append one value twice; reads take no lock.  What another lock guards is
-    filled first, outside this one: a row at x != 0 grows its x = 0 row
-    (``_growing`` is not reentrant), and the x = 0 row column alpha of the
-    Stirling triangle (under ``stirling``'s lock)."""
-    if x:
-        base = numerator_row(n, r, alpha, dom.zero, dom)
-        with _growing:
-            _appell(row, n, x, base.nums, dom)
-    else:
-        stirling_entry(2, n + alpha * r, alpha, r, dom)
-        with _growing:
-            _reciprocal(row, n, r, alpha, dom)
+    # made under the domain's lock, so that threads that race on a cold row
+    # all get the one that is stored; a row at x != 0 shares the denominator
+    # of its x = 0 row, and the oldest one made is dropped past X_ROWS_KEPT
+    key = ("row", r, alpha, x)
+    row = dom.memo.get(key)
+    if row is None:
+        if x:
+            den = numerator_row(0, r, alpha, dom.zero, dom).den
+        else:
+            den = descending(dom.one, r, dom.lam, dom)[-1] ** alpha
+        row = dom.memo[key] = _Row(den, x, dom)
+        kept = [k for k in dom.memo if k[0] == "row" and k[3]]
+        if len(kept) > X_ROWS_KEPT:
+            del dom.memo[kept[0]]
+    return row
 
 
 def _exact_div(value, den, dom):
@@ -117,6 +113,7 @@ def _reciprocal(row: _Row, n: int, r: int, alpha: int, dom):
     # N_m = -(r!)^alpha sum_{i=1..m} C(m, i) d_i N_{m-i} and N_0 = (r!)^alpha,
     # where d_i = i! alpha! q_i / (i + alpha r)! and q_i, the column
     # S_r(i + alpha r, alpha) over E^alpha, is a polynomial
+    stirling_entry(2, n + alpha * r, alpha, r, dom)  # so that the reads below fill nothing
     nums, quots = row.nums, row.quots
     lo, scale = alpha * r, math.factorial(alpha)
     lead = math.factorial(r) ** alpha
@@ -150,12 +147,18 @@ def numerator_row(n: int, r: int, alpha: int, x, dom) -> _Row:
     """The row of the truncated order-alpha values at the ``dom`` value x,
     grown to numerator n: ``nums[m]`` is E^alpha times value m, ``den`` is
     E^alpha, and ``quots`` (at x = 0) or ``prods`` (at x != 0) is at least
-    as long."""
+    as long.  The row grows under the domain's lock, so that threads never
+    append one value twice, and is read without it."""
     if n < 0:
         raise IndexError("negative coefficient index")
-    row = dom.memo.get(("row", r, alpha, x)) or _row(r, alpha, x, dom)
-    if n >= len(row.nums):
-        _grow(row, n, r, alpha, x, dom)
+    row = dom.memo.get(("row", r, alpha, x))
+    if row is None or n >= len(row.nums):
+        with dom.lock:
+            row = _row(r, alpha, x, dom)
+            if x:
+                _appell(row, n, x, numerator_row(n, r, alpha, dom.zero, dom).nums, dom)
+            else:
+                _reciprocal(row, n, r, alpha, dom)
     return row
 
 
@@ -211,21 +214,37 @@ def _bell_needs(n: int, k: int) -> int:
 
 def partitions_exact(total: int, parts: int, max_part=None):
     """Yield nonincreasing tuples of exactly ``parts`` positive integers
-    summing to total."""
-    if parts == 0:
-        if total == 0:
+    summing to total, none above max_part, the largest parts first
+    (descending lexicographic order).  Iterative, so that no number of parts
+    is too deep."""
+    if parts <= 0:
+        if total == parts == 0:
             yield ()
         return
-    if total < parts:
+    top = total if max_part is None else max_part
+    if total < parts or top * parts < total:
         return
-    top = total - parts + 1
-    if max_part is not None:
-        top = min(top, max_part)
-    for first in range(top, 0, -1):
-        if first * parts < total:
-            break
-        for rest in partitions_exact(total - first, parts - 1, first):
-            yield (first,) + rest
+    a, i, rest = [0] * parts, 0, total
+    while True:
+        # fill parts i.. with rest, each the largest that leaves 1 to every
+        # later part and is at most top
+        for j in range(i, parts):
+            a[j] = top = min(rest - (parts - 1 - j), top)
+            rest -= top
+        yield tuple(a)
+        # the last part but the final one that can shrink by 1, the parts
+        # from it on still summing to rest with none above it
+        rest = a[-1]
+        for i in range(parts - 2, -1, -1):
+            rest += a[i]
+            if (a[i] - 1) * (parts - i) >= rest:
+                break
+        else:
+            return
+        a[i] -= 1
+        top = a[i]
+        rest -= top
+        i += 1
 
 
 def _bell_enum(n: int, k: int, xs: tuple, dom):
@@ -252,13 +271,13 @@ def _bell_triangle(n: int, k: int, xs: tuple, dom) -> list:
     """The partial Bell triangle of the ``dom`` values xs, ``rows[m][j]`` =
     B(m, j) (x_i read as 0 past the end of xs), each row m <= n filled in
     columns 0..min(m, k) at least.  The domain keeps the triangle of the last
-    sequence asked for, grown under ``_growing`` in ascending m, so that
+    sequence asked for, grown under the domain's lock in ascending m, so that
     threads never append one cell twice, and read without the lock.  A table
     passes one tuple to every cell, which is found by identity, not compared
     value by value."""
     seq, rows = dom.memo.get("bell", (None, ()))
     if (seq is not xs and seq != xs) or len(rows) <= n or len(rows[n]) <= k:
-        with _growing:
+        with dom.lock:
             seq, rows = dom.memo.get("bell", (None, None))
             if seq is not xs and seq != xs:
                 rows = [[dom.one]]

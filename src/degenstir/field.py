@@ -52,6 +52,7 @@ The parameter prints as ``l`` in the canonical text form, for example
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -565,15 +566,17 @@ def as_elem(value, lam=None) -> FieldElem:
 
 class Pinned:
     """The value domain of a pinned mode: Fractions, the parameter at ``mode``.
-    ``memo`` holds what the kernels keep for that parameter."""
+    ``memo`` holds what the kernels keep for that parameter, grown under
+    ``lock``."""
 
-    __slots__ = ("mode", "lam", "memo")
+    __slots__ = ("mode", "lam", "memo", "lock")
     zero, one = Fraction(0), Fraction(1)
     const = staticmethod(as_rational)
 
     def __init__(self, lam0):
         self.mode = self.lam = as_rational(lam0)
         self.memo = {}
+        self.lock = threading.RLock()
 
     def unwrap(self, value) -> Fraction:
         # a rational is its own value; an element is checked for its mode
@@ -614,7 +617,7 @@ class Symbolic:
     mode = None
     zero, one, lam = const(0), const(1), lam_elem()
     const = staticmethod(const)
-    memo = {}
+    memo, lock = {}, threading.RLock()
 
     @staticmethod
     def unwrap(value) -> FieldElem:
@@ -677,6 +680,8 @@ _pinned = lru_cache(maxsize=PINNED_KEPT)(Pinned)  # keyed by the Fraction alone
 
 def domain(lam=None):
     """The value domain of a mode; its ``memo`` holds all the kernels keep for
-    it.  The symbolic domain is one object; the last ``PINNED_KEPT`` pinned
-    ones used are kept, so a sweep over the parameter holds few tables."""
+    it, each table grown under the domain's reentrant ``lock`` and read
+    without it.  The symbolic domain is one object; the last ``PINNED_KEPT``
+    pinned ones used are kept, so a sweep over the parameter holds few
+    tables."""
     return SYMBOLIC if lam is None else _pinned(as_rational(lam))

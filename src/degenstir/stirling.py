@@ -41,15 +41,11 @@ checker lean on that redundancy.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 
 from .core import int_falling, one_falling
 from .field import (FieldElem, const, domain, int_add, int_add_mul, int_mul, int_poly,
                     int_scale)
-
-
-_growing = threading.Lock()
 
 
 class _Triangle:
@@ -101,9 +97,9 @@ class _Triangle:
 
     def fill(self, n: int, k: int):
         """Grow each column j <= k down to row n - (k - j) r, the rows that
-        entry (n, k) reads; the caller holds ``_growing``.  Every fill grows
-        its columns to one index, so no column is longer than the one before
-        it, and the walk starts at the first column too short."""
+        entry (n, k) reads; the caller holds the domain's lock.  Every fill
+        grows its columns to one index, so no column is longer than the one
+        before it, and the walk starts at the first column too short."""
         r, cols, step = self.r, self.cols, self.step
         last = n - k * r  # the same index in every column
         while r > 1 and len(self.coefs) < n:
@@ -133,7 +129,8 @@ class _Triangle:
 
 def _triangle(kind: int, r: int, dom) -> _Triangle:
     # threads that race on a cold triangle all get the one that is stored
-    return dom.memo.setdefault(("tri", kind, r), _Triangle(kind, r, dom))
+    with dom.lock:
+        return dom.memo.setdefault(("tri", kind, r), _Triangle(kind, r, dom))
 
 
 def stirling_entry(kind: int, n: int, k: int, r: int, dom):
@@ -149,7 +146,7 @@ def stirling_entry(kind: int, n: int, k: int, r: int, dom):
     tri = dom.memo.get(("tri", kind, r)) or _triangle(kind, r, dom)
     cols, i = tri.cols, n - k * r
     if k >= len(cols) or i >= len(cols[k]):
-        with _growing:
+        with dom.lock:
             tri.fill(n, k)
     # read without the lock: two threads that both make a cell's first read
     # store equal values

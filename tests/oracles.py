@@ -35,6 +35,26 @@ def compositions(total: int, parts: int, min_part: int = 0):
             yield (first,) + rest
 
 
+def partitions_exact(total: int, parts: int, max_part=None):
+    """Yield nonincreasing tuples of exactly ``parts`` positive integers
+    summing to total, none above max_part, largest first part first: the
+    recursive enumeration, one level per part."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    if total < parts:
+        return
+    top = total - parts + 1
+    if max_part is not None:
+        top = min(top, max_part)
+    for first in range(top, 0, -1):
+        if first * parts < total:
+            break
+        for rest in partitions_exact(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
 def poly_divmod(num, den):
     """Long division of coefficient lists (lowest degree first) over Q."""
     num = [Fraction(c) for c in num]

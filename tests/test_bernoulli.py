@@ -27,9 +27,9 @@ from degenstir import (
     stirling2r_gf,
     trunc_degen_bernoulli,
 )
-from degenstir import bernoulli, cli, field, series, stirling
+from degenstir import bernoulli, cli, field, identities, series
 from degenstir.field import domain
-from oracles import bernoulli_numbers, bernoulli_values, block, t_power
+from oracles import bernoulli_numbers, bernoulli_values, block, partitions_exact, t_power
 from threads import threads_agree_with_one_thread
 
 LAM = lam_elem()
@@ -167,13 +167,15 @@ def test_threads_growing_one_cold_row_agree_with_one_thread(monkeypatch, lam, x)
     # without one stored row per key they grow rows of their own
     dom = domain(lam)
     grown = []
-    grow = bernoulli._grow
 
-    def recorded(row, *args):
-        grown.append(row)
-        return grow(row, *args)
+    def recorder(grow):
+        def recorded(row, *args):
+            grown.append(row)
+            return grow(row, *args)
+        return recorded
 
-    monkeypatch.setattr(bernoulli, "_grow", recorded)
+    for name in ("_appell", "_reciprocal"):
+        monkeypatch.setattr(bernoulli, name, recorder(getattr(bernoulli, name)))
 
     def check():
         row = bernoulli._row(2, 2, dom.unwrap(x), dom)
@@ -193,36 +195,59 @@ def test_threads_growing_one_cold_row_agree_with_one_thread(monkeypatch, lam, x)
 
 
 @pytest.mark.parametrize("lam", [None, "-2/5"])
-def test_growth_never_nests_the_two_locks(monkeypatch, capsys, lam):
-    # a row grows the Stirling column it reads, and a row at x != 0 its
-    # x = 0 row, before it takes the Bernoulli lock, which is not reentrant
-    held, nested, taken = [], [], []
+def test_a_cold_table_grows_every_table_under_its_own_domains_lock(monkeypatch, capsys, lam):
+    # the x = 1/2 row grows its x = 0 row, which fills the Stirling column it
+    # reads, all under the one reentrant lock of the table's domain; no other
+    # domain's lock is taken
+    doms = {"symbolic": domain(), "-2/5": domain(F(-2, 5)), "1/3": domain(F(1, 3))}
+    assert len({id(dom.lock) for dom in doms.values()}) == len(doms)
+    depths, taken = [], []
 
     class Recorder:
         def __init__(self, name, lock):
-            self.name, self.lock = name, lock
+            self.name, self.lock, self.depth = name, lock, 0
 
         def __enter__(self):
-            if held:
-                # fail here: taking the Bernoulli lock twice would hang
-                nested.append((held[-1], self.name))
-                raise AssertionError("%s taken under %s" % (self.name, held[-1]))
             self.lock.acquire()
-            held.append(self.name)
+            self.depth += 1
             taken.append(self.name)
+            depths.append(self.depth)
 
         def __exit__(self, *exc):
-            held.pop()
+            self.depth -= 1
             self.lock.release()
 
-    for mod in (bernoulli, stirling):
-        monkeypatch.setattr(mod, "_growing", Recorder(mod.__name__, mod._growing))
-    domain(None if lam is None else F(lam)).memo.clear()
+    for name, dom in doms.items():
+        monkeypatch.setattr(dom, "lock", Recorder(name, dom.lock))
+    own = "symbolic" if lam is None else lam
+    doms[own].memo.clear()
     argv = ["table", "trunc-bernoulli", "--n-max", "10", "--r", "2", "--alpha", "3", "--x", "1/2"]
     assert cli.main(argv + ([] if lam is None else ["--lambda=" + lam])) == 0
     capsys.readouterr()
-    assert nested == []
-    assert set(taken) == {"degenstir.bernoulli", "degenstir.stirling"}
+    assert set(taken) == {own}
+    # the x = 1/2 row, its x = 0 row and the Stirling column, one inside the other
+    assert max(depths) == 3
+
+
+def test_an_expansion_sweep_makes_each_row_once(monkeypatch):
+    # 24 rows at x != 0 for each r = 1..3, 72 in all, which the sweep reads
+    # r by r: dropping the oldest past 64 drops only rows of a finished r
+    dom = domain(F(-2, 7))
+    dom.memo.clear()
+    made = []
+    row = bernoulli._Row
+
+    def recorded(den, x, dom):
+        made.append(x)
+        return row(den, x, dom)
+
+    monkeypatch.setattr(bernoulli, "_Row", recorded)
+    reports = identities.sweep("expansion", n_max=24, lam=F(-2, 7))
+    assert all(rep.equal for rep in reports)
+    assert sorted(made) == sorted(list(range(25)) * 3)
+    x_rows = [key for key in dom.memo if key[0] == "row" and key[3]]
+    assert len(x_rows) == bernoulli.X_ROWS_KEPT
+    assert x_rows[0] == ("row", 1, 1, 9)
 
 
 @pytest.mark.parametrize("lam", [None, F(-5, 3)])
@@ -298,6 +323,19 @@ def test_bell_routes_agree_on_symbolic_inputs():
     for n in range(11):
         for k in range(n + 1):
             assert bell_partial_enum(n, k, xs) == bell_partial_gf(n, k, xs)
+
+
+def test_partitions_are_the_recursive_enumeration_in_its_order():
+    for n in range(17):
+        for k in range(n + 2):
+            for top in (None, *range(n + 1)):
+                assert (list(bernoulli.partitions_exact(n, k, top))
+                        == list(partitions_exact(n, k, top))), (n, k, top)
+
+
+def test_a_bell_value_of_more_parts_than_the_recursion_limit():
+    # one partition, 1200 ones: a recursion one level per part ran out of stack
+    assert bell_partial_enum(1200, 1200, [F(1, 2)], lam=F(1, 3)) == F(1, 2 ** 1200)
 
 
 def _bell_slot(dom):

@@ -16,6 +16,7 @@ from degenstir import (
     trunc_degen_bernoulli,
 )
 from degenstir import stirling
+from degenstir.bernoulli import X_ROWS_KEPT
 from degenstir.field import PINNED_KEPT, domain
 
 
@@ -85,6 +86,30 @@ def test_many_sequences_at_one_parameter_hold_bounded_memory():
         tracemalloc.stop()
     assert list(dom.memo) == ["bell"]
     assert end - settled <= 50_000, (settled, end)
+
+
+def test_many_x_at_one_parameter_hold_bounded_memory():
+    # 1,000 distinct x at one pinned l, one truncated value each; the domain
+    # keeps the rows of the last X_ROWS_KEPT x only, where keeping every row
+    # grows about 3.5 KB per x, 3.1 MB over the 900 x between the readings
+    lam = F(1, 3)
+    dom = domain(lam)
+    dom.memo.clear()
+    tracemalloc.start()
+    try:
+        for q in range(1, 1001):
+            trunc_degen_bernoulli(12, 2, 2, F(1, q), lam)
+            if q == 100:
+                gc.collect()
+                settled = tracemalloc.get_traced_memory()[0]
+        gc.collect()
+        end = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    x_rows = [key for key in dom.memo if key[0] == "row" and key[3]]
+    assert x_rows == [("row", 2, 2, F(1, q)) for q in range(1001 - X_ROWS_KEPT, 1001)]
+    assert ("row", 2, 2, 0) in dom.memo
+    assert end - settled <= 100_000, (settled, end)
 
 
 def _values(lam, x):

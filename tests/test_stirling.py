@@ -453,7 +453,7 @@ def test_threads_making_the_first_reads_of_a_triangle_agree_with_one_thread(lam)
         dom.memo.clear()
         tri = stirling._triangle(kind, r, dom)
         made[:] = [tri]
-        with stirling._growing:
+        with dom.lock:
             for k in range(n_max // r + 1):
                 tri.fill(n_max, k)
 
