@@ -22,22 +22,23 @@ that sum values of one row sum its numerators instead.  The plain values
 are the r = 1 case, where E = 1 and the numerators are the values, and are
 computed as such.
 
-Partial Bell polynomials are read off one triangle per domain, filled in
-ascending rows, each only in the columns read, by the recurrence
-B(n, k) = sum_{i=1..n-k+1} C(n-1, i-1) x_i B(n-i, k-1), one ``sum_products``
-per cell; the domain keeps the triangle of the last sequence asked for.  The
-reciprocal-series polynomials are the alternating sum
-sum_k (-1)^k k! B(n, k) over the triangle of the scaled sequence
-(1)_l x_l, one ``sum_products``.  The enumeration of the partitions of n
-into k parts (``partitions_exact``), by their multiplicity vectors, and a
-plain series reciprocal are their independent routes.  Each quantity has
+Partial Bell polynomials are read off one triangle per domain, stored by
+columns, column k holding B(k + d, k) for d = 0, 1, ..., and filled by the
+recurrence B(n, k) = sum_{i=1..n-k+1} C(n-1, i-1) x_i B(n-i, k-1), one
+``sum_products`` per cell.  Cell (n, k) reads the band of columns 0..k down
+to index n - k, and grows only that; the domain keeps the triangle of the
+last sequence asked for.  The reciprocal-series polynomials are the
+alternating sum sum_k (-1)^k k! B(n, k) over the triangle of the scaled
+sequence (1)_l x_l, one ``sum_products``.  The enumeration of the partitions
+of n into k parts (``partitions_exact``), by their multiplicity vectors, and
+a plain series reciprocal are their independent routes.  Each quantity has
 one core on a prepared sequence, its values unwrapped once, that computes
 both routes and checks that they agree.  The per-value entries
 (``bell_partial``, ``k_lambda``) prepare the sequence per call; the table
 rows (``bell_rows``, ``k_lambda_rows``) prepare it once per table and still
-check every cell, the reciprocal-series values against one series
-reciprocal to the table's last order, since coefficient n of a reciprocal
-reads the first n coefficients alone.
+check every cell, the reciprocal-series values against one series reciprocal
+to the table's last order, since coefficient n of a reciprocal reads the
+first n coefficients alone.
 Every route computes on domain values (see ``field``); the public entry
 points unwrap their arguments and wrap their result.  The rows and the
 triangle grow under the domain's lock and are read without it, and of the
@@ -153,6 +154,10 @@ def numerator_row(n: int, r: int, alpha: int, x, dom) -> _Row:
         raise IndexError("negative coefficient index")
     row = dom.memo.get(("row", r, alpha, x))
     if row is None or n >= len(row.nums):
+        # a warm row was made with valid r and alpha, so only a cold one checks
+        if r < 1 or alpha < 0:
+            raise ValueError("truncated Bernoulli values need r >= 1 and alpha >= 0, "
+                             "got n=%d, r=%d, alpha=%d" % (n, r, alpha))
         with dom.lock:
             row = _row(r, alpha, x, dom)
             if x:
@@ -268,36 +273,41 @@ def bell_partial_enum(n: int, k: int, xs, lam=None) -> FieldElem:
 
 
 def _bell_triangle(n: int, k: int, xs: tuple, dom) -> list:
-    """The partial Bell triangle of the ``dom`` values xs, ``rows[m][j]`` =
-    B(m, j) (x_i read as 0 past the end of xs), each row m <= n filled in
-    columns 0..min(m, k) at least.  The domain keeps the triangle of the last
-    sequence asked for, grown under the domain's lock in ascending m, so that
-    threads never append one cell twice, and read without the lock.  A table
-    passes one tuple to every cell, which is found by identity, not compared
-    value by value."""
-    seq, rows = dom.memo.get("bell", (None, ()))
-    if (seq is not xs and seq != xs) or len(rows) <= n or len(rows[n]) <= k:
+    """The partial Bell triangle of the ``dom`` values xs, by columns:
+    ``cols[j][d]`` = B(j + d, j) (x_i read as 0 past the end of xs), each
+    column j <= k filled down to index n - k at least, the band that cell
+    (n, k) reads.  Every fill grows its columns to one index, so no column
+    is shorter than the one after it, and the walk starts at the first
+    column too short.  The domain keeps the triangle of the last sequence
+    asked for, grown under the domain's lock, so that threads never append
+    one cell twice, and read without the lock.  A table passes one tuple to
+    every cell, which is found by identity, not compared value by value."""
+    last = n - k  # the same index in every column
+    seq, cols = dom.memo.get("bell", (None, ()))
+    if (seq is not xs and seq != xs) or len(cols) <= k or len(cols[k]) <= last:
         with dom.lock:
-            seq, rows = dom.memo.get("bell", (None, None))
+            seq, cols = dom.memo.get("bell", (None, None))
             if seq is not xs and seq != xs:
-                rows = [[dom.one]]
-                dom.memo["bell"] = (xs, rows)
-            rows += [[dom.zero] for _ in range(len(rows), n + 1)]
-            for m in range(1, n + 1):
-                # B(m, j) = sum_{i=1..m-j+1} C(m-1, i-1) x_i B(m-i, j-1)
-                row = rows[m]
-                for j in range(len(row), min(m, k) + 1):
-                    row.append(dom.sum_products(
-                        (math.comb(m - 1, i - 1), xs[i - 1], rows[m - i][j - 1])
-                        for i in range(1, min(m - j + 1, len(xs)) + 1)))
-    return rows
+                cols = [[dom.one]]
+                dom.memo["bell"] = (xs, cols)
+            cols += [[] for _ in range(len(cols), k + 1)]
+            cols[0] += [dom.zero] * (last + 1 - len(cols[0]))  # B(d, 0) = 0 for d >= 1
+            first = max(k, 1)
+            while first > 1 and len(cols[first - 1]) <= last:
+                first -= 1
+            for j in range(first, k + 1):
+                # B(j+d, j) = sum_{i=1..d+1} C(j+d-1, i-1) x_i B(j+d-i, j-1)
+                col, left = cols[j], cols[j - 1]
+                for d in range(len(col), last + 1):
+                    col.append(dom.sum_products(
+                        (math.comb(j + d - 1, i - 1), xs[i - 1], left[d + 1 - i])
+                        for i in range(1, min(d + 1, len(xs)) + 1)))
+    return cols
 
 
 def _bell_gf(n: int, k: int, xs: tuple, dom):
     # B(n, k) of the dom values xs, read off the domain's triangle
-    if k == 0 or k > n:
-        return dom.one if n == k else dom.zero
-    return _bell_triangle(n, k, xs, dom)[n][k]
+    return _bell_triangle(n, k, xs, dom)[k][n - k] if k <= n else dom.zero
 
 
 def bell_partial_gf(n: int, k: int, xs, lam=None) -> FieldElem:
@@ -355,8 +365,8 @@ def k_lambda_series(n: int, xs, lam=None) -> FieldElem:
 
 def _k_lambda_bell(n: int, scaled: tuple, dom):
     # sum_k (-1)^k k! B(n, k) over row n of the triangle of the scaled sequence
-    row = _bell_triangle(n, n, scaled, dom)[n]
-    return dom.sum_products(((-1) ** k * math.factorial(k), b) for k, b in enumerate(row))
+    return dom.sum_products(((-1) ** k * math.factorial(k), _bell_gf(n, k, scaled, dom))
+                            for k in range(n + 1))
 
 
 def k_lambda_bell(n: int, xs, lam=None) -> FieldElem:

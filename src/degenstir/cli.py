@@ -139,79 +139,55 @@ def _validate(args):
         value = getattr(args, attr, None)
         if value is not None and value < least:
             args.subparser.error(message)
-    if getattr(args, "precision", None) is not None and not FAMILIES[args.family][2]:
+    if getattr(args, "precision", None) is not None and args.family in _NO_PRECISION:
         args.subparser.error("--precision does not apply to %s" % args.family)
 
 
-def _warn_precision(args, derived: int):
-    if args.precision is not None and args.precision < derived:
-        print("warning: --precision %d is below the derived safe bound %d"
-              % (args.precision, derived), file=sys.stderr)
+def _bound(args, derived: int) -> int:
+    # --precision bounds the indices a command reads and never changes a
+    # value: below the derived bound it warns, and the command reads up to
+    # it, so that an error at or below it comes first, then fails past it
+    if args.precision is None or args.precision >= derived:
+        return derived
+    print("warning: --precision %d is below the derived safe bound %d"
+          % (args.precision, derived), file=sys.stderr)
+    return args.precision
 
 
-def _check_index(args, n: int):
-    # --precision bounds the indices a command reads; no value depends on it
-    if args.precision is not None and n > args.precision:
-        raise PrecisionExceeded("index %d exceeds requested precision %d"
-                                % (n, args.precision))
+def _exceeded(args, index: int) -> PrecisionExceeded:
+    return PrecisionExceeded("index %d exceeds requested precision %d" % (index, args.precision))
 
 
-def _default_xs(args, n: int):
+def _default_xs(args, length: int):
     # all ones up to a table's last row, so that its rows read one triangle
-    if args.xs is not None:
-        return args.xs
-    return [Fraction(1)] * max(getattr(args, "n_max", n), 1)
+    return [Fraction(1)] * max(length, 1) if args.xs is None else args.xs
 
 
-def _triangle_rows(args, value):
-    # the Stirling families: their values come from build_triangle.  No entry
-    # can fail, so the first row past --precision is checked before any is built
-    _warn_precision(args, args.n_max)
-    if args.precision is not None:
-        _check_index(args, min(args.n_max, args.precision + 1))
-    return build_triangle(args.family, args.n_max, args.k_max, args.r, args.lam)
+def _order(value):
+    # a Bernoulli family's value and rows, one row per n, computed in turn so
+    # that an error is reported at its row
+    return value, lambda a, top: [(n, a.alpha, value(a, n, 0)) for n in range(top + 1)]
 
 
-def _order_rows(args, value):
-    # row by row, so an error in a row below --precision comes first
-    _warn_precision(args, args.n_max)
-    rows = []
-    for n in range(args.n_max + 1):
-        _check_index(args, n)
-        rows.append((n, args.alpha, value(args, n, 0)))
-    return rows
-
-
-def _bell_rows(args, value):
-    # the cells of bell_partial, on one sequence prepared once for the table
-    k_max = args.n_max if args.k_max is None else args.k_max
-    return bell_rows(args.n_max, k_max, _default_xs(args, args.n_max), args.lam)
-
-
-def _klambda_rows(args, value):
-    # the values of k_lambda, on one sequence prepared once for the table
-    return k_lambda_rows(args.n_max, _default_xs(args, args.n_max), args.lam)
-
-
-def _stirling_value(a, n, k):
-    return family_entry(a.family, n, k, a.r, a.lam)
-
-
-# family -> (value(args, n, k), table rows(args, value), takes --precision?).
-# The Stirling families are those of the stirling module; the rows of the
-# Bernoulli families carry the order alpha in the column, those of klambda 0.
-# bell and klambda refuse --precision.
+# family -> (value(args, n, k), rows(args, top)), rows giving a table's rows
+# n <= top, so that one bound serves every family.  The Stirling families are
+# those of the stirling module; the rows of the Bernoulli families carry the
+# order alpha in the column, those of klambda 0.  bell and klambda prepare
+# one sequence per table, and refuse --precision.
 FAMILIES = {
-    **dict.fromkeys(STIRLING_FAMILIES, (_stirling_value, _triangle_rows, True)),
-    "bernoulli": (lambda a, n, k: degen_bernoulli(n, a.alpha, a.x, a.lam),
-                  _order_rows, True),
-    "trunc-bernoulli": (lambda a, n, k: trunc_degen_bernoulli(n, a.r, a.alpha, a.x, a.lam),
-                        _order_rows, True),
+    **dict.fromkeys(STIRLING_FAMILIES, (
+        lambda a, n, k: family_entry(a.family, n, k, a.r, a.lam),
+        lambda a, top: build_triangle(a.family, top, a.k_max, a.r, a.lam))),
+    "bernoulli": _order(lambda a, n, k: degen_bernoulli(n, a.alpha, a.x, a.lam)),
+    "trunc-bernoulli": _order(
+        lambda a, n, k: trunc_degen_bernoulli(n, a.r, a.alpha, a.x, a.lam)),
     "bell": (lambda a, n, k: bell_partial(n, k, _default_xs(a, n), a.lam),
-             _bell_rows, False),
+             lambda a, top: bell_rows(top, top if a.k_max is None else a.k_max,
+                                      _default_xs(a, top), a.lam)),
     "klambda": (lambda a, n, k: k_lambda(n, _default_xs(a, n), a.lam),
-                _klambda_rows, False),
+                lambda a, top: k_lambda_rows(top, _default_xs(a, top), a.lam)),
 }
+_NO_PRECISION = ("bell", "klambda")
 
 
 # The JSON writer: each document laid out byte for byte as
@@ -265,8 +241,10 @@ def _write_reports(write, reports):
 
 
 def _run_table(args) -> int:
-    value, rows, _ = FAMILIES[args.family]
-    rows = rows(args, value)
+    top = _bound(args, args.n_max)
+    rows = FAMILIES[args.family][1](args, top)
+    if top < args.n_max:
+        raise _exceeded(args, top + 1)
     lam_label = "symbolic" if args.lam is None else rational_str(args.lam)
     if args.format == "csv":
         print("n,k,value")
@@ -278,10 +256,9 @@ def _run_table(args) -> int:
 
 
 def _run_eval(args) -> int:
-    value, _, _ = FAMILIES[args.family]
-    _warn_precision(args, args.n)
-    _check_index(args, args.n)
-    print(str(value(args, args.n, args.k)))
+    if _bound(args, args.n) < args.n:
+        raise _exceeded(args, args.n)
+    print(str(FAMILIES[args.family][0](args, args.n, args.k)))
     return 0
 
 

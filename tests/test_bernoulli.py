@@ -259,6 +259,23 @@ def test_negative_indices_are_refused(lam):
         stirling2r_gf(-1, 0, 1, lam=lam)
 
 
+@pytest.mark.parametrize("entry, args", [
+    (trunc_degen_bernoulli, (3, -1, 1)),
+    (trunc_degen_bernoulli, (3, 0, 1)),
+    (trunc_degen_bernoulli, (2, 2, -1)),
+    (trunc_degen_bernoulli, (2, 1, -3, F(1, 2))),
+    (identities.verify_expansion, (2, -1, 1)),
+])
+@pytest.mark.parametrize("lam", [None, F(1, 3)])
+def test_invalid_depth_or_order_is_refused_naming_what_was_given(entry, args, lam):
+    # refused before any work, not left to fail inside the descending
+    # products or the Stirling triangle
+    n, r, alpha = (args[0], args[1], 1) if entry is identities.verify_expansion else args[:3]
+    with pytest.raises(ValueError, match=r"need r >= 1 and alpha >= 0, got n=%d, r=%d, "
+                                         r"alpha=%d\Z" % (n, r, alpha)):
+        entry(*args, lam=lam)
+
+
 def _closed_beta2_derived(r, x):
     lead = const(math.factorial(r)) / one_falling(r)
     g = 1 - r * LAM
@@ -339,7 +356,7 @@ def test_a_bell_value_of_more_parts_than_the_recursion_limit():
 
 
 def _bell_slot(dom):
-    # the (sequence, rows) of the domain's one partial Bell triangle
+    # the (sequence, columns) of the domain's one partial Bell triangle
     return dom.memo.get("bell", (None, []))
 
 
@@ -363,10 +380,9 @@ def test_bell_row_fills_one_triangle_row(monkeypatch):
         ser = Series([const(0)] + [xs[l - 1] / math.factorial(l) for l in range(1, n + 1)])
         for k, value in enumerate(row):
             assert value == ser.pow(k).coeff(n) * F(math.factorial(n), math.factorial(k))
-        # the domain keeps one triangle, grown to row n (row 0 is k = 0 alone,
-        # which reads no triangle)
-        seq, rows = _bell_slot(field.SYMBOLIC)
-        assert (seq, len(rows)) == ((tuple(xs), n + 1) if n else (None, 0))
+        # the domain keeps one triangle, grown to column n
+        seq, cols = _bell_slot(field.SYMBOLIC)
+        assert (seq, len(cols)) == (tuple(xs), n + 1)
     assert calls  # the cells are sums of products
 
 
@@ -378,8 +394,8 @@ def test_a_table_fills_one_bell_triangle(capsys, family):
     assert cli.main(["table", family, "--n-max", "16", "--lambda=1/3"]) == 0
     capsys.readouterr()
     assert list(dom.memo) == ["bell"]
-    seq, rows = _bell_slot(dom)
-    assert len(seq) == 16 and len(rows) == 17
+    seq, cols = _bell_slot(dom)
+    assert len(seq) == 16 and len(cols) == 17
 
 
 def _counted(monkeypatch, name):
@@ -472,12 +488,12 @@ def test_reciprocal_polynomials_never_enumerate_partitions(monkeypatch, lam):
         for n in range(13):
             k_lambda(n, xs, lam)
             # every n reads the one triangle of the whole scaled sequence,
-            # grown by one row per order and never past row n
-            seq, rows = _bell_slot(dom)
-            assert len(seq) == 12 and len(rows) == n + 1, (n, xs)
+            # grown by one column per order and never past column n
+            seq, cols = _bell_slot(dom)
+            assert len(seq) == 12 and len(cols) == n + 1, (n, xs)
             if n == 0:
-                first = rows
-            assert rows is first
+                first = cols
+            assert cols is first
 
 
 _SEQ = st.lists(st.one_of(st.just(F(0)), st.fractions(-3, 3, max_denominator=4)),
@@ -513,6 +529,22 @@ def test_bell_routes_agree_with_the_series_power_on_sequences_with_zeros_and_neg
             want = power.coeff(n) * F(math.factorial(n), math.factorial(k))
             assert bell_partial_gf(n, k, xs, lam) == bell_partial_enum(n, k, xs, lam) == want
         power = power.mul(ser)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_SEQ, st.sampled_from([None, F(-5, 3), F(2, 7)]), st.randoms(use_true_random=False))
+def test_bell_cells_read_in_any_order_then_a_table_equal_the_enumeration(xs, lam, rnd):
+    # the columns grow to whatever band each cell reads, in any order, and a
+    # table read after some of the cells fills the rest of the same triangle
+    n_max = len(xs)
+    cells = [(n, k) for n in range(n_max + 1) for k in range(n + 2)]
+    rnd.shuffle(cells)
+    del cells[rnd.randint(0, len(cells)):]
+    domain(lam).memo.clear()
+    for n, k in cells:
+        assert bell_partial_gf(n, k, xs, lam) == bell_partial_enum(n, k, xs, lam), (n, k)
+    assert bernoulli.bell_rows(n_max, n_max, xs, lam) == [
+        (n, k, bell_partial_enum(n, k, xs, lam)) for n in range(n_max + 1) for k in range(n + 1)]
 
 
 @pytest.mark.parametrize("entry, args", [

@@ -380,9 +380,11 @@ _PRECISION_FAMILIES = [
 
 
 def _precision_commands(family, extra, lam):
-    # (argv, first index past precision p) for a table and for eval
+    # (argv, first index past precision p) for a CSV and a JSON table and for eval
     tail = (*extra, "--lambda", lam)
     return [(("table", family, "--n-max", "5", "--k-max", "2", *tail), lambda p: p + 1),
+            (("table", family, "--n-max", "5", "--k-max", "2", "--format", "json", *tail),
+             lambda p: p + 1),
             (("eval", family, "--n", "5", "--k", "2", *tail), lambda p: 5)]
 
 
