@@ -5,11 +5,8 @@ field of rational functions in the deformation parameter."""
 from .bernoulli import (
     bell_partial,
     bell_partial_enum,
-    bell_partial_gf,
     degen_bernoulli,
     k_lambda,
-    k_lambda_bell,
-    k_lambda_series,
     trunc_degen_bernoulli,
 )
 from .core import (

@@ -22,27 +22,28 @@ that sum values of one row sum its numerators instead.  The plain values
 are the r = 1 case, where E = 1 and the numerators are the values, and are
 computed as such.
 
-Partial Bell polynomials are read off one triangle per domain, stored by
-columns, column k holding B(k + d, k) for d = 0, 1, ..., and filled by the
-recurrence B(n, k) = sum_{i=1..n-k+1} C(n-1, i-1) x_i B(n-i, k-1), one
-``sum_products`` per cell.  Cell (n, k) reads the band of columns 0..k down
-to index n - k, and grows only that; the domain keeps the triangle of the
-last sequence asked for.  The reciprocal-series polynomials are the
-alternating sum sum_k (-1)^k k! B(n, k) over the triangle of the scaled
-sequence (1)_l x_l, one ``sum_products``.  The enumeration of the partitions
-of n into k parts (``partitions_exact``), by their multiplicity vectors, and
-a plain series reciprocal are their independent routes.  Each quantity has
-one core on a prepared sequence, its values unwrapped once, that computes
-both routes and checks that they agree.  The per-value entries
-(``bell_partial``, ``k_lambda``) prepare the sequence per call; the table
-rows (``bell_rows``, ``k_lambda_rows``) prepare it once per table and still
-check every cell, the reciprocal-series values against one series reciprocal
-to the table's last order, since coefficient n of a reciprocal reads the
-first n coefficients alone.
+Partial Bell polynomials are read off a triangle that each call builds
+for itself and the domain does not keep, stored by columns, column k
+holding B(k + d, k) for d = 0, 1, ..., and filled by the recurrence
+B(n, k) = sum_{i=1..n-k+1} C(n-1, i-1) x_i B(n-i, k-1), one
+``sum_products`` per cell: a value (n, k) builds the band it reads, columns
+0..k down to index n - k, and a table its rows n <= n_max.  Every cell is
+checked against the power form B(n, k) = n!/k! [t^(n-k)] g^k, where
+g = sum_i x_i t^(i-1)/i! (Comtet, Advanced Combinatorics, 1974, ch. 3), its
+powers climbed one ``series.product`` per column.  The reciprocal-series
+polynomials are the alternating sum sum_k (-1)^k k! B(n, k) over the
+triangle of the scaled sequence (1)_l x_l, one ``sum_products`` per order,
+each checked against one plain series reciprocal to the last order, since
+coefficient n of a reciprocal reads the first n coefficients alone.  The
+per-value entries (``bell_partial``, ``k_lambda``) and the table rows
+(``bell_rows``, ``k_lambda_rows``) prepare their sequence once and build
+one triangle.  The enumeration of the partitions of n into k parts
+(``partitions_exact``, ``bell_partial_enum``) costs more than any
+polynomial in n, and no production path calls it.
 Every route computes on domain values (see ``field``); the public entry
-points unwrap their arguments and wrap their result.  The rows and the
-triangle grow under the domain's lock and are read without it, and of the
-rows at x != 0 a domain keeps the last ``X_ROWS_KEPT`` made.
+points unwrap their arguments and wrap their result.  The rows grow under
+the domain's lock and are read without it, and of the rows at x != 0 a
+domain keeps the last ``X_ROWS_KEPT`` made.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from fractions import Fraction
 from .core import descending
 from .errors import InputTooShort, RouteDisagreement, ZeroDivisorSeries
 from .field import FieldElem, as_elem, domain
-from .series import quotient
+from .series import product, quotient
 from .stirling import stirling_entry
 
 
@@ -221,7 +222,8 @@ def partitions_exact(total: int, parts: int, max_part=None):
     """Yield nonincreasing tuples of exactly ``parts`` positive integers
     summing to total, none above max_part, the largest parts first
     (descending lexicographic order).  Iterative, so that no number of parts
-    is too deep."""
+    is too deep.  No production path calls it: it serves
+    ``bell_partial_enum`` alone."""
     if parts <= 0:
         if total == parts == 0:
             yield ()
@@ -267,77 +269,68 @@ def _bell_enum(n: int, k: int, xs: tuple, dom):
 
 
 def bell_partial_enum(n: int, k: int, xs, lam=None) -> FieldElem:
-    """Partial Bell polynomial by enumerating partition multiplicities."""
+    """Partial Bell polynomial by enumerating partition multiplicities, at a
+    cost that grows faster than any polynomial in n.  No production path
+    calls it; it stays public as a reference route for outside checkers."""
     xs, dom = _prepare_xs(xs, lam, n, k, _bell_needs(n, k))
     return dom.wrap(_bell_enum(n, k, xs, dom))
 
 
-def _bell_triangle(n: int, k: int, xs: tuple, dom) -> list:
-    """The partial Bell triangle of the ``dom`` values xs, by columns:
-    ``cols[j][d]`` = B(j + d, j) (x_i read as 0 past the end of xs), each
-    column j <= k filled down to index n - k at least, the band that cell
-    (n, k) reads.  Every fill grows its columns to one index, so no column
-    is shorter than the one after it, and the walk starts at the first
-    column too short.  The domain keeps the triangle of the last sequence
-    asked for, grown under the domain's lock, so that threads never append
-    one cell twice, and read without the lock.  A table passes one tuple to
-    every cell, which is found by identity, not compared value by value."""
-    last = n - k  # the same index in every column
-    seq, cols = dom.memo.get("bell", (None, ()))
-    if (seq is not xs and seq != xs) or len(cols) <= k or len(cols[k]) <= last:
-        with dom.lock:
-            seq, cols = dom.memo.get("bell", (None, None))
-            if seq is not xs and seq != xs:
-                cols = [[dom.one]]
-                dom.memo["bell"] = (xs, cols)
-            cols += [[] for _ in range(len(cols), k + 1)]
-            cols[0] += [dom.zero] * (last + 1 - len(cols[0]))  # B(d, 0) = 0 for d >= 1
-            first = max(k, 1)
-            while first > 1 and len(cols[first - 1]) <= last:
-                first -= 1
-            for j in range(first, k + 1):
-                # B(j+d, j) = sum_{i=1..d+1} C(j+d-1, i-1) x_i B(j+d-i, j-1)
-                col, left = cols[j], cols[j - 1]
-                for d in range(len(col), last + 1):
-                    col.append(dom.sum_products(
-                        (math.comb(j + d - 1, i - 1), xs[i - 1], left[d + 1 - i])
-                        for i in range(1, min(d + 1, len(xs)) + 1)))
+def _bell_columns(k: int, last, xs: tuple, dom) -> list:
+    """Columns 0..k of the partial Bell triangle of the ``dom`` values xs, x_i
+    read as 0 past the end of xs: ``cols[j][d]`` = B(j + d, j) for d <= last(j),
+    where last(j) never rises with j.  Each cell of a column j >= 1 is one
+    ``sum_products`` of B(j + d, j) = sum_{i=1..d+1} C(j + d - 1, i - 1) x_i
+    B(j + d - i, j - 1)."""
+    cols = [[dom.one] + [dom.zero] * last(0)]  # B(d, 0) = 0 for d >= 1
+    for j in range(1, k + 1):
+        left = cols[-1]
+        cols.append([dom.sum_products((math.comb(j + d - 1, i - 1), xs[i - 1], left[d + 1 - i])
+                                      for i in range(1, min(d + 1, len(xs)) + 1))
+                     for d in range(last(j) + 1)])
     return cols
 
 
-def _bell_gf(n: int, k: int, xs: tuple, dom):
-    # B(n, k) of the dom values xs, read off the domain's triangle
-    return _bell_triangle(n, k, xs, dom)[k][n - k] if k <= n else dom.zero
-
-
-def bell_partial_gf(n: int, k: int, xs, lam=None) -> FieldElem:
-    """Partial Bell polynomial read off the domain's triangle of xs, filled
-    by the recurrence in n; B(n, k) reads only x_1..x_(n-k+1)."""
-    xs, dom = _prepare_xs(xs, lam, n, k, _bell_needs(n, k))
-    return dom.wrap(_bell_gf(n, k, xs, dom))
-
-
-def _bell(n: int, k: int, xs: tuple, dom):
-    # the one core of B(n, k) on prepared values: both routes, cross-checked
-    _need(xs, _bell_needs(n, k))
-    value = _bell_enum(n, k, xs, dom)
-    if value != _bell_gf(n, k, xs, dom):
-        raise RouteDisagreement("internal error: Bell routes disagree at (%d, %d)" % (n, k))
-    return value
+def _checked_columns(k: int, last, xs: tuple, dom) -> list:
+    """``_bell_columns``, every cell checked against the power route
+    B(j + d, j) = (j + d)!/j! [t^d] g^j, g = sum_i x_i t^(i-1)/i!, whose
+    powers climb one ``series.product`` per column, each cut to the
+    column's last(j) + 1 cells."""
+    cols = _bell_columns(k, last, xs, dom)
+    top = last(0) + 1
+    g = [x / math.factorial(i) for i, x in enumerate(xs[:top], 1)]
+    g += [dom.zero] * (top - len(g))
+    power = cols[0]  # g^0
+    for j in range(1, k + 1):
+        power = product(power[:last(j) + 1], g, dom)
+        for d, coeff in enumerate(power):
+            if cols[j][d] != coeff * math.perm(j + d, d):
+                raise RouteDisagreement(
+                    "internal error: Bell routes disagree at (%d, %d)" % (j + d, j))
+    return cols
 
 
 def bell_partial(n: int, k: int, xs, lam=None) -> FieldElem:
-    """Partial Bell polynomial, computed by both routes and cross-checked."""
+    """Partial Bell polynomial, read off the band of the triangle that it
+    reads, columns 0..k down to index n - k, each cell checked against the
+    power route."""
     xs, dom = _prepare_xs(xs, lam, n, k, _bell_needs(n, k))
-    return dom.wrap(_bell(n, k, xs, dom))
+    if k > n:
+        return dom.wrap(dom.zero)
+    return dom.wrap(_checked_columns(k, lambda j: n - k, xs, dom)[k][n - k])
 
 
 def bell_rows(n_max: int, k_max: int, xs, lam=None) -> list:
     """The rows (n, k, B(n, k)) of a table, n <= n_max and k <= min(n,
-    k_max) ascending, each cell cross-checked as by ``bell_partial``, on xs
-    prepared once.  A sequence too short for a cell fails at that cell."""
+    k_max) ascending, read off one triangle of xs, each cell checked as by
+    ``bell_partial``.  A sequence too short for a cell fails at the first
+    such cell, before any work."""
     xs, dom = _prepare_xs(xs, lam, 0, 0, 0)
-    return [(n, k, dom.wrap(_bell(n, k, xs, dom)))
+    k_top = min(n_max, k_max)
+    if k_top > 0 and n_max > len(xs):
+        _need(xs, len(xs) + 1)  # cell (len(xs) + 1, 1)
+    cols = _checked_columns(k_top, lambda j: n_max - j, xs, dom)
+    return [(n, k, dom.wrap(cols[k][n - k]))
             for n in range(n_max + 1) for k in range(min(n, k_max) + 1)]
 
 
@@ -356,49 +349,37 @@ def _series_reciprocal(n: int, scaled: tuple, dom) -> tuple:
     return quotient((dom.one,) + (dom.zero,) * n, coeffs, dom)
 
 
-def k_lambda_series(n: int, xs, lam=None) -> FieldElem:
-    """Reciprocal-series polynomial: n! [t^n] of the reciprocal of the
-    series with coefficients (1)_l x_l / l! (constant term fixed at 1)."""
-    xs, dom = _prepare_xs(xs, lam, n, 0, n)
-    return dom.wrap(_series_reciprocal(n, _scaled(xs[:n], dom), dom)[n] * math.factorial(n))
-
-
-def _k_lambda_bell(n: int, scaled: tuple, dom):
-    # sum_k (-1)^k k! B(n, k) over row n of the triangle of the scaled sequence
-    return dom.sum_products(((-1) ** k * math.factorial(k), _bell_gf(n, k, scaled, dom))
-                            for k in range(n + 1))
-
-
-def k_lambda_bell(n: int, xs, lam=None) -> FieldElem:
-    """Same polynomial as sum_k (-1)^k k! B(n, k) over the triangle of the whole
-    scaled sequence (1)_l x_l, so that every n of one sequence reads one triangle."""
-    xs, dom = _prepare_xs(xs, lam, n, 0, n)
-    return dom.wrap(_k_lambda_bell(n, _scaled(xs, dom), dom))
-
-
-def _k_lambda(n: int, scaled: tuple, rec: tuple, dom):
-    # the one core of K(n) on a prepared scaled sequence: the Bell route,
-    # checked against coefficient n of the series reciprocal rec
-    _need(scaled, n)
-    value = _k_lambda_bell(n, scaled, dom)
-    if value != rec[n] * math.factorial(n):
-        raise RouteDisagreement("internal error: reciprocal routes disagree at n=%d" % (n,))
-    return value
+def _k_lambda(n_max: int, xs: tuple, dom) -> list:
+    # K(0..n_max) of prepared values xs, at least n_max of them: row n is
+    # sum_k (-1)^k k! B(n, k) over one triangle of the scaled sequence,
+    # checked against coefficient n of one series reciprocal, so the cells
+    # need no check of their own
+    scaled = _scaled(xs[:n_max], dom)
+    cols = _bell_columns(n_max, lambda j: n_max - j, scaled, dom)
+    rec = _series_reciprocal(n_max, scaled, dom)
+    values = []
+    for n in range(n_max + 1):
+        values.append(dom.sum_products(((-1) ** k * math.factorial(k), cols[k][n - k])
+                                       for k in range(n + 1)))
+        if values[n] != rec[n] * math.factorial(n):
+            raise RouteDisagreement("internal error: reciprocal routes disagree at n=%d" % (n,))
+    return values
 
 
 def k_lambda(n: int, xs, lam=None) -> FieldElem:
-    """Reciprocal-series polynomial, both routes cross-checked."""
+    """Reciprocal-series polynomial: n! [t^n] of the reciprocal of the series
+    with coefficients (1)_l x_l / l! (constant term fixed at 1), as the
+    alternating Bell sum, checked against the series reciprocal."""
     xs, dom = _prepare_xs(xs, lam, n, 0, n)
-    scaled = _scaled(xs, dom)
-    return dom.wrap(_k_lambda(n, scaled, _series_reciprocal(n, scaled, dom), dom))
+    return dom.wrap(_k_lambda(n, xs, dom)[n])
 
 
 def k_lambda_rows(n_max: int, xs, lam=None) -> list:
-    """The rows (n, 0, K(n)) of a table, n <= n_max ascending, each value
-    cross-checked as by ``k_lambda``, on xs scaled once and one series
-    reciprocal to the last order the sequence reaches.  A sequence too short
-    for a row fails at that row."""
+    """The rows (n, 0, K(n)) of a table, n <= n_max ascending, on one
+    triangle and one series reciprocal, each value checked as by
+    ``k_lambda``.  A sequence too short for a row fails at the first such
+    row, before any work."""
     xs, dom = _prepare_xs(xs, lam, 0, 0, 0)
-    scaled = _scaled(xs, dom)
-    rec = _series_reciprocal(min(n_max, len(xs)), scaled, dom)
-    return [(n, 0, dom.wrap(_k_lambda(n, scaled, rec, dom))) for n in range(n_max + 1)]
+    if n_max > len(xs):
+        _need(xs, len(xs) + 1)  # row len(xs) + 1
+    return [(n, 0, dom.wrap(value)) for n, value in enumerate(_k_lambda(n_max, xs, dom))]

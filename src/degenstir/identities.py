@@ -48,16 +48,6 @@ class IdentityReport(namedtuple("IdentityReport", "identity variant params lhs r
     __slots__ = ()
     __hash__ = None
 
-    def to_json_obj(self):
-        return {
-            "identity": self.identity,
-            "variant": self.variant,
-            "params": dict(self.params),
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-            "equal": self.equal,
-        }
-
 
 def _report(identity, params, lhs, rhs, dom, variant=AS_DERIVED, den=None):
     equal = lhs == rhs

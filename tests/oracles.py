@@ -8,9 +8,13 @@ operations on ``Series`` that only the tests use: the block, whose powers
 define the truncated Stirling numbers, t^k, the derivative and agreement on
 the shared orders.  ``bernoulli_values`` grows the truncated Bernoulli
 values as values of a domain, quotients in the symbolic mode, where the
-library grows numerators over E^alpha.  The last, ``thm3_composition_sum``,
-is the right side of thm3 as printed, one product per weak composition,
-where the library reads it off a power of one series.
+library grows numerators over E^alpha.  ``thm3_composition_sum`` is the
+right side of thm3 as printed, one product per weak composition, where the
+library reads it off a power of one series.  ``bell_enum`` and
+``k_lambda_series`` are the partial Bell and reciprocal-series polynomials
+by the partition enumeration and by one ``Series.div``, where the library
+reads both off one Bell triangle.  ``report_json_obj`` is a report as the
+dict that ``json.dumps`` writes, the reference of the CLI's JSON writer.
 """
 
 import math
@@ -237,3 +241,37 @@ def thm3_composition_sum(n, k, r, lam=None):
             term = term * singles[j]
         total = total + term
     return total
+
+
+def bell_enum(n, k, xs, lam=None):
+    """The partial Bell polynomial B(n, k) of xs, the sum over the partitions
+    of n into k parts of n! prod_j x_j^m_j / (j!^m_j m_j!), m_j the number of
+    parts j, term by term."""
+    total = const(0, lam)
+    for part in partitions_exact(n, k):
+        term = const(math.factorial(n), lam)
+        for j in set(part):
+            m = part.count(j)
+            term = term * xs[j - 1] ** m / (math.factorial(j) ** m * math.factorial(m))
+        total = total + term
+    return total
+
+
+def k_lambda_series(n, xs, lam=None):
+    """The reciprocal-series polynomial n! [t^n] 1 / (1 + sum_l (1)_l x_l t^l / l!),
+    the descending products read off ``gen_falling``, by one ``Series.div``."""
+    coeffs = [const(1, lam)] + [gen_falling(1, l, lam=lam) * xs[l - 1] / math.factorial(l)
+                                for l in range(1, n + 1)]
+    return Series.one(n, lam).div(Series(coeffs)).coeff(n) * math.factorial(n)
+
+
+def report_json_obj(rep):
+    """An ``IdentityReport`` as the dict that ``json.dumps`` writes."""
+    return {
+        "identity": rep.identity,
+        "variant": rep.variant,
+        "params": dict(rep.params),
+        "lhs": str(rep.lhs),
+        "rhs": str(rep.rhs),
+        "equal": rep.equal,
+    }

@@ -26,8 +26,6 @@ from degenstir import (
     falling_factorial,
     gen_falling,
     k_lambda,
-    k_lambda_bell,
-    k_lambda_series,
     lam_elem,
     one_falling,
     stirling1_degen,
@@ -44,7 +42,13 @@ from degenstir import (
     verify_thm8,
 )
 from degenstir.identities import IdentityReport
-from oracles import bernoulli_numbers, classic_stirling2, compositions, derivative
+from oracles import (
+    bernoulli_numbers,
+    classic_stirling2,
+    compositions,
+    derivative,
+    k_lambda_series,
+)
 
 LAM = lam_elem()
 
@@ -242,7 +246,7 @@ def test_triple_truncation_sum():
 def test_reciprocal_polynomial_routes():
     sym = [LAM + l for l in range(1, 11)]
     for n in range(11):
-        assert k_lambda_bell(n, sym) == k_lambda_series(n, sym)
+        assert k_lambda(n, sym) == k_lambda_series(n, sym)
         ones = [1] * max(n, 1)
         expect = const(0)
         for k in range(n + 1):

@@ -14,13 +14,10 @@ from degenstir import (
     as_elem,
     bell_partial,
     bell_partial_enum,
-    bell_partial_gf,
     const,
     degen_bernoulli,
     degen_exp,
     k_lambda,
-    k_lambda_bell,
-    k_lambda_series,
     lam_elem,
     one_falling,
     stirling2_degen,
@@ -29,7 +26,16 @@ from degenstir import (
 )
 from degenstir import bernoulli, cli, field, identities, series
 from degenstir.field import domain
-from oracles import bernoulli_numbers, bernoulli_values, block, partitions_exact, t_power
+from oracles import (
+    bell_enum,
+    bernoulli_numbers,
+    bernoulli_values,
+    block,
+    classic_stirling2,
+    k_lambda_series,
+    partitions_exact,
+    t_power,
+)
 from threads import threads_agree_with_one_thread
 
 LAM = lam_elem()
@@ -339,7 +345,7 @@ def test_bell_routes_agree_on_symbolic_inputs():
     xs = [LAM + l for l in range(1, 11)]
     for n in range(11):
         for k in range(n + 1):
-            assert bell_partial_enum(n, k, xs) == bell_partial_gf(n, k, xs)
+            assert bell_partial_enum(n, k, xs) == bell_partial(n, k, xs)
 
 
 def test_partitions_are_the_recursive_enumeration_in_its_order():
@@ -355,49 +361,6 @@ def test_a_bell_value_of_more_parts_than_the_recursion_limit():
     assert bell_partial_enum(1200, 1200, [F(1, 2)], lam=F(1, 3)) == F(1, 2 ** 1200)
 
 
-def _bell_slot(dom):
-    # the (sequence, columns) of the domain's one partial Bell triangle
-    return dom.memo.get("bell", (None, []))
-
-
-def test_bell_row_fills_one_triangle_row(monkeypatch):
-    xs = [LAM + l for l in range(1, 11)]
-    sum_products = field.Symbolic.sum_products
-    calls = []
-
-    def counted(terms):
-        calls.append(1)
-        return sum_products(terms)
-
-    monkeypatch.setattr(field.Symbolic, "sum_products", staticmethod(counted))
-    field.SYMBOLIC.memo.clear()
-    for n in range(11):
-        before = len(calls)
-        row = [bell_partial_gf(n, k, xs) for k in range(n + 1)]
-        # one sum per cell of row n; from scratch the row would take
-        # 1 + 2 + ... + n of them
-        assert len(calls) - before <= n
-        ser = Series([const(0)] + [xs[l - 1] / math.factorial(l) for l in range(1, n + 1)])
-        for k, value in enumerate(row):
-            assert value == ser.pow(k).coeff(n) * F(math.factorial(n), math.factorial(k))
-        # the domain keeps one triangle, grown to column n
-        seq, cols = _bell_slot(field.SYMBOLIC)
-        assert (seq, len(cols)) == (tuple(xs), n + 1)
-    assert calls  # the cells are sums of products
-
-
-@pytest.mark.parametrize("family", ["bell", "klambda"])
-def test_a_table_fills_one_bell_triangle(capsys, family):
-    # every row of a table reads one default sequence, so one triangle
-    dom = domain(F(1, 3))
-    dom.memo.clear()
-    assert cli.main(["table", family, "--n-max", "16", "--lambda=1/3"]) == 0
-    capsys.readouterr()
-    assert list(dom.memo) == ["bell"]
-    seq, cols = _bell_slot(dom)
-    assert len(seq) == 16 and len(cols) == 17
-
-
 def _counted(monkeypatch, name):
     # the calls of bernoulli's name, counted
     calls = []
@@ -409,6 +372,42 @@ def _counted(monkeypatch, name):
 
     monkeypatch.setattr(bernoulli, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("lam", [None, F(-2, 7)])
+def test_a_bell_value_builds_only_its_band(monkeypatch, lam):
+    # B(n, k) reads columns 1..k down to index n - k: k (n - k + 1) sums of
+    # the recurrence, checked against k powers of as many coefficients each,
+    # one sum per coefficient; not the whole triangle of rows 0..n
+    cls = type(domain(lam))
+    sum_products, sums = cls.sum_products, []
+
+    def counted(terms):
+        sums.append(1)
+        return sum_products(terms)
+
+    monkeypatch.setattr(cls, "sum_products", staticmethod(counted))
+    products = _counted(monkeypatch, "product")
+    xs = [F(l, l + 1) for l in range(1, 41)]
+    for n, k in [(n, k) for n in range(13) for k in range(n + 2)] + [(40, 40), (40, 1)]:
+        sums.clear()
+        products.clear()
+        assert bell_partial(n, k, xs, lam) == bell_enum(n, k, xs, lam), (n, k)
+        band = k * (n - k + 1) if k <= n else 0
+        assert len(sums) == 2 * band, (n, k)
+        assert [len(a) for a, g, dom in products] == ([n - k + 1] * k if k <= n else [])
+
+
+@pytest.mark.parametrize("family", ["bell", "klambda"])
+def test_a_table_builds_one_bell_triangle_and_keeps_nothing(capsys, monkeypatch, family):
+    # every row of a table reads one default sequence, so one triangle, which
+    # the domain does not keep
+    calls = _counted(monkeypatch, "_bell_columns")
+    dom = domain(F(1, 3))
+    dom.memo.clear()
+    assert cli.main(["table", family, "--n-max", "16", "--lambda=1/3"]) == 0
+    capsys.readouterr()
+    assert [k for k, last, xs, _ in calls] == [16] and not dom.memo
 
 
 def test_a_reciprocal_table_divides_one_series(capsys, monkeypatch):
@@ -456,13 +455,13 @@ def test_reciprocal_polynomials():
     assert k_lambda(0, xs) == 1
     assert k_lambda(1, xs) == -xs[0]
     with pytest.raises(InputTooShort):
-        k_lambda_series(4, xs[:2])
+        k_lambda(4, xs[:2])
 
 
 def test_reciprocal_routes_agree():
     sym = [LAM + l for l in range(1, 11)]
     for n in range(11):
-        assert k_lambda_bell(n, sym) == k_lambda_series(n, sym)
+        assert k_lambda(n, sym) == k_lambda_series(n, sym)
 
 
 def test_reciprocal_all_ones_specialization():
@@ -475,25 +474,32 @@ def test_reciprocal_all_ones_specialization():
         assert k_lambda(n, ones) == expect
 
 
-@pytest.mark.parametrize("lam", [None, F(-5, 3)])
-def test_reciprocal_polynomials_never_enumerate_partitions(monkeypatch, lam):
+def _refuse_partitions(monkeypatch):
     def refuse(*args):
         raise AssertionError("the partition enumeration ran")
 
     monkeypatch.setattr(bernoulli, "partitions_exact", refuse)
-    dom = domain(lam)
+
+
+@pytest.mark.parametrize("lam", [None, F(-5, 3)])
+def test_reciprocal_polynomials_never_enumerate_partitions(monkeypatch, lam):
+    _refuse_partitions(monkeypatch)
     for xs in ([F(l - 4, l + 1) for l in range(1, 13)],
                [F(0)] + [F((-1) ** l * l, 3) for l in range(2, 13)]):
-        dom.memo.clear()
         for n in range(13):
-            k_lambda(n, xs, lam)
-            # every n reads the one triangle of the whole scaled sequence,
-            # grown by one column per order and never past column n
-            seq, cols = _bell_slot(dom)
-            assert len(seq) == 12 and len(cols) == n + 1, (n, xs)
-            if n == 0:
-                first = cols
-            assert cols is first
+            assert k_lambda(n, xs, lam) == k_lambda_series(n, xs, lam), (n, xs)
+        assert [v for _, _, v in bernoulli.k_lambda_rows(12, xs, lam)] == [
+            k_lambda_series(n, xs, lam) for n in range(13)]
+
+
+def test_bell_values_and_tables_never_enumerate_partitions(monkeypatch):
+    # on all ones, B(n, k) is the classical S(n, k); the enumeration would
+    # walk p(30) = 5,604 partitions for B(60, 30) alone
+    _refuse_partitions(monkeypatch)
+    classic = classic_stirling2(60)
+    assert bernoulli.bell_rows(30, 30, [1] * 30) == [
+        (n, k, classic[n, k]) for n in range(31) for k in range(n + 1)]
+    assert bell_partial(60, 30, [1] * 60, F(1, 2)) == classic[60, 30]
 
 
 _SEQ = st.lists(st.one_of(st.just(F(0)), st.fractions(-3, 3, max_denominator=4)),
@@ -510,53 +516,55 @@ def test_reciprocal_routes_agree_on_sequences_with_zeros_and_negatives(xs, lam):
               for l, x in enumerate(xs, 1)]
     enum = const(0, lam)
     for k in range(n + 1):
-        enum = enum + (-1) ** k * math.factorial(k) * bell_partial_enum(n, k, scaled, lam)
-    assert k_lambda_bell(n, xs, lam) == k_lambda_series(n, xs, lam) == enum
+        enum = enum + (-1) ** k * math.factorial(k) * bell_enum(n, k, scaled, lam)
+    assert k_lambda(n, xs, lam) == k_lambda_series(n, xs, lam) == enum
+    assert bernoulli.k_lambda_rows(n, xs, lam)[n] == (n, 0, enum)
 
 
 @settings(max_examples=30, deadline=None)
 @given(_SEQ, st.sampled_from([None, F(-5, 3), F(2, 7)]), st.data())
-def test_bell_routes_agree_with_the_series_power_on_sequences_with_zeros_and_negatives(
+def test_bell_values_and_tables_agree_with_the_enumeration_and_the_series_power(
         xs, lam, data):
     xs = [const(x, lam) for x in xs]
     if lam is None:
         # one entry a polynomial in the parameter
         xs[data.draw(st.integers(0, len(xs) - 1))] = LAM + 1
+    n_max = len(xs)
     ser = Series([const(0, lam)] + [x / math.factorial(l) for l, x in enumerate(xs, 1)])
     power = Series.one(ser.precision, lam)
-    for k in range(len(xs) + 1):
-        for n in range(k, len(xs) + 1):
-            want = power.coeff(n) * F(math.factorial(n), math.factorial(k))
-            assert bell_partial_gf(n, k, xs, lam) == bell_partial_enum(n, k, xs, lam) == want
+    want = {}
+    for k in range(n_max + 1):
+        for n in range(k, n_max + 1):
+            want[n, k] = power.coeff(n) * F(math.factorial(n), math.factorial(k))
+            assert bell_partial(n, k, xs, lam) == bell_enum(n, k, xs, lam) == want[n, k]
         power = power.mul(ser)
+    k_max = data.draw(st.integers(0, n_max))
+    assert bernoulli.bell_rows(n_max, k_max, xs, lam) == [
+        (n, k, want[n, k]) for n in range(n_max + 1) for k in range(min(n, k_max) + 1)]
 
 
 @settings(max_examples=30, deadline=None)
 @given(_SEQ, st.sampled_from([None, F(-5, 3), F(2, 7)]), st.randoms(use_true_random=False))
 def test_bell_cells_read_in_any_order_then_a_table_equal_the_enumeration(xs, lam, rnd):
-    # the columns grow to whatever band each cell reads, in any order, and a
-    # table read after some of the cells fills the rest of the same triangle
+    # each cell and each table builds a triangle of its own, so neither the
+    # order of the reads nor an earlier read changes a value
     n_max = len(xs)
     cells = [(n, k) for n in range(n_max + 1) for k in range(n + 2)]
     rnd.shuffle(cells)
     del cells[rnd.randint(0, len(cells)):]
-    domain(lam).memo.clear()
     for n, k in cells:
-        assert bell_partial_gf(n, k, xs, lam) == bell_partial_enum(n, k, xs, lam), (n, k)
+        assert bell_partial(n, k, xs, lam) == bell_enum(n, k, xs, lam), (n, k)
     assert bernoulli.bell_rows(n_max, n_max, xs, lam) == [
-        (n, k, bell_partial_enum(n, k, xs, lam)) for n in range(n_max + 1) for k in range(n + 1)]
+        (n, k, bell_enum(n, k, xs, lam)) for n in range(n_max + 1) for k in range(n + 1)]
 
 
 @pytest.mark.parametrize("entry, args", [
     (bell_partial, (-1, 0, [1])),
     (bell_partial, (3, -1, [1, 1, 1])),
-    (bell_partial_gf, (-2, -1, [1, 1, 1])),
-    (bell_partial_gf, (3, -1, [1, 1, 1])),
+    (bell_partial, (-2, -1, [1, 1, 1])),
     (bell_partial_enum, (3, -1, [1, 1, 1])),
     (bell_partial_enum, (-2, -1, [1, 1, 1])),
     (k_lambda, (-1, [1])),
-    (k_lambda_bell, (-1, [1])),
-    (k_lambda_series, (-1, [1])),
 ])
 @pytest.mark.parametrize("lam", [None, F(-5, 3)])
 def test_bell_and_reciprocal_polynomials_refuse_negative_indices(entry, args, lam):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from degenstir import bernoulli, cli, field
 from degenstir.field import const
 from degenstir.identities import IdentityReport
+from oracles import report_json_obj
 
 
 def run_cli(capsys, *argv):
@@ -226,11 +227,37 @@ def test_split_negative_rationals_parse_like_the_joined_form(capsys, command, fl
     assert split[0] == 0 and split[1].startswith("n,k,value")
 
 
-def test_route_disagreement_exits_two(capsys, monkeypatch):
-    monkeypatch.setattr(bernoulli, "_bell_gf", lambda *a, **kw: const(7))
-    code, out, err = run_cli(capsys, "eval", "bell", "--n", "3", "--k", "2")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "Bell routes disagree" in err
+def _corrupt_bell_route(monkeypatch, route, cell):
+    # add 1 to cell (n, k) of the triangle, or to coefficient n - k of the
+    # k-th power of the series that checks it
+    n, k = cell
+    if route == "triangle":
+        columns = bernoulli._bell_columns
+
+        def corrupted(*args):
+            cols = columns(*args)
+            cols[k][n - k] = cols[k][n - k] + 1
+            return cols
+
+        monkeypatch.setattr(bernoulli, "_bell_columns", corrupted)
+    else:
+        product, calls = bernoulli.product, []
+
+        def corrupted(a, b, dom):
+            power = list(product(a, b, dom))
+            calls.append(1)
+            if len(calls) == k:
+                power[n - k] = power[n - k] + 1
+            return tuple(power)
+
+        monkeypatch.setattr(bernoulli, "product", corrupted)
+
+
+@pytest.mark.parametrize("route", ["triangle", "power"])
+def test_route_disagreement_exits_two(capsys, monkeypatch, route):
+    _corrupt_bell_route(monkeypatch, route, (3, 2))
+    got = run_cli(capsys, "eval", "bell", "--n", "3", "--k", "2")
+    assert got == (2, "", "error: internal error: Bell routes disagree at (3, 2)\n")
 
 
 def test_reciprocal_route_disagreement_exits_two(capsys, monkeypatch):
@@ -243,15 +270,11 @@ def test_reciprocal_route_disagreement_exits_two(capsys, monkeypatch):
 
 @pytest.mark.parametrize("lam", ["symbolic", "-2/7"])
 @pytest.mark.parametrize("cell", [(1, 1), (4, 2), (6, 6)])
-def test_a_bell_table_checks_every_cell_against_the_enumeration(capsys, monkeypatch, lam, cell):
-    # a table prepares its sequence once, but each cell still meets both routes
-    enum = bernoulli._bell_enum
-
-    def corrupted(n, k, xs, dom):
-        value = enum(n, k, xs, dom)
-        return value + 1 if (n, k) == cell else value
-
-    monkeypatch.setattr(bernoulli, "_bell_enum", corrupted)
+@pytest.mark.parametrize("route", ["triangle", "power"])
+def test_a_bell_table_checks_every_cell_against_the_series_power(
+        capsys, monkeypatch, route, cell, lam):
+    # a table builds one triangle, and each of its cells still meets both routes
+    _corrupt_bell_route(monkeypatch, route, cell)
     got = run_cli(capsys, "table", "bell", "--n-max", "6", "--lambda=" + lam)
     assert got == (2, "", "error: internal error: Bell routes disagree at %s\n" % (cell,))
 
@@ -324,7 +347,7 @@ def test_the_table_writer_is_json_dumps_with_indent_two(family, lam_label, rows)
 def test_the_report_writer_is_json_dumps_with_indent_two(reports):
     out = io.StringIO()
     cli._write_reports(out.write, reports)
-    assert out.getvalue() == json.dumps([rep.to_json_obj() for rep in reports], indent=2) + "\n"
+    assert out.getvalue() == json.dumps([report_json_obj(rep) for rep in reports], indent=2) + "\n"
 
 
 def test_computation_errors_exit_two(capsys):

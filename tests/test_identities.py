@@ -29,7 +29,7 @@ from degenstir import (
     verify_thm8,
 )
 from degenstir import bernoulli, core, field, identities
-from oracles import thm3_composition_sum
+from oracles import report_json_obj, thm3_composition_sum
 
 LAM = lam_elem()
 
@@ -261,7 +261,7 @@ def test_a_cold_pinned_sweep_sums_its_terms_on_ints(monkeypatch):
 def test_sweep_and_report_shape():
     reports = sweep("thm4", n_max=4)
     assert all_derived_equal(reports)
-    obj = reports[0].to_json_obj()
+    obj = report_json_obj(reports[0])
     assert list(obj) == ["identity", "variant", "params", "lhs", "rhs", "equal"]
     json.dumps(obj)  # serializable
     with pytest.raises(ValueError):

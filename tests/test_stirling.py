@@ -11,8 +11,7 @@ from degenstir import (
     FieldElem,
     LambdaPoly,
     Series,
-    bell_partial_enum,
-    bell_partial_gf,
+    bell_partial,
     build_triangle,
     const,
     falling_factorial,
@@ -165,48 +164,20 @@ def test_diagonal_is_one_for_plain_kinds():
         assert entries[(n, n)] == 1
 
 
-def _bell_cols():
-    # the columns of the symbolic domain's one partial Bell triangle
-    return SYMBOLIC.memo.get("bell", (None, []))[1]
+def test_bell_cells_past_the_diagonal_read_no_triangle(monkeypatch):
+    # B(n, k) = 0 for k > n, so row 8 at k = 5000 builds no column
+    def refuse(*args):
+        raise AssertionError("a triangle was built")
 
-
-def test_bell_triangle_grows_no_row_past_the_one_read():
-    # B(n, k) = 0 for k > n, so row 8 at k = 5000 reads no column past 8
     xs = [const(F(l, l + 1)) for l in range(1, 9)]
-    SYMBOLIC.memo.clear()
-    assert bell_partial_gf(8, 5000, xs) == 0
-    assert len(_bell_cols()) <= 9
-    assert bell_partial_gf(8, 8, xs) == xs[0] ** 8
-    assert bell_partial_gf(8, 5000, xs) == 0
-    assert len(_bell_cols()) == 9
-    # with x_1 = 0 every B(8, k) with 2k > 8 vanishes, read off columns 0..8
+    with monkeypatch.context() as patched:
+        patched.setattr(bernoulli, "_bell_columns", refuse)
+        assert bell_partial(8, 5000, xs) == 0
+    assert bell_partial(8, 8, xs) == xs[0] ** 8
+    # with x_1 = 0 every B(8, k) with 2k > 8 vanishes
     xs[0] = const(0)
-    row = [bell_partial_gf(8, k, xs) for k in range(9)]
+    row = [bell_partial(8, k, xs) for k in range(9)]
     assert row[5:] == [0] * 4 and row[4] != 0
-    assert len(_bell_cols()) == 9
-
-
-def test_one_bell_cell_fills_only_the_columns_it_reads():
-    # B(n, k) reads columns 0..k down to index n - k, so one cell costs
-    # O(k (n-k)^2) terms, not the whole triangle's O(n^3)
-    xs = [const(F(l, l + 1)) for l in range(1, 31)]
-    SYMBOLIC.memo.clear()
-    assert bell_partial_gf(30, 2, xs) == bell_partial_enum(30, 2, xs)
-    assert [len(col) for col in _bell_cols()] == [29] * 3
-    # a later cell of a wider column extends the columns it reads in place
-    cols = _bell_cols()
-    assert bell_partial_gf(12, 5, xs) == bell_partial_enum(12, 5, xs)
-    assert _bell_cols() is cols
-    assert [len(col) for col in cols] == [29] * 3 + [8] * 3
-
-
-def test_a_deep_bell_cell_fills_only_its_band():
-    # B(40, 40) reads the diagonal alone: one cell per column, not the
-    # 861 cells of rows 0..40
-    xs = [const(F(l, l + 1)) for l in range(1, 41)]
-    SYMBOLIC.memo.clear()
-    assert bell_partial_gf(40, 40, xs) == xs[0] ** 40
-    assert sum(len(col) for col in _bell_cols()) == 41
 
 
 @pytest.mark.parametrize("lam", [None, F(-5, 3), F(0), F(7, 2)])
@@ -487,27 +458,16 @@ def test_threads_making_the_first_reads_of_a_triangle_agree_with_one_thread(lam)
         check)
 
 
-def test_threads_filling_one_cold_bell_triangle_agree_with_one_thread(monkeypatch):
-    # without a guard on growth two threads append the same cell, and without
-    # one stored triangle per domain they fill triangles of their own
+def test_threads_reading_bell_cells_agree_with_one_thread():
+    # each call builds its own triangle and the domain keeps none, so threads
+    # reading the cells of one sequence share nothing
     xs = [const(F(l, l + 1)) for l in range(1, 17)]
-    read = []
-    triangle = bernoulli._bell_triangle
-
-    def recorded(*args):
-        read.append(triangle(*args))
-        return read[-1]
-
-    monkeypatch.setattr(bernoulli, "_bell_triangle", recorded)
-
-    def clear():
-        SYMBOLIC.memo.clear()
-        read.clear()
 
     def check():
-        cols = _bell_cols()
-        assert [len(col) for col in cols] == list(range(17, 0, -1))
-        assert read and all(c is cols for c in read)
+        assert "bell" not in SYMBOLIC.memo
 
     threads_agree_with_one_thread(
-        clear, lambda: [bell_partial_gf(16, k, xs) for k in range(17)], check)
+        SYMBOLIC.memo.clear,
+        lambda: ([bell_partial(16, k, xs) for k in range(17)]
+                 + bernoulli.bell_rows(16, 16, xs)),
+        check)
