@@ -12,15 +12,15 @@ coefficient of the block has E = (1)_{r,l} = (1-l)(1-2l)...(1-(r-1)l) as a
 factor, so the column is E^alpha times a polynomial, its lowest coefficient
 being E^alpha / (r!)^alpha.  The values, n! times the coefficients, are
 therefore kept as numerators over E^alpha, polynomials when x is a
-rational, on the domain (see ``field.domain``) in one row per (r, alpha, x)
-that grows on demand: at x = 0 by the reciprocal recurrence over the column
-divided by E^alpha, an exact division, at x != 0 by the Appell form over
-the x = 0 row, each numerator one ``sum_products`` of the domain (see
-``field``), reduced once.  So a row runs no polynomial gcd; a value is its
-numerator divided by E^alpha on its first read and kept, and the verifiers
-that sum values of one row sum its numerators instead.  The plain values
-are the r = 1 case, where E = 1 and the numerators are the values, and are
-computed as such.
+rational, in one row per (r, alpha, x), a table of the domain (see
+``field.table``) that grows on demand: at x = 0 by the reciprocal
+recurrence over the column divided by E^alpha, an exact division, at
+x != 0 by the Appell form over the x = 0 row, each numerator one
+``sum_products`` of the domain (see ``field``), reduced once.  So a row
+runs no polynomial gcd; a value is its numerator divided by E^alpha on its
+first read and kept, and the verifiers that sum values of one row sum its
+numerators instead.  The plain values are the r = 1 case, where E = 1 and
+the numerators are the values, and are computed as such.
 
 Partial Bell polynomials are read off a triangle that each call builds
 for itself and the domain does not keep, stored by columns, column k
@@ -42,8 +42,8 @@ one triangle.  The enumeration of the partitions of n into k parts
 polynomial in n, and no production path calls it.
 Every route computes on domain values (see ``field``); the public entry
 points unwrap their arguments and wrap their result.  The rows grow under
-the domain's lock and are read without it, and of the rows at x != 0 a
-domain keeps the last ``X_ROWS_KEPT`` made.
+the domain's lock and are read without it; a row the domain dropped is
+made afresh on its next read.
 """
 
 from __future__ import annotations
@@ -54,15 +54,9 @@ from fractions import Fraction
 
 from .core import descending
 from .errors import InputTooShort, RouteDisagreement, ZeroDivisorSeries
-from .field import FieldElem, as_elem, domain
+from .field import FieldElem, as_elem, domain, table
 from .series import product, quotient
 from .stirling import stirling_entry
-
-
-# the rows at x != 0 a domain keeps, the oldest made dropped first:
-# ``verify --identity expansion --n-max N`` cycles through the N values
-# x = 1..N per r, so a bound below N would regrow rows at almost every report
-X_ROWS_KEPT = 64
 
 
 class _Row:
@@ -73,34 +67,24 @@ class _Row:
     keeps column alpha of the Stirling triangle over E^alpha, ``quots[i]`` =
     S_r(i + alpha r, alpha) / E^alpha, and a row at x != 0 the descending
     products of x, ``prods``.  ``values`` keeps each value N_m / E^alpha
-    read at r > 1, by m, from its first read on."""
+    read at r > 1, by m, from its first read on.  Only a cold row checks r
+    and alpha, and one at x != 0 shares the denominator of its x = 0 row."""
 
     __slots__ = ("nums", "den", "quots", "prods", "values")
 
-    def __init__(self, den, x, dom):
+    def __init__(self, n, r, alpha, x, dom):
+        if r < 1 or alpha < 0:
+            raise ValueError("truncated Bernoulli values need r >= 1 and alpha >= 0, "
+                             "got n=%d, r=%d, alpha=%d" % (n, r, alpha))
         self.nums = []
-        self.den = den
+        if x:
+            zero = dom.zero
+            self.den = table(dom, ("row", r, alpha, zero), _Row, n, r, alpha, zero, dom).den
+        else:
+            self.den = descending(dom.one, r, dom.lam, dom)[-1] ** alpha
         self.values = {}
         self.quots = None if x else []
         self.prods = [dom.one] if x else None
-
-
-def _row(r: int, alpha: int, x, dom) -> _Row:
-    # made under the domain's lock, so that threads that race on a cold row
-    # all get the one that is stored; a row at x != 0 shares the denominator
-    # of its x = 0 row, and the oldest one made is dropped past X_ROWS_KEPT
-    key = ("row", r, alpha, x)
-    row = dom.memo.get(key)
-    if row is None:
-        if x:
-            den = numerator_row(0, r, alpha, dom.zero, dom).den
-        else:
-            den = descending(dom.one, r, dom.lam, dom)[-1] ** alpha
-        row = dom.memo[key] = _Row(den, x, dom)
-        kept = [k for k in dom.memo if k[0] == "row" and k[3]]
-        if len(kept) > X_ROWS_KEPT:
-            del dom.memo[kept[0]]
-    return row
 
 
 def _exact_div(value, den, dom):
@@ -153,14 +137,10 @@ def numerator_row(n: int, r: int, alpha: int, x, dom) -> _Row:
     append one value twice, and is read without it."""
     if n < 0:
         raise IndexError("negative coefficient index")
-    row = dom.memo.get(("row", r, alpha, x))
-    if row is None or n >= len(row.nums):
-        # a warm row was made with valid r and alpha, so only a cold one checks
-        if r < 1 or alpha < 0:
-            raise ValueError("truncated Bernoulli values need r >= 1 and alpha >= 0, "
-                             "got n=%d, r=%d, alpha=%d" % (n, r, alpha))
+    key = ("row", r, alpha, x)
+    row = dom.memo.get(key) or table(dom, key, _Row, n, r, alpha, x, dom)
+    if n >= len(row.nums):
         with dom.lock:
-            row = _row(r, alpha, x, dom)
             if x:
                 _appell(row, n, x, numerator_row(n, r, alpha, dom.zero, dom).nums, dom)
             else:

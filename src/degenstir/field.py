@@ -45,6 +45,10 @@ them into one int coefficient list over one int denominator, split into
 content and primitive part at the end, and adds a term with a genuine
 quotient among its factors as elements.
 
+A domain keeps the tables the kernels grow for its parameter in its
+``memo`` by one rule, ``table``, the one place that makes and drops them:
+past ``TABLES_KEPT`` the oldest table made, whatever its kind, is dropped.
+
 The parameter prints as ``l`` in the canonical text form, for example
 ``(-1/2)*l^1 + 1/2``.
 """
@@ -566,8 +570,8 @@ def as_elem(value, lam=None) -> FieldElem:
 
 class Pinned:
     """The value domain of a pinned mode: Fractions, the parameter at ``mode``.
-    ``memo`` holds what the kernels keep for that parameter, grown under
-    ``lock``."""
+    ``memo`` holds the tables kept for that parameter (see ``table``), grown
+    under ``lock``."""
 
     __slots__ = ("mode", "lam", "memo", "lock")
     zero, one = Fraction(0), Fraction(1)
@@ -680,8 +684,27 @@ _pinned = lru_cache(maxsize=PINNED_KEPT)(Pinned)  # keyed by the Fraction alone
 
 def domain(lam=None):
     """The value domain of a mode; its ``memo`` holds all the kernels keep for
-    it, each table grown under the domain's reentrant ``lock`` and read
-    without it.  The symbolic domain is one object; the last ``PINNED_KEPT``
-    pinned ones used are kept, so a sweep over the parameter holds few
-    tables."""
+    it (see ``table``).  The symbolic domain is one object; the last
+    ``PINNED_KEPT`` pinned ones used are kept, so a sweep over the parameter
+    holds the tables of few domains."""
     return SYMBOLIC if lam is None else _pinned(as_rational(lam))
+
+
+TABLES_KEPT = 64  # the tables a domain keeps, the oldest made dropped first
+
+
+def table(dom, key, make, *args):
+    """The table under ``key`` in the domain's ``memo``, read without the
+    lock (a hot caller reads ``memo.get(key)`` first); a cold one is
+    ``make(*args)``, stored under the lock, so that racing threads all get
+    one.  A dropped table is made afresh on its next read, equal to before."""
+    found = dom.memo.get(key)
+    if found is None:
+        with dom.lock:
+            memo = dom.memo
+            found = memo.get(key)
+            if found is None:
+                found = memo[key] = make(*args)
+                if len(memo) > TABLES_KEPT:
+                    del memo[next(iter(memo))]
+    return found

@@ -6,8 +6,8 @@ the deformed logarithm instead.  The truncated variants power the block, the
 base series without its first r coefficients, which pushes the valuation of
 the k-th power up to k*r.  The plain kinds are the r = 1 case.
 
-Every entry is read from one triangle per (kind, r), kept on the
-parameter's domain (see ``field.domain``) and filled by the triangle
+Every entry is read from one triangle per (kind, r), a table of the
+parameter's domain (see ``field.table``) filled by the triangle
 recurrence in n (see ``_Triangle``), column by column: entry (n, k) grows
 only the columns 0..k, and column j only down to row n - (k - j) r, the rows
 that entry reads.  Column k of the second kind, read as
@@ -45,12 +45,12 @@ from fractions import Fraction
 
 from .core import int_falling, one_falling
 from .field import (FieldElem, const, domain, int_add, int_add_mul, int_mul, int_poly,
-                    int_scale)
+                    int_scale, table)
 
 
 class _Triangle:
-    """The truncated Stirling numbers S(m, j) of one kind and r, kept in its
-    domain's ``memo`` under ("tri", kind, r) and filled by the triangle
+    """The truncated Stirling numbers S(m, j) of one kind and r, kept as the
+    table ("tri", kind, r) of its domain and filled by the triangle
     recurrence in n.  With the parameter written as l = p/q (p = l, q = 1 in
     the symbolic mode) the scaled cell T(m, j) = q^(m-j) S(m, j) obeys
 
@@ -66,14 +66,15 @@ class _Triangle:
     being zero, so cell (m, j) is ``cols[j][m - j*r]`` and the j - 1
     neighbour of a cell sits at the same index in the column before it.
     Columns grow downward; ``fill`` grows only the columns an entry needs,
-    and at r > 1 adds the left term's product into the cell in one pass.
+    and at r > 1 adds the left term's product into the cell in one pass,
+    its factor C(m, r-1) c made for that cell.
 
     ``stirling_entry`` wraps a cell into the domain's value on the cell's
     first read and keeps it in ``values``, which it reads without the lock:
     ``int_poly`` of the coefficients when symbolic, T(m, j) / q^(m-j) when
     pinned (``den`` is q, None in the symbolic mode)."""
 
-    __slots__ = ("r", "den", "a", "c", "step", "cols", "factors", "coefs", "values")
+    __slots__ = ("r", "den", "a", "c", "step", "cols", "factors", "values")
 
     def __init__(self, kind: int, r: int, dom):
         self.r = r
@@ -92,7 +93,6 @@ class _Triangle:
         self.a, self.c = a, c
         self.cols = []     # column j: T(j*r..m, j)
         self.factors = []  # column j: j*a - m*b, the factor of its next row
-        self.coefs = []    # row m: C(m, r-1) c; unused at r = 1, where it is 1
         self.values = {}   # (j, i) -> the value of cell i of column j
 
     def fill(self, n: int, k: int):
@@ -102,8 +102,6 @@ class _Triangle:
         before it, and the walk starts at the first column too short."""
         r, cols, step = self.r, self.cols, self.step
         last = n - k * r  # the same index in every column
-        while r > 1 and len(self.coefs) < n:
-            self.coefs.append(int_scale(self.c, math.comb(len(self.coefs), r - 1)))
         while len(cols) <= k:
             # T(0, 0) = 1; rows 0..j*r-1 of column j >= 1 are 0, unstored
             j = len(cols)
@@ -121,16 +119,13 @@ class _Triangle:
                 v = int_mul(f, col[-1]) if i else ()
                 left = cols[j - 1][i] if j else ()
                 if left:
-                    v = int_add(v, left) if r == 1 else int_add_mul(v, self.coefs[m], left)
+                    if r == 1:
+                        v = int_add(v, left)
+                    else:
+                        v = int_add_mul(v, int_scale(self.c, math.comb(m, r - 1)), left)
                 col.append(v)
                 f = int_add(f, step)
             self.factors[j] = f
-
-
-def _triangle(kind: int, r: int, dom) -> _Triangle:
-    # threads that race on a cold triangle all get the one that is stored
-    with dom.lock:
-        return dom.memo.setdefault(("tri", kind, r), _Triangle(kind, r, dom))
 
 
 def stirling_entry(kind: int, n: int, k: int, r: int, dom):
@@ -143,7 +138,8 @@ def stirling_entry(kind: int, n: int, k: int, r: int, dom):
                          "n=%d, k=%d, r=%d" % (n, k, r))
     if k * r > n:
         return dom.zero
-    tri = dom.memo.get(("tri", kind, r)) or _triangle(kind, r, dom)
+    key = ("tri", kind, r)
+    tri = dom.memo.get(key) or table(dom, key, _Triangle, kind, r, dom)
     cols, i = tri.cols, n - k * r
     if k >= len(cols) or i >= len(cols[k]):
         with dom.lock:

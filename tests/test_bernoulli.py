@@ -184,9 +184,9 @@ def test_threads_growing_one_cold_row_agree_with_one_thread(monkeypatch, lam, x)
         monkeypatch.setattr(bernoulli, name, recorder(getattr(bernoulli, name)))
 
     def check():
-        row = bernoulli._row(2, 2, dom.unwrap(x), dom)
+        row = dom.memo[("row", 2, 2, dom.unwrap(x))]
         assert len(row.nums) == 13 and sorted(row.values) == list(range(13))
-        base = bernoulli._row(2, 2, dom.zero, dom)
+        base = dom.memo[("row", 2, 2, dom.zero)]
         if x:
             assert len(row.prods) == 13
             assert len(base.nums) == 13
@@ -236,24 +236,24 @@ def test_a_cold_table_grows_every_table_under_its_own_domains_lock(monkeypatch, 
 
 
 def test_an_expansion_sweep_makes_each_row_once(monkeypatch):
-    # 24 rows at x != 0 for each r = 1..3, 72 in all, which the sweep reads
-    # r by r: dropping the oldest past 64 drops only rows of a finished r
+    # 25 rows, x = 0..24, and one triangle for each r = 1..3, 78 tables in
+    # all, which the sweep reads r by r: dropping the oldest past
+    # TABLES_KEPT drops only tables of a finished r
     dom = domain(F(-2, 7))
     dom.memo.clear()
     made = []
     row = bernoulli._Row
 
-    def recorded(den, x, dom):
-        made.append(x)
-        return row(den, x, dom)
+    def recorded(n, r, alpha, x, dom):
+        made.append((r, x))
+        return row(n, r, alpha, x, dom)
 
     monkeypatch.setattr(bernoulli, "_Row", recorded)
     reports = identities.sweep("expansion", n_max=24, lam=F(-2, 7))
     assert all(rep.equal for rep in reports)
-    assert sorted(made) == sorted(list(range(25)) * 3)
-    x_rows = [key for key in dom.memo if key[0] == "row" and key[3]]
-    assert len(x_rows) == bernoulli.X_ROWS_KEPT
-    assert x_rows[0] == ("row", 1, 1, 9)
+    assert sorted(made) == [(r, x) for r in (1, 2, 3) for x in range(25)]
+    assert len(dom.memo) == field.TABLES_KEPT
+    assert all(("row", r, 1, x) in dom.memo for r in (2, 3) for x in range(25))
 
 
 @pytest.mark.parametrize("lam", [None, F(-5, 3)])

@@ -1,9 +1,12 @@
-"""Parameter domains: one per parameter value, a bounded number kept, and
-values that read the same after their domain was dropped."""
+"""Parameter domains: one per parameter value, a bounded number kept, each
+keeping a bounded number of tables, and values that read the same after
+their domain or their table was dropped."""
 
 import gc
 import tracemalloc
 from fractions import Fraction as F
+
+import pytest
 
 from degenstir import (
     as_elem,
@@ -15,9 +18,8 @@ from degenstir import (
     stirling2r_gf,
     trunc_degen_bernoulli,
 )
-from degenstir import stirling
-from degenstir.bernoulli import X_ROWS_KEPT
-from degenstir.field import PINNED_KEPT, domain
+from degenstir.field import PINNED_KEPT, TABLES_KEPT, domain
+from threads import threads_agree_with_one_thread
 
 
 def test_one_domain_per_parameter_value():
@@ -90,7 +92,7 @@ def test_many_sequences_at_one_parameter_hold_bounded_memory():
 
 def test_many_x_at_one_parameter_hold_bounded_memory():
     # 1,000 distinct x at one pinned l, one truncated value each; the domain
-    # keeps the rows of the last X_ROWS_KEPT x only, where keeping every row
+    # keeps the last TABLES_KEPT tables made only, where keeping every row
     # grows about 3.5 KB per x, 3.1 MB over the 900 x between the readings
     lam = F(1, 3)
     dom = domain(lam)
@@ -106,10 +108,49 @@ def test_many_x_at_one_parameter_hold_bounded_memory():
         end = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    x_rows = [key for key in dom.memo if key[0] == "row" and key[3]]
-    assert x_rows == [("row", 2, 2, F(1, q)) for q in range(1001 - X_ROWS_KEPT, 1001)]
-    assert ("row", 2, 2, 0) in dom.memo
+    assert len(dom.memo) == TABLES_KEPT
+    assert ("row", 2, 2, F(1, 1000)) in dom.memo
     assert end - settled <= 100_000, (settled, end)
+
+
+def _growth(steps, read, lam):
+    # the memory a loop of reads at one pinned l holds at its last step more
+    # than at step 100, and the tables its domain then keeps.  Tracing starts
+    # at step 100, so what was made before it counts for nothing.
+    dom = domain(lam)
+    dom.memo.clear()
+    try:
+        for step in range(1, steps + 1):
+            read(step)
+            if step == 100:
+                gc.collect()
+                tracemalloc.start()
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return grown, len(dom.memo)
+
+
+def test_a_sweep_over_the_depth_holds_bounded_memory():
+    # one triangle per r = 1..1,000: keeping every triangle grows 9.7 MB
+    # between r = 100 and r = 1,000, keeping the last TABLES_KEPT about 77 KB
+    lam = F(1, 3)
+    grown, kept = _growth(1000, lambda r: stirling2r_gf(2 * r + 3, 2, r, lam), lam)
+    assert kept <= TABLES_KEPT
+    assert grown <= 500_000, grown
+
+
+def test_a_sweep_over_the_order_holds_bounded_memory():
+    # one x = 0 row per alpha = 1..400, all reading the one r = 2 triangle,
+    # whose band spans columns 0..alpha: keeping every row grows 1.6 MB
+    # between alpha = 100 and alpha = 400, keeping the last TABLES_KEPT
+    # tables about 0.64 MB, mostly the triangle's columns, whose cells have
+    # more digits as alpha grows
+    lam = F(1, 3)
+    grown, kept = _growth(400, lambda alpha: trunc_degen_bernoulli(2, 2, alpha, 0, lam), lam)
+    assert kept <= TABLES_KEPT
+    assert grown <= 1_000_000, grown
 
 
 def _values(lam, x):
@@ -134,8 +175,49 @@ def test_a_dropped_domain_reads_the_same_values_again():
     again = domain(lam)
     assert again is not first and again.memo == {}
     assert _values(lam, half) == before
-    assert stirling._triangle(2, 2, again) is not stirling._triangle(2, 2, first)
+    assert again.memo[("tri", 2, 2)] is not first.memo[("tri", 2, 2)]
     # an element pinned before the drop still combines with new results
     value = stirling2r_gf(7, 3, 2, lam)
     assert (half + value) - value == half and (half * value).lam == lam
     assert trunc_degen_bernoulli(4, 2, 2, half, lam) == before[1][9 + 4]
+
+
+def _tables(lam, count):
+    # values read off count + 5 tables of one domain: the rows at count
+    # values x != 0, their x = 0 row and r = 2 triangle, then the triangles
+    # of both kinds at r = 1, 2 read cell by cell
+    xs = [as_elem(F(1, q), lam) for q in range(1, count + 1)]
+    return ([trunc_degen_bernoulli(n, 2, 2, x, lam) for x in xs for n in range(5)],
+            [entry(n, k, r, lam) for entry in (stirling1r_gf, stirling2r_gf)
+             for r in (1, 2) for n in range(9) for k in range(n // r + 1)])
+
+
+@pytest.mark.parametrize("lam", [None, F(-2, 7)])
+def test_a_dropped_table_reads_the_same_values_again(lam):
+    # a triangle and rows of both kinds read, then dropped by TABLES_KEPT
+    # newer tables, then made afresh: every value reads as before
+    dom = domain(lam)
+    dom.memo.clear()
+    half = as_elem(F(1, 2), lam)
+    before = _values(lam, half)
+    first = dict(dom.memo)
+    assert ("tri", 2, 2) in first and ("row", 2, 2, dom.unwrap(half)) in first
+    for r in range(3, 3 + TABLES_KEPT):
+        stirling2r_gf(r, 1, r, lam)
+    assert len(dom.memo) == TABLES_KEPT and not set(first) & set(dom.memo)
+    assert _values(lam, half) == before
+    assert set(first) <= set(dom.memo)
+    assert all(dom.memo[key] is not table for key, table in first.items())
+
+
+@pytest.mark.parametrize("lam", [None, F(-2, 7)])
+def test_threads_reading_more_tables_than_are_kept_agree_with_one_thread(lam):
+    # each thread reads TABLES_KEPT + 5 tables, so the tables it reads are
+    # dropped by the ones it and the others make, and made again
+    dom = domain(lam)
+
+    def check():
+        assert len(dom.memo) == TABLES_KEPT
+
+    threads_agree_with_one_thread(
+        dom.memo.clear, lambda: _tables(lam, TABLES_KEPT), check)

@@ -26,11 +26,17 @@ from degenstir import (
     trunc_degen_bernoulli,
 )
 from degenstir import bernoulli, stirling
-from degenstir.field import SYMBOLIC, domain
+from degenstir.field import SYMBOLIC, domain, table
 from degenstir.stirling import stirling_entry
 from oracles import block, classic_stirling1, classic_stirling2
 from test_acceptance import stirling2r_composition
 from threads import threads_agree_with_one_thread
+
+
+def _triangle(kind, r, dom):
+    # the domain's triangle of the kind and r, made if it is cold
+    return table(dom, ("tri", kind, r), stirling._Triangle, kind, r, dom)
+
 
 LAM = lam_elem()
 
@@ -204,7 +210,7 @@ def test_an_entry_grows_only_the_columns_up_to_its_own():
     dom.memo.clear()
     # S(n, 1) is the descending product (1)_{n,l} at r = 1
     assert stirling2r_gf(3000, 1, 1, lam=lam) == one_falling(3000, lam)
-    tri = stirling._triangle(2, 1, dom)
+    tri = _triangle(2, 1, dom)
     # S(3000, 1) reads column 0 only down to row 2999; column 1 starts at row 1
     assert [len(col) for col in tri.cols] == [3000, 3000]
     # k*r > n: zero, without a new triangle or any growth
@@ -223,7 +229,7 @@ def test_a_deep_bernoulli_order_grows_only_a_band_of_each_column():
     lam, r = F(1, 3), 2
     domain(lam).memo.clear()
     trunc_degen_bernoulli(3, r, 1500, lam=lam)
-    cols = stirling._triangle(2, r, domain(lam)).cols
+    cols = _triangle(2, r, domain(lam)).cols
     assert len(cols) == 1501
     for j, col in enumerate(cols):
         assert len(col) <= 4, j
@@ -322,9 +328,9 @@ def test_a_table_in_row_order_walks_no_column_long_enough_already():
             steps.append(j)
             return list.__getitem__(self, j)
 
-    stirling._triangle(2, 1, dom).factors = Factors()
+    _triangle(2, 1, dom).factors = Factors()
     assert len(build_triangle("stirling2", 40, lam=lam)) == 861
-    assert sum(map(len, stirling._triangle(2, 1, dom).cols)) == 861
+    assert sum(map(len, _triangle(2, 1, dom).cols)) == 861
     assert len(steps) <= 861
 
 
@@ -371,7 +377,7 @@ def test_the_wrap_examples_have_a_content_other_than_one():
 def test_a_wrapped_cell_is_the_canonical_element_of_its_coefficients(cell, lam0):
     kind, n, k, r = cell
     value = stirling_entry(kind, n, k, r, SYMBOLIC)
-    coeffs = stirling._triangle(kind, r, SYMBOLIC).cols[k][n - k * r]
+    coeffs = _triangle(kind, r, SYMBOLIC).cols[k][n - k * r]
     # the canonical form, checked on its definition: content times a
     # primitive tuple with gcd 1 and a positive leading coefficient
     assert value.num.coeffs == coeffs and value.den.is_one
@@ -386,7 +392,7 @@ def test_a_wrapped_cell_is_the_canonical_element_of_its_coefficients(cell, lam0)
     # and its first read keeps the reduced Fraction T / q^(n-k)
     pinned = domain(lam0)
     kept = stirling_entry(kind, n, k, r, pinned)
-    cell = stirling._triangle(kind, r, pinned).cols[k][n - k * r]
+    cell = _triangle(kind, r, pinned).cols[k][n - k * r]
     (scaled,) = cell or (0,)
     assert type(kept) is F and kept == F(scaled, lam0.denominator ** (n - k))
     assert stirling_entry(kind, n, k, r, pinned) is kept
@@ -410,7 +416,7 @@ def test_threads_filling_one_cold_triangle_agree_with_one_thread(monkeypatch):
         filled.clear()
 
     def check():
-        tri = stirling._triangle(2, 1, SYMBOLIC)
+        tri = _triangle(2, 1, SYMBOLIC)
         # column j holds rows j..16
         assert [len(col) for col in tri.cols] == [17 - j for j in range(17)]
         assert filled and all(t is tri for t in filled)
@@ -431,14 +437,14 @@ def test_threads_making_the_first_reads_of_a_triangle_agree_with_one_thread(lam)
 
     def filled_and_unread():
         dom.memo.clear()
-        tri = stirling._triangle(kind, r, dom)
+        tri = _triangle(kind, r, dom)
         made[:] = [tri]
         with dom.lock:
             for k in range(n_max // r + 1):
                 tri.fill(n_max, k)
 
     def check():
-        tri = stirling._triangle(kind, r, dom)
+        tri = _triangle(kind, r, dom)
         assert tri is made[0]
         assert [len(col) for col in tri.cols] == [n_max - j * r + 1 for j in range(n_max // r + 1)]
         assert len(tri.values) == sum(len(col) for col in tri.cols)
