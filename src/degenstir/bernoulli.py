@@ -31,15 +31,15 @@ B(n, k) = sum_{i=1..n-k+1} C(n-1, i-1) x_i B(n-i, k-1), one
 checked against the power form B(n, k) = n!/k! [t^(n-k)] g^k, where
 g = sum_i x_i t^(i-1)/i! (Comtet, Advanced Combinatorics, 1974, ch. 3), its
 powers climbed one ``series.product`` per column.  The reciprocal-series
-polynomials are the alternating sum sum_k (-1)^k k! B(n, k) over the
-triangle of the scaled sequence (1)_l x_l, one ``sum_products`` per order,
-each checked against one plain series reciprocal to the last order, since
-coefficient n of a reciprocal reads the first n coefficients alone.  The
+polynomials are n! times the coefficients of one reciprocal, to the last
+order, of 1 + sum_l (1)_l x_l t^l / l!, whose coefficient n reads the first
+n coefficients alone; it is checked by multiplying it back by the series,
+which must give 1 to that order: O(n^2) sums, and no Bell triangle.  The
 per-value entries (``bell_partial``, ``k_lambda``) and the table rows
 (``bell_rows``, ``k_lambda_rows``) prepare their sequence once and build
-one triangle.  The enumeration of the partitions of n into k parts
-(``partitions_exact``, ``bell_partial_enum``) costs more than any
-polynomial in n, and no production path calls it.
+one triangle or one reciprocal.  The enumeration of the partitions of n
+into k parts (``partitions_exact``, ``bell_partial_enum``) costs more than
+any polynomial in n, and no production path calls it.
 Every route computes on domain values (see ``field``); the public entry
 points unwrap their arguments and wrap their result.  The rows grow under
 the domain's lock and are read without it; a row the domain dropped is
@@ -55,7 +55,7 @@ from fractions import Fraction
 from .core import descending
 from .errors import InputTooShort, RouteDisagreement, ZeroDivisorSeries
 from .field import FieldElem, as_elem, domain, table
-from .series import product, quotient
+from .series import product, quotient, valuation
 from .stirling import stirling_entry
 
 
@@ -98,8 +98,8 @@ def _exact_div(value, den, dom):
 def _reciprocal(row: _Row, n: int, r: int, alpha: int, dom):
     # N_m = -(r!)^alpha sum_{i=1..m} C(m, i) d_i N_{m-i} and N_0 = (r!)^alpha,
     # where d_i = i! alpha! q_i / (i + alpha r)! and q_i, the column
-    # S_r(i + alpha r, alpha) over E^alpha, is a polynomial
-    stirling_entry(2, n + alpha * r, alpha, r, dom)  # so that the reads below fill nothing
+    # S_r(i + alpha r, alpha) over E^alpha, is a polynomial the row keeps
+    stirling_entry(2, n + alpha * r, alpha, r, dom, False)  # so that the reads below fill nothing
     nums, quots = row.nums, row.quots
     lo, scale = alpha * r, math.factorial(alpha)
     lead = math.factorial(r) ** alpha
@@ -107,7 +107,8 @@ def _reciprocal(row: _Row, n: int, r: int, alpha: int, dom):
         # at a pinned zero of E every coefficient of the block vanishes
         raise ZeroDivisorSeries("division by a series with no known nonzero coefficient")
     while len(quots) <= n:
-        quots.append(_exact_div(stirling_entry(2, len(quots) + lo, alpha, r, dom), row.den, dom))
+        quots.append(_exact_div(stirling_entry(2, len(quots) + lo, alpha, r, dom, False),
+                                row.den, dom))
     if not nums:
         nums.append(dom.const(lead))
     while len(nums) <= n:
@@ -138,9 +139,10 @@ def numerator_row(n: int, r: int, alpha: int, x, dom) -> _Row:
     if n < 0:
         raise IndexError("negative coefficient index")
     key = ("row", r, alpha, x)
-    row = dom.memo.get(key) or table(dom, key, _Row, n, r, alpha, x, dom)
-    if n >= len(row.nums):
+    row = dom.memo.get(key)
+    if row is None or n >= len(row.nums):
         with dom.lock:
+            row = table(dom, key, _Row, n, r, alpha, x, dom)
             if x:
                 _appell(row, n, x, numerator_row(n, r, alpha, dom.zero, dom).nums, dom)
             else:
@@ -314,51 +316,45 @@ def bell_rows(n_max: int, k_max: int, xs, lam=None) -> list:
             for n in range(n_max + 1) for k in range(min(n, k_max) + 1)]
 
 
-def _scaled(xs: tuple, dom) -> tuple:
-    # the scaled sequence (1)_l x_l, l = 1..len(xs), whose Bell triangle and
-    # exponential series both routes read
+def _series(xs: tuple, dom) -> tuple:
+    # the series 1 + sum_l (1)_l x_l t^l / l!, l = 1..len(xs)
     units = descending(dom.one, len(xs), dom.lam, dom)
-    return tuple(x * u for x, u in zip(xs, units[1:]))
+    return (dom.one,) + tuple(x * units[l] / math.factorial(l) for l, x in enumerate(xs, 1))
 
 
-def _series_reciprocal(n: int, scaled: tuple, dom) -> tuple:
-    # the coefficients 0..n of the reciprocal of 1 + sum_l scaled_l t^l / l!;
-    # coefficient m depends on scaled_1..scaled_m alone, so one quotient to
-    # the last order serves every lower one
-    coeffs = [dom.one] + [scaled[l - 1] / math.factorial(l) for l in range(1, n + 1)]
-    return quotient((dom.one,) + (dom.zero,) * n, coeffs, dom)
+def _series_reciprocal(n: int, series: tuple, dom) -> tuple:
+    # the coefficients 0..n of the reciprocal of the series; coefficient m
+    # depends on the series' coefficients 0..m alone, so one quotient to the
+    # last order serves every lower one
+    return quotient((dom.one,) + (dom.zero,) * n, series, dom)
 
 
 def _k_lambda(n_max: int, xs: tuple, dom) -> list:
-    # K(0..n_max) of prepared values xs, at least n_max of them: row n is
-    # sum_k (-1)^k k! B(n, k) over one triangle of the scaled sequence,
-    # checked against coefficient n of one series reciprocal, so the cells
-    # need no check of their own
-    scaled = _scaled(xs[:n_max], dom)
-    cols = _bell_columns(n_max, lambda j: n_max - j, scaled, dom)
-    rec = _series_reciprocal(n_max, scaled, dom)
-    values = []
-    for n in range(n_max + 1):
-        values.append(dom.sum_products(((-1) ** k * math.factorial(k), cols[k][n - k])
-                                       for k in range(n + 1)))
-        if values[n] != rec[n] * math.factorial(n):
-            raise RouteDisagreement("internal error: reciprocal routes disagree at n=%d" % (n,))
-    return values
+    # K(0..n_max) of prepared values xs, at least n_max of them: n! times
+    # the coefficients of one series reciprocal, multiplied back to check
+    # it.  The series' constant term is 1, so the first coefficient of the
+    # product that is not the unit's is the first wrong one of the reciprocal
+    series = _series(xs[:n_max], dom)
+    rec = _series_reciprocal(n_max, series, dom)
+    unit = product(rec, series, dom)
+    bad = valuation((unit[0] - dom.one,) + unit[1:])
+    if bad is not None:
+        raise RouteDisagreement("internal error: reciprocal routes disagree at n=%d" % (bad,))
+    return [c * math.factorial(n) for n, c in enumerate(rec)]
 
 
 def k_lambda(n: int, xs, lam=None) -> FieldElem:
     """Reciprocal-series polynomial: n! [t^n] of the reciprocal of the series
-    with coefficients (1)_l x_l / l! (constant term fixed at 1), as the
-    alternating Bell sum, checked against the series reciprocal."""
+    with coefficients (1)_l x_l / l! (constant term fixed at 1), read off
+    the series reciprocal and checked by multiplying it back."""
     xs, dom = _prepare_xs(xs, lam, n, 0, n)
     return dom.wrap(_k_lambda(n, xs, dom)[n])
 
 
 def k_lambda_rows(n_max: int, xs, lam=None) -> list:
     """The rows (n, 0, K(n)) of a table, n <= n_max ascending, on one
-    triangle and one series reciprocal, each value checked as by
-    ``k_lambda``.  A sequence too short for a row fails at the first such
-    row, before any work."""
+    series reciprocal, each value checked as by ``k_lambda``.  A sequence
+    too short for a row fails at the first such row, before any work."""
     xs, dom = _prepare_xs(xs, lam, 0, 0, 0)
     if n_max > len(xs):
         _need(xs, len(xs) + 1)  # row len(xs) + 1

@@ -47,7 +47,8 @@ quotient among its factors as elements.
 
 A domain keeps the tables the kernels grow for its parameter in its
 ``memo`` by one rule, ``table``, the one place that makes and drops them:
-past ``TABLES_KEPT`` the oldest table made, whatever its kind, is dropped.
+past ``TABLES_KEPT`` the table least recently made, grown or read by a
+table being made, whatever its kind, is dropped.
 
 The parameter prints as ``l`` in the canonical text form, for example
 ``(-1/2)*l^1 + 1/2``.
@@ -690,21 +691,20 @@ def domain(lam=None):
     return SYMBOLIC if lam is None else _pinned(as_rational(lam))
 
 
-TABLES_KEPT = 64  # the tables a domain keeps, the oldest made dropped first
+TABLES_KEPT = 64  # the tables a domain keeps (see ``table``)
 
 
 def table(dom, key, make, *args):
-    """The table under ``key`` in the domain's ``memo``, read without the
-    lock (a hot caller reads ``memo.get(key)`` first); a cold one is
-    ``make(*args)``, stored under the lock, so that racing threads all get
-    one.  A dropped table is made afresh on its next read, equal to before."""
-    found = dom.memo.get(key)
-    if found is None:
-        with dom.lock:
-            memo = dom.memo
-            found = memo.get(key)
-            if found is None:
-                found = memo[key] = make(*args)
-                if len(memo) > TABLES_KEPT:
-                    del memo[next(iter(memo))]
+    """The table under ``key`` in the domain's ``memo``, ``make(*args)`` if
+    the domain holds none, moved to the back of the memo.  The caller holds
+    the domain's lock and calls it to make or grow the table, or to read it
+    while making another, so that past ``TABLES_KEPT`` the table dropped is
+    the one least recently made, grown or read by a table being made.  A
+    warm read is ``memo.get(key)`` without the lock, and writes nothing.  A
+    dropped table is made afresh on its next read, equal to before."""
+    memo = dom.memo
+    found = memo.pop(key, None)
+    memo[key] = found = make(*args) if found is None else found
+    if len(memo) > TABLES_KEPT:
+        del memo[next(iter(memo))]
     return found

@@ -70,7 +70,8 @@ class _Triangle:
     its factor C(m, r-1) c made for that cell.
 
     ``stirling_entry`` wraps a cell into the domain's value on the cell's
-    first read and keeps it in ``values``, which it reads without the lock:
+    first read and keeps it in ``values`` (unless the reader keeps its own,
+    as the truncated Bernoulli rows do), which it reads without the lock:
     ``int_poly`` of the coefficients when symbolic, T(m, j) / q^(m-j) when
     pinned (``den`` is q, None in the symbolic mode)."""
 
@@ -128,9 +129,10 @@ class _Triangle:
             self.factors[j] = f
 
 
-def stirling_entry(kind: int, n: int, k: int, r: int, dom):
+def stirling_entry(kind: int, n: int, k: int, r: int, dom, keep=True):
     """Entry (n, k), k being the power, of the truncated Stirling triangle of
-    the kind (1 or 2) and r, as a value of ``dom``: n! [t^n] block^k / k!."""
+    the kind (1 or 2) and r, as a value of ``dom``: n! [t^n] block^k / k!.
+    With ``keep`` false the triangle keeps no wrap of the cell."""
     if kind not in (1, 2):
         raise ValueError("Stirling numbers are of kind 1 or 2, got kind=%r" % (kind,))
     if n < 0 or k < 0 or r < 1:
@@ -138,19 +140,20 @@ def stirling_entry(kind: int, n: int, k: int, r: int, dom):
                          "n=%d, k=%d, r=%d" % (n, k, r))
     if k * r > n:
         return dom.zero
-    key = ("tri", kind, r)
-    tri = dom.memo.get(key) or table(dom, key, _Triangle, kind, r, dom)
-    cols, i = tri.cols, n - k * r
-    if k >= len(cols) or i >= len(cols[k]):
+    key, i = ("tri", kind, r), n - k * r
+    tri = dom.memo.get(key)
+    if tri is None or k >= len(tri.cols) or i >= len(tri.cols[k]):
         with dom.lock:
+            tri = table(dom, key, _Triangle, kind, r, dom)
             tri.fill(n, k)
     # read without the lock: two threads that both make a cell's first read
     # store equal values
     value = tri.values.get((k, i))
     if value is None:
-        cell, den = cols[k][i], tri.den
+        cell, den = tri.cols[k][i], tri.den
         value = int_poly(cell) if den is None else Fraction(cell[0] if cell else 0, den ** (n - k))
-        tri.values[k, i] = value
+        if keep:
+            tri.values[k, i] = value
     return value
 
 

@@ -17,6 +17,7 @@ from degenstir import (
     const,
     degen_bernoulli,
     degen_exp,
+    gen_falling,
     k_lambda,
     lam_elem,
     one_falling,
@@ -237,8 +238,8 @@ def test_a_cold_table_grows_every_table_under_its_own_domains_lock(monkeypatch, 
 
 def test_an_expansion_sweep_makes_each_row_once(monkeypatch):
     # 25 rows, x = 0..24, and one triangle for each r = 1..3, 78 tables in
-    # all, which the sweep reads r by r: dropping the oldest past
-    # TABLES_KEPT drops only tables of a finished r
+    # all, which the sweep reads r by r: dropping the least recently made,
+    # grown or read past TABLES_KEPT drops only tables of a finished r
     dom = domain(F(-2, 7))
     dom.memo.clear()
     made = []
@@ -400,14 +401,37 @@ def test_a_bell_value_builds_only_its_band(monkeypatch, lam):
 
 @pytest.mark.parametrize("family", ["bell", "klambda"])
 def test_a_table_builds_one_bell_triangle_and_keeps_nothing(capsys, monkeypatch, family):
-    # every row of a table reads one default sequence, so one triangle, which
-    # the domain does not keep
+    # every row of a Bell table reads one default sequence, so one triangle,
+    # and a reciprocal table reads none; the domain keeps nothing of either
     calls = _counted(monkeypatch, "_bell_columns")
     dom = domain(F(1, 3))
     dom.memo.clear()
     assert cli.main(["table", family, "--n-max", "16", "--lambda=1/3"]) == 0
     capsys.readouterr()
-    assert [k for k, last, xs, _ in calls] == [16] and not dom.memo
+    assert [k for k, last, xs, _ in calls] == ([16] if family == "bell" else [])
+    assert not dom.memo
+
+
+@pytest.mark.parametrize("lam", [None, F(1, 3)])
+def test_a_reciprocal_table_builds_no_bell_triangle(monkeypatch, lam):
+    # K(0..40) off one series reciprocal and its product back, 861 terms
+    # each; the alternating Bell sum over the triangle passes 13,202.  On all
+    # ones the series is the deformed exponential at 1, so K(n) is the
+    # descending product (-1)(-1 - l)...(-1 - (n-1) l)
+    cls = type(domain(lam))
+    sum_products, terms = cls.sum_products, []
+
+    def counted(ts):
+        ts = list(ts)
+        terms.append(len(ts))
+        return sum_products(ts)
+
+    monkeypatch.setattr(cls, "sum_products", staticmethod(counted))
+    columns = _counted(monkeypatch, "_bell_columns")
+    rows = bernoulli.k_lambda_rows(40, [1] * 40, lam)
+    assert sum(terms) <= 2000, (sum(terms), len(terms))
+    assert not columns
+    assert rows == [(n, 0, gen_falling(-1, n, lam=lam)) for n in range(41)]
 
 
 def test_a_reciprocal_table_divides_one_series(capsys, monkeypatch):
@@ -507,7 +531,7 @@ _SEQ = st.lists(st.one_of(st.just(F(0)), st.fractions(-3, 3, max_denominator=4))
 
 
 @settings(max_examples=30, deadline=None)
-@given(_SEQ, st.sampled_from([None, F(-5, 3), F(2, 7)]))
+@given(_SEQ, st.sampled_from([None, F(-5, 3), F(2, 7), F(1, 2)]))
 def test_reciprocal_routes_agree_on_sequences_with_zeros_and_negatives(xs, lam):
     n = len(xs)
     s = LAM if lam is None else lam

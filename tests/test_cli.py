@@ -295,6 +295,23 @@ def test_a_reciprocal_table_checks_every_value_against_the_series(capsys, monkey
     assert got == (2, "", "error: internal error: reciprocal routes disagree at n=%d\n" % bad)
 
 
+@pytest.mark.parametrize("lam", ["symbolic", "-2/7"])
+@pytest.mark.parametrize("bad", [0, 4, 6])
+def test_a_reciprocal_table_checks_the_product_back_to_the_unit(capsys, monkeypatch, lam, bad):
+    # the reciprocal times the series must be 1 to the last order: a wrong
+    # coefficient of that product fails the table at its index
+    product = bernoulli.product
+
+    def corrupted(a, b, dom):
+        unit = list(product(a, b, dom))
+        unit[bad] = unit[bad] + 1
+        return tuple(unit)
+
+    monkeypatch.setattr(bernoulli, "product", corrupted)
+    got = run_cli(capsys, "table", "klambda", "--n-max", "6", "--lambda=" + lam)
+    assert got == (2, "", "error: internal error: reciprocal routes disagree at n=%d\n" % bad)
+
+
 def _traced_peak(argv):
     # the traced peak of one cold command, its output held in memory
     field.SYMBOLIC.memo.clear()

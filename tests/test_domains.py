@@ -4,6 +4,7 @@ their domain or their table was dropped."""
 
 import gc
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +19,7 @@ from degenstir import (
     stirling2r_gf,
     trunc_degen_bernoulli,
 )
+from degenstir import bernoulli, stirling
 from degenstir.field import PINNED_KEPT, TABLES_KEPT, domain
 from threads import threads_agree_with_one_thread
 
@@ -144,13 +146,46 @@ def test_a_sweep_over_the_depth_holds_bounded_memory():
 def test_a_sweep_over_the_order_holds_bounded_memory():
     # one x = 0 row per alpha = 1..400, all reading the one r = 2 triangle,
     # whose band spans columns 0..alpha: keeping every row grows 1.6 MB
-    # between alpha = 100 and alpha = 400, keeping the last TABLES_KEPT
-    # tables about 0.64 MB, mostly the triangle's columns, whose cells have
-    # more digits as alpha grows
+    # between alpha = 100 and alpha = 400, keeping TABLES_KEPT tables about
+    # 0.55 MB, mostly the triangle's columns, whose cells have more digits
+    # as alpha grows
     lam = F(1, 3)
     grown, kept = _growth(400, lambda alpha: trunc_degen_bernoulli(2, 2, alpha, 0, lam), lam)
     assert kept <= TABLES_KEPT
     assert grown <= 1_000_000, grown
+
+
+def _made(monkeypatch):
+    # the number of times each table was made, by key
+    made = Counter()
+
+    def counted(module, name, key):
+        make = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: made.update([key(*args)]) or make(*args))
+
+    counted(bernoulli, "_Row", lambda n, r, alpha, x, dom: ("row", r, alpha, x))
+    counted(stirling, "_Triangle", lambda kind, r, dom: ("tri", kind, r))
+    return made
+
+
+@pytest.mark.parametrize("lam, read, steps, tables", [
+    # 1,000 x rows, each reading the x = 0 row as it is made, which read the
+    # triangle as it grew
+    (F(1, 3), lambda q: trunc_degen_bernoulli(12, 2, 2, F(1, q), F(1, 3)), 1000, 1002),
+    # 400 x = 0 rows, each growing the r = 2 triangle by a column
+    (F(2, 5), lambda alpha: trunc_degen_bernoulli(2, 2, alpha, 0, F(2, 5)), 400, 401),
+], ids=["x", "alpha"])
+def test_a_table_that_newer_tables_read_is_made_once(monkeypatch, lam, read, steps, tables):
+    # past TABLES_KEPT the table dropped is the one least recently made,
+    # grown or read by a table being made, so a table the loop keeps
+    # reading is never dropped and made again
+    dom = domain(lam)
+    dom.memo.clear()
+    made = _made(monkeypatch)
+    for step in range(1, steps + 1):
+        read(step)
+    assert made[("tri", 2, 2)] == 1 and set(made.values()) == {1}, made.most_common(2)
+    assert len(made) == tables and len(dom.memo) == TABLES_KEPT
 
 
 def _values(lam, x):
