@@ -10,10 +10,10 @@ also computed and reported ("as-printed") without being asserted.
 Verdicts are exact: two sides are equal iff their canonical forms match
 componentwise.  A verifier computes both sides on the values of its mode's
 domain (see ``field``) and wraps them once, into the report.  Each sum of
-a side is one ``sum_products`` of the domain, reduced once: thm3 reads its
-composition sum as the coefficient of the k-th power of the single-block
-series, k - 2 ``series.product`` calls and one last sum, and thm6 reads
-its two nested sums off one Horner recurrence.  The truncated
+a side is one ``sum_products`` of the domain, reduced once: thm3 reads the
+composition sums of a column n = 0..n_max as the coefficients of the k-th
+power of the single-block series, k - 1 ``series.product`` calls, and thm6
+reads its two nested sums off one Horner recurrence.  The truncated
 Bernoulli verifiers (``delta``, ``expansion``, ``beta-closed``) read the
 numerators over E^alpha of ``bernoulli.numerator_row`` instead of values:
 ``delta`` pairs them with the Stirling column over E^alpha and
@@ -64,25 +64,33 @@ def _beta(n, alpha, dom):  # the plain order-alpha value at x = 0
     return bernoulli_entry(n, 1, alpha, dom.zero, dom)
 
 
+def _at_least(**floors):  # name=(value, least value of the stated domain)
+    for name, (value, least) in floors.items():
+        if value < least:
+            raise DomainViolation("%s must be at least %d" % (name, least))
+
+
+def _thm3_column(n_max: int, k: int, r: int, lam=None):
+    """The thm3 reports for n = 0..n_max (none if n_max < 0) at one k and r,
+    each right side read off one ladder: the unit, or singles and k - 1 products."""
+    dom = domain(lam)
+    singles = [stirling_entry(2, j + r, 1, r, dom) / math.factorial(j + r)
+               for j in range(n_max + 1)]
+    power = singles if k else [dom.one] + [dom.zero] * n_max
+    for _ in range(k - 1):
+        power = product(power, singles, dom)
+    lead = Fraction(math.factorial(k))
+    return [_report("thm3", {"n": n, "k": k, "r": r},
+                    lead / math.factorial(n + k * r) * stirling_entry(2, n + k * r, k, r, dom),
+                    power[n], dom) for n in range(n_max + 1)]
+
+
 def verify_thm3(n: int, k: int, r: int, lam=None) -> IdentityReport:
     """Convolution: k!/(n+kr)! times the truncated number of full weight
     equals the sum over weak compositions of products of single-block
     values, read as the t^n coefficient of the k-th power of their series."""
-    dom = domain(lam)
-    big = n + k * r
-    lhs = Fraction(math.factorial(k), math.factorial(big)) * stirling_entry(2, big, k, r, dom)
-    singles = [stirling_entry(2, j + r, 1, r, dom) / math.factorial(j + r) for j in range(n + 1)]
-    if k == 0:
-        rhs = dom.one if n == 0 else dom.zero
-    elif k == 1:
-        rhs = singles[n]
-    else:
-        # the (k-1)-th power, then only its coefficient n of one more product
-        power = singles
-        for _ in range(k - 2):
-            power = product(power, singles, dom)
-        rhs = dom.sum_products((1, power[i], singles[n - i]) for i in range(n + 1))
-    return _report("thm3", {"n": n, "k": k, "r": r}, lhs, rhs, dom)
+    _at_least(n=(n, 0), k=(k, 0), r=(r, 1))
+    return _thm3_column(n, k, r, lam)[n]
 
 
 def verify_thm4(n: int, lam=None):
@@ -106,32 +114,31 @@ def verify_thm4(n: int, lam=None):
     return first, second
 
 
-def _thm5_rhs(n: int, k: int, sign: int, dom):
-    big = math.factorial(n + k)
-    return dom.sum_products(
-        [(sign * math.comb(n + k, k), _beta(n, 1, dom))]
-        + [(Fraction((-1) ** (k - j) * big, j * math.factorial(k - j) * math.factorial(n + j - 1)),
-            stirling_entry(2, n + j - 1, j - 1, 1, dom)) for j in range(1, k + 1)])
-
-
-def verify_thm5(n: int, k: int, lam=None, variant: str = AS_DERIVED) -> IdentityReport:
+def verify_thm5(n: int, k: int, lam=None):
     """Double-truncation sum against Bernoulli numbers.  The derived form
     carries binomial (n+k choose j) and sign (-1)^k; the printed statement
-    has (n+j choose k) and (-1)^n and is reportable but not asserted."""
+    has (n+j choose k) and (-1)^n and is reported but not asserted.  Returns
+    the report pair, the derived one first."""
+    _at_least(n=(n, 0), k=(k, 0))
     dom = domain(lam)
-    lhs = dom.sum_products(
-        (math.comb(n + k, j) if variant == AS_DERIVED else math.comb(n + j, k),
-         stirling_entry(2, n - j + k, k, 2, dom), _beta(j, 1, dom)) for j in range(n + 1))
-    sign = (-1) ** k if variant == AS_DERIVED else (-1) ** n
-    rhs = _thm5_rhs(n, k, sign, dom)
-    return _report("thm5", {"n": n, "k": k}, lhs, rhs, dom, variant)
+    cells = [(stirling_entry(2, n - j + k, k, 2, dom), _beta(j, 1, dom)) for j in range(n + 1)]
+    big = math.factorial(n + k)
+    tail = dom.sum_products(
+        (Fraction((-1) ** (k - j) * big, j * math.factorial(k - j) * math.factorial(n + j - 1)),
+         stirling_entry(2, n + j - 1, j - 1, 1, dom)) for j in range(1, k + 1))
+    beta_n, lead = cells[n][1], math.comb(n + k, k)
+    return tuple(_report("thm5", {"n": n, "k": k},
+                         dom.sum_products((binom(j), s, b) for j, (s, b) in enumerate(cells)),
+                         dom.sum_products(((sign * lead, beta_n), (1, tail))), dom, variant)
+                 for variant, binom, sign in (
+                     (AS_DERIVED, lambda j: math.comb(n + k, j), (-1) ** k),
+                     (AS_PRINTED, lambda j: math.comb(n + j, k), (-1) ** n)))
 
 
 def verify_thm6(n: int, k: int, lam=None) -> IdentityReport:
     """Identity linking the double-truncation block of one power against
     the block of the previous power, stated for n >= k >= 1."""
-    if k < 1:
-        raise DomainViolation("k must be at least 1")
+    _at_least(k=(k, 1))
     if n < k:
         raise DomainViolation("stated domain requires n >= k")
     dom = domain(lam)
@@ -229,10 +236,7 @@ def verify_expansion(n: int, r: int, x, lam=None) -> IdentityReport:
     xv = dom.unwrap(x)
     row = numerator_row(n, r, 1, xv, dom)
     units = numerator_row(n, r, 1, dom.zero, dom).quots
-    if xv:
-        lhs = row.prods[n]
-    else:
-        lhs = dom.zero if n else dom.one  # (0)_n
+    lhs = row.prods[n] if xv else (dom.zero if n else dom.one)  # (0)_n at x = 0
     rhs = dom.sum_products(
         (Fraction(math.comb(n, j) * math.factorial(j), math.factorial(j + r)),
          units[j], row.nums[n - j]) for j in range(n + 1))
@@ -273,23 +277,19 @@ def verify_beta_closed(n: int, r: int, x, lam=None):
     )
 
 
-def _verify_thm5_both(n: int, k: int, lam=None):
-    return verify_thm5(n, k, lam), verify_thm5(n, k, lam, AS_PRINTED)
-
-
 def _n_by_k(b):
     return itertools.product(range(b["n_max"] + 1), range(b["k_max"] + 1))
 
 
 # tag -> (verifier, default bounds, grid).  A grid maps the bounds to the
 # verifier's positional arguments, in report order; a verifier returns one
-# report or a tuple of variants.
+# report, or a sequence of them: its variants, or a whole thm3 column.
 IDENTITIES = {
-    "thm3": (verify_thm3, {"n_max": 6, "k_max": 3, "r_max": 3},
-             lambda b: ((n, k, r) for r in range(1, b["r_max"] + 1)
-                        for k in range(b["k_max"] + 1) for n in range(b["n_max"] + 1))),
+    "thm3": (_thm3_column, {"n_max": 6, "k_max": 3, "r_max": 3},
+             lambda b: ((b["n_max"], k, r) for r in range(1, b["r_max"] + 1)
+                        for k in range(b["k_max"] + 1))),
     "thm4": (verify_thm4, {"n_max": 10}, lambda b: ((n,) for n in range(b["n_max"] + 1))),
-    "thm5": (_verify_thm5_both, {"n_max": 6, "k_max": 3}, _n_by_k),
+    "thm5": (verify_thm5, {"n_max": 6, "k_max": 3}, _n_by_k),
     "thm6": (verify_thm6, {"n_max": 6},
              lambda b: ((n, k) for n in range(1, b["n_max"] + 1) for k in range(1, n + 1))),
     "thm7": (verify_thm7, {"n_max": 6, "k_max": 3}, _n_by_k),

@@ -202,10 +202,10 @@ def test_bernoulli_stirling_expansions():
 def test_double_truncation_sum():
     for n in range(9):
         for k in range(5):
-            assert verify_thm5(n, k).equal
-    rep = verify_thm5(0, 1)
+            assert verify_thm5(n, k)[0].equal
+    rep, _ = verify_thm5(0, 1)
     assert rep.equal and rep.lhs == 0
-    rep = verify_thm5(1, 1)
+    rep, _ = verify_thm5(1, 1)
     assert rep.equal and rep.lhs == 1 - LAM
     ok("double-truncation sum, derived form (n<=8, k<=4)")
 

@@ -76,9 +76,12 @@ def test_thm3_power_of_the_single_block_series_is_the_composition_sum(lam, n, k,
     assert rep.equal
 
 
-def test_a_cold_symbolic_thm3_sweep_sums_a_power_not_the_compositions(monkeypatch):
-    # k - 2 series products and one last sum per report; one k-factor term
-    # per weak composition passes 13,104 terms here
+# k - 1 series products per (k, r) column.  One k-factor term per weak
+# composition passes 13,104 terms at n <= 10, k <= 5; a ladder per report,
+# read by one last dot product, passes 10,725 at n <= 24, k <= 3
+@pytest.mark.parametrize("n_max, k_max, most", [(10, 5, 8000), (24, 3, 4000)])
+def test_a_cold_symbolic_thm3_sweep_sums_a_power_not_the_compositions(
+        monkeypatch, n_max, k_max, most):
     sum_products = field.Symbolic.sum_products
     terms = []
 
@@ -89,8 +92,28 @@ def test_a_cold_symbolic_thm3_sweep_sums_a_power_not_the_compositions(monkeypatc
 
     monkeypatch.setattr(field.Symbolic, "sum_products", staticmethod(counted))
     field.SYMBOLIC.memo.clear()
-    assert all_derived_equal(sweep("thm3", n_max=10, k_max=5))
-    assert sum(terms) <= 8000
+    reports = sweep("thm3", n_max=n_max, k_max=k_max)
+    assert len(reports) == 3 * (k_max + 1) * (n_max + 1) and all_derived_equal(reports)
+    assert sum(terms) <= most
+
+
+@pytest.mark.parametrize("lam", [None, F(0), F(-2, 7), F(1, 2)])
+def test_a_thm3_sweep_is_the_reports_of_its_grid_one_at_a_time(lam):
+    grid = [(n, k, r) for r in range(1, 4) for k in range(5) for n in range(9)]
+    assert sweep("thm3", n_max=8, k_max=4, r_max=3, lam=lam) == [
+        verify_thm3(n, k, r, lam) for n, k, r in grid]
+
+
+@pytest.mark.parametrize("verify, args, name", [
+    (verify_thm3, (-1, 2, 1), "n"),
+    (verify_thm3, (2, -1, 1), "k"),
+    (verify_thm3, (2, 1, 0), "r"),
+    (verify_thm5, (-1, 1), "n"),
+    (verify_thm5, (1, -1), "k"),
+])
+def test_thm3_and_thm5_refuse_arguments_outside_their_domain(verify, args, name):
+    with pytest.raises(DomainViolation, match="^%s must be at least" % name):
+        verify(*args)
 
 
 def test_thm4_desk_cases():
@@ -103,17 +126,17 @@ def test_thm4_desk_cases():
 
 
 def test_thm5_desk_cases():
-    rep = verify_thm5(0, 1)
+    rep, _ = verify_thm5(0, 1)
     assert rep.equal and rep.lhs == 0
-    rep = verify_thm5(1, 1)
+    rep, _ = verify_thm5(1, 1)
     assert rep.equal and rep.lhs == 1 - LAM
-    rep = verify_thm5(0, 0)
+    rep, _ = verify_thm5(0, 0)
     assert rep.equal and rep.lhs == 1
 
 
 def test_thm5_printed_variant_is_reported_not_true_in_general():
-    assert verify_thm5(1, 1, variant=AS_PRINTED).equal  # coincides here
-    bad = verify_thm5(2, 1, variant=AS_PRINTED)
+    assert verify_thm5(1, 1)[1].equal  # coincides here
+    bad = verify_thm5(2, 1)[1]
     assert bad.variant == AS_PRINTED and not bad.equal
 
 
@@ -278,8 +301,8 @@ def test_instantiation_commutes_with_verification():
     lams = [F(2, 7), F(-3, 5), F(5, 2), F(7, 4), F(-9, 2)]
     for lam0 in lams:
         for n, k in ((2, 1), (3, 2)):
-            sym = verify_thm5(n, k)
-            inst = verify_thm5(n, k, lam=lam0)
+            sym = verify_thm5(n, k)[0]
+            inst = verify_thm5(n, k, lam=lam0)[0]
             assert inst.equal == sym.equal
             assert inst.lhs.value == sym.lhs.instantiate(lam0)
             assert inst.rhs.value == sym.rhs.instantiate(lam0)
