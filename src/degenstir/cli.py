@@ -8,7 +8,9 @@ the column index ascending), canonical value strings, and JSON laid out as
 and ``verify`` reports: it writes one record at a time, each from a literal
 template, so a document is never held whole as dicts or as text.  Every row
 or report is computed before the first byte is written, so a command that
-fails prints nothing on stdout.
+fails prints nothing on stdout.  A Stirling table's triangle is likewise
+filled before the first byte, and each cell's text is rendered from its int
+coefficients while the rows are written: that rendering cannot fail.
 
 Exit codes: 0 on success (for ``verify``: every as-derived report holds),
 1 when an as-derived report fails, 2 on usage or computation errors.
@@ -35,7 +37,7 @@ from .bernoulli import (
 from .errors import DegenstirError, PrecisionExceeded
 from .field import rational_str
 from .stirling import FAMILIES as STIRLING_FAMILIES
-from .stirling import build_triangle, family_entry
+from .stirling import family_entry, table_text
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 _RATIONAL_FLAGS = ("--lambda", "--x", "--xs")
@@ -171,13 +173,14 @@ def _order(value):
 
 # family -> (value(args, n, k), rows(args, top)), rows giving a table's rows
 # n <= top, so that one bound serves every family.  The Stirling families are
-# those of the stirling module; the rows of the Bernoulli families carry the
+# those of the stirling module, their rows the lazy text rows of
+# ``stirling.table_text``; the rows of the Bernoulli families carry the
 # order alpha in the column, those of klambda 0.  bell and klambda prepare
 # one sequence per table, and refuse --precision.
 FAMILIES = {
     **dict.fromkeys(STIRLING_FAMILIES, (
         lambda a, n, k: family_entry(a.family, n, k, a.r, a.lam),
-        lambda a, top: build_triangle(a.family, top, a.k_max, a.r, a.lam))),
+        lambda a, top: table_text(a.family, top, a.k_max, a.r, a.lam))),
     "bernoulli": _order(lambda a, n, k: degen_bernoulli(n, a.alpha, a.x, a.lam)),
     "trunc-bernoulli": _order(
         lambda a, n, k: trunc_degen_bernoulli(n, a.r, a.alpha, a.x, a.lam)),

@@ -51,7 +51,10 @@ past ``TABLES_KEPT`` the table least recently made, grown or read by a
 table being made, whatever its kind, is dropped.
 
 The parameter prints as ``l`` in the canonical text form, for example
-``(-1/2)*l^1 + 1/2``.
+``(-1/2)*l^1 + 1/2``.  One term loop, ``int_poly_str``, writes it from
+the integer form, for a polynomial and, with no element built, for an
+integer polynomial given by its ints; ``ratio_str`` writes an int quotient,
+reduced once.
 """
 
 from __future__ import annotations
@@ -73,11 +76,21 @@ def as_rational(value) -> Fraction:
     raise TypeError("expected an int or Fraction, got %r" % (value,))
 
 
+def _ratio(num: int, den: int) -> str:
+    # a reduced quotient, den > 0, as ``p`` or ``p/q``
+    return "%d" % num if den == 1 else "%d/%d" % (num, den)
+
+
 def rational_str(q: Fraction) -> str:
     """Canonical text form: ``p`` for integers, else ``p/q``."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+    return _ratio(q.numerator, q.denominator)
+
+
+def ratio_str(num: int, den: int) -> str:
+    """``rational_str(Fraction(num, den))`` for den > 0, reduced by one gcd
+    with no Fraction built."""
+    g = math.gcd(num, den)
+    return _ratio(num // g, den // g)
 
 
 def _primitive(ints):
@@ -290,23 +303,28 @@ P_LAM = LambdaPoly((0, 1))
 
 
 def poly_str(p: LambdaPoly) -> str:
-    """Terms in descending degree, ``(c)*l^k`` shape, bare rational constant.
+    """The canonical text of a polynomial: see ``int_poly_str``."""
+    return int_poly_str(p.prim, p.content.numerator, p.content.denominator)
 
-    Each coefficient ``content * c`` is reduced on ints: the content is in
-    lowest terms, so gcd(num * c, den) == gcd(c, den)."""
-    if p.is_zero:
-        return "0"
-    num, den = p.content.numerator, p.content.denominator
+
+def int_poly_str(ints, num: int = 1, den: int = 1) -> str:
+    """The canonical text of num/den (in lowest terms, den > 0) times the
+    integer polynomial ``ints``, lowest degree first: terms in descending
+    degree, ``(c)*l^k`` shape, a bare rational constant, ``0`` for no terms.
+    So ``int_poly_str(cell)`` is ``str(int_poly(cell))`` with no element
+    built.  Each coefficient is reduced on ints: gcd(num * c, den) ==
+    gcd(c, den)."""
     parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.prim[k]
-        if not c:
-            continue
-        g = math.gcd(c, den)
-        n, d = num * (c // g), den // g
-        text = "%d" % n if d == 1 else "%d/%d" % (n, d)
-        parts.append(text if k == 0 else "(%s)*l^%d" % (text, k))
-    return " + ".join(parts)
+    for k in range(len(ints) - 1, -1, -1):
+        c = ints[k]
+        if c:
+            if den != 1:
+                g = math.gcd(c, den)
+                text = _ratio(num * (c // g), den // g)
+            else:  # a cell's ints are written as they are
+                text = "%d" % (c if num == 1 else num * c)
+            parts.append("(%s)*l^%d" % (text, k) if k else text)
+    return " + ".join(parts) or "0"
 
 
 def _int_prem(f, g):

@@ -70,19 +70,30 @@ def _at_least(**floors):  # name=(value, least value of the stated domain)
             raise DomainViolation("%s must be at least %d" % (name, least))
 
 
-def _thm3_column(n_max: int, k: int, r: int, lam=None):
-    """The thm3 reports for n = 0..n_max (none if n_max < 0) at one k and r,
-    each right side read off one ladder: the unit, or singles and k - 1 products."""
-    dom = domain(lam)
+def _thm3_power(n_max: int, k: int, r: int, dom):
+    """The thm3 right sides for n = 0..n_max at one k and r: the t^n
+    coefficients of the k-th power of the single-block series, read off one
+    ladder, the unit or the singles and k - 1 products."""
     singles = [stirling_entry(2, j + r, 1, r, dom) / math.factorial(j + r)
                for j in range(n_max + 1)]
     power = singles if k else [dom.one] + [dom.zero] * n_max
     for _ in range(k - 1):
         power = product(power, singles, dom)
-    lead = Fraction(math.factorial(k))
-    return [_report("thm3", {"n": n, "k": k, "r": r},
-                    lead / math.factorial(n + k * r) * stirling_entry(2, n + k * r, k, r, dom),
-                    power[n], dom) for n in range(n_max + 1)]
+    return power
+
+
+def _thm3_report(n: int, k: int, r: int, rhs, dom) -> IdentityReport:
+    lhs = Fraction(math.factorial(k), math.factorial(n + k * r)) * stirling_entry(
+        2, n + k * r, k, r, dom)
+    return _report("thm3", {"n": n, "k": k, "r": r}, lhs, rhs, dom)
+
+
+def _thm3_column(n_max: int, k: int, r: int, lam=None):
+    """The thm3 reports for n = 0..n_max (none if n_max < 0) at one k and r,
+    their right sides read off one ladder."""
+    dom = domain(lam)
+    power = _thm3_power(n_max, k, r, dom)
+    return [_thm3_report(n, k, r, power[n], dom) for n in range(n_max + 1)]
 
 
 def verify_thm3(n: int, k: int, r: int, lam=None) -> IdentityReport:
@@ -90,12 +101,14 @@ def verify_thm3(n: int, k: int, r: int, lam=None) -> IdentityReport:
     equals the sum over weak compositions of products of single-block
     values, read as the t^n coefficient of the k-th power of their series."""
     _at_least(n=(n, 0), k=(k, 0), r=(r, 1))
-    return _thm3_column(n, k, r, lam)[n]
+    dom = domain(lam)
+    return _thm3_report(n, k, r, _thm3_power(n, k, r, dom)[n], dom)
 
 
 def verify_thm4(n: int, lam=None):
     """Two expansions connecting the Bernoulli numbers with the Stirling
     triangles of both kinds; returns a report pair."""
+    _at_least(n=(n, 0))
     dom = domain(lam)
     betas = [_beta(j, 1, dom) for j in range(n + 1)]
     # the closed product for k = 0..n: parameter^k times the (k+1)-step
@@ -167,6 +180,7 @@ def verify_thm6(n: int, k: int, lam=None) -> IdentityReport:
 def verify_thm7(n: int, k: int, lam=None) -> IdentityReport:
     """Double-truncation sum against order-k Bernoulli numbers, with an
     alternating sum over lower orders on the other side."""
+    _at_least(n=(n, 0), k=(k, 0))
     dom = domain(lam)
     lhs = dom.sum_products(
         (math.comb(n + k, j), stirling_entry(2, n - j + k, k, 2, dom), _beta(j, k, dom))
@@ -181,6 +195,7 @@ def verify_thm8(n: int, k: int, lam=None):
     """Triple-truncation sum against Bernoulli numbers.  The derivation
     keeps the l = 0 terms of the second sum, which the printed statement
     drops; both variants are reported, the corrected one first."""
+    _at_least(n=(n, 0), k=(k, 0))
     dom = domain(lam)
     lhs = dom.sum_products(
         (math.comb(n + k, j + k), stirling_entry(2, j + k, k, 3, dom), _beta(n - j, 1, dom))
@@ -213,6 +228,7 @@ def verify_delta(alpha: int, r: int, n: int, lam=None) -> IdentityReport:
     the binomial cross-sum collapses to (alpha*r)!/alpha! at n = alpha*r and
     to zero above.  Each term pairs column alpha over E^alpha with a
     numerator over E^alpha, so the sum is a polynomial."""
+    _at_least(alpha=(alpha, 0), r=(r, 1))
     ar = alpha * r
     if n < ar:
         raise DomainViolation("requires n >= alpha * r")
@@ -232,6 +248,7 @@ def verify_expansion(n: int, r: int, x, lam=None) -> IdentityReport:
     polynomials, checked at one sample point x.  The unit products
     (1)_{j+r} over E are column 1 of the triangle over E, the x = 0 row's
     ``quots`` at alpha = 1, and each meets a numerator over E."""
+    _at_least(n=(n, 0), r=(r, 1))
     dom = domain(as_elem(x, lam).lam)
     xv = dom.unwrap(x)
     row = numerator_row(n, r, 1, xv, dom)
@@ -252,6 +269,7 @@ def verify_beta_closed(n: int, r: int, x, lam=None):
     forms' lead r!/E becomes r!."""
     if n not in (0, 1, 2):
         raise DomainViolation("closed forms exist for n in {0, 1, 2}")
+    _at_least(r=(r, 1))
     dom = domain(as_elem(x, lam).lam)
     xv, s = dom.unwrap(x), dom.lam
     row = numerator_row(n, r, 1, xv, dom)

@@ -24,10 +24,13 @@ integer polynomials in l because the recurrence's factors and its start
 S(0, 0) = 1 are: the triangle stores their int coefficients, a single
 integer when pinned, and fills them with ``field``'s int arithmetic alone,
 with no element, polynomial or Fraction built.  A cell becomes the mode's
-value on its first read, not when it is filled: its canonical element
-(``field.int_poly``) when symbolic, the reduced Fraction when pinned.  So an
-entry that reads one cell deep in a column wraps that cell alone, and that
-wrap is the only place where the modes differ.
+value on its first read through ``stirling_entry``, not when it is filled:
+its canonical element (``field.int_poly``) when symbolic, the reduced
+Fraction when pinned.  So an entry that reads one cell deep in a column wraps
+that cell alone.  A table needs no value, only text: ``table_text`` writes
+each cell's canonical text straight from its ints (``field.int_poly_str``
+symbolic, ``field.ratio_str`` of T / q^(m-j) pinned), so it builds and keeps
+no wrap.  The wrap and that text are the two places where the modes differ.
 
 For the truncated second kind two independent routes are implemented:
 
@@ -45,7 +48,7 @@ from fractions import Fraction
 
 from .core import int_falling, one_falling
 from .field import (FieldElem, const, domain, int_add, int_add_mul, int_mul, int_poly,
-                    int_scale, table)
+                    int_poly_str, int_scale, ratio_str, table)
 
 
 class _Triangle:
@@ -73,7 +76,9 @@ class _Triangle:
     first read and keeps it in ``values`` (unless the reader keeps its own,
     as the truncated Bernoulli rows do), which it reads without the lock:
     ``int_poly`` of the coefficients when symbolic, T(m, j) / q^(m-j) when
-    pinned (``den`` is q, None in the symbolic mode)."""
+    pinned (``den`` is q, None in the symbolic mode).  ``table_text``
+    renders a table's text from the cells' ints instead, and keeps nothing
+    in ``values``."""
 
     __slots__ = ("r", "den", "a", "c", "step", "cols", "factors", "values")
 
@@ -233,21 +238,56 @@ def family_entry(family: str, n: int, k: int, r: int = 1, lam=None) -> FieldElem
     return entry(n, k, r if truncated else 1, lam)
 
 
-def build_triangle(family: str, n_max: int, k_max=None, r: int = 1, lam=None):
-    """Rows (n, m, value) of a Stirling family, n ascending then m ascending,
-    where m is the second index of the quantity itself: k for the plain
-    kinds, k*r for the truncated kinds.  Plain kinds emit the classical
-    region k <= n; truncated kinds emit every power up to k_max so the
-    vanishing cells below the staircase (n < k*r) appear as explicit zeros."""
+def _table_walk(family: str, n_max: int, k_max, r: int, lam):
+    """The cells of a Stirling family's table, in row order: n ascending,
+    then m ascending, where m is the second index of the quantity itself, k
+    for the plain kinds and k*r for the truncated kinds.  Plain kinds emit
+    the classical region k <= n; truncated kinds emit every power up to
+    k_max, so the vanishing cells below the staircase (n < k*r) appear as
+    explicit zeros.  Every column the table reads is grown down to row n_max
+    here, so the reads in row order fill nothing.  Returns (kind, r, dom,
+    tri, cells), tri the triangle filled, cells the lazy (n, k) in order."""
     kind, truncated = _family(family)
     if not truncated:
         r = 1
     k_max = n_max if k_max is None else k_max
-    dom = domain(lam)
-    # grow every column the table reads down to row n_max first, so that the
-    # reads in row order fill nothing
-    for k in range(min(k_max, n_max) + 1):
-        stirling_entry(kind, n_max, k, r, dom)
-    return [(n, k * r, dom.wrap(stirling_entry(kind, n, k, r, dom)))
-            for n in range(n_max + 1)
-            for k in range(k_max + 1 if truncated else min(k_max, n) + 1)]
+    dom, key, top = domain(lam), ("tri", kind, r), min(k_max, n_max // r)
+    tri = dom.memo.get(key)
+    if tri is None or any(k >= len(tri.cols) or len(tri.cols[k]) <= n_max - k * r
+                          for k in range(top + 1)):
+        with dom.lock:
+            tri = table(dom, key, _Triangle, kind, r, dom)
+            for k in range(top + 1):
+                tri.fill(n_max, k)
+    cells = ((n, k) for n in range(n_max + 1)
+             for k in range(k_max + 1 if truncated else min(k_max, n) + 1))
+    return kind, r, dom, tri, cells
+
+
+def build_triangle(family: str, n_max: int, k_max=None, r: int = 1, lam=None):
+    """Rows (n, m, value) of a Stirling family, in the order and region of
+    ``_table_walk``, each value read through ``stirling_entry``."""
+    kind, r, dom, _, cells = _table_walk(family, n_max, k_max, r, lam)
+    return [(n, k * r, dom.wrap(stirling_entry(kind, n, k, r, dom))) for n, k in cells]
+
+
+def table_text(family: str, n_max: int, k_max=None, r: int = 1, lam=None):
+    """Rows (n, m, text) of a Stirling family, those of ``build_triangle``
+    with each value's canonical text in place of the value.  The triangle is
+    filled before this returns; the rows are a generator that writes each
+    cell's text from its ints when it is read, held by the triangle the fill
+    made, and builds no element, Fraction or kept wrap: symbolic, the text of
+    the integer polynomial; pinned at l = p/q, T(n, k) / q^(n-k) reduced."""
+    _, r, _, tri, cells = _table_walk(family, n_max, k_max, r, lam)
+    cols, den = tri.cols, tri.den
+
+    def text(n, k):
+        i = n - k * r
+        if i < 0:
+            return "0"
+        cell = cols[k][i]
+        if den is None:
+            return int_poly_str(cell)
+        return ratio_str(cell[0] if cell else 0, den ** (n - k))
+
+    return ((n, k * r, text(n, k)) for n, k in cells)

@@ -271,13 +271,12 @@ def test_negative_indices_are_refused(lam):
     (trunc_degen_bernoulli, (3, 0, 1)),
     (trunc_degen_bernoulli, (2, 2, -1)),
     (trunc_degen_bernoulli, (2, 1, -3, F(1, 2))),
-    (identities.verify_expansion, (2, -1, 1)),
 ])
 @pytest.mark.parametrize("lam", [None, F(1, 3)])
 def test_invalid_depth_or_order_is_refused_naming_what_was_given(entry, args, lam):
     # refused before any work, not left to fail inside the descending
     # products or the Stirling triangle
-    n, r, alpha = (args[0], args[1], 1) if entry is identities.verify_expansion else args[:3]
+    n, r, alpha = args[:3]
     with pytest.raises(ValueError, match=r"need r >= 1 and alpha >= 0, got n=%d, r=%d, "
                                          r"alpha=%d\Z" % (n, r, alpha)):
         entry(*args, lam=lam)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from degenstir import bernoulli, cli, field
 from degenstir.field import const
 from degenstir.identities import IdentityReport
+from degenstir.stirling import build_triangle
 from oracles import report_json_obj
 
 
@@ -331,6 +333,44 @@ def test_a_json_table_peaks_near_its_csv_peak():
     argv = ["table", "stirling2", "--n-max", "100", "--format"]
     csv, as_json = _traced_peak(argv + ["csv"]), _traced_peak(argv + ["json"])
     assert as_json <= 1.2 * csv, (as_json, csv)
+
+
+@pytest.mark.parametrize("lam", ["symbolic", "0", "-2/7", "1/2", "1"])
+@pytest.mark.parametrize("family", ["stirling1", "stirling2", "stirling1r", "stirling2r"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("k_max", [2, 12])
+def test_a_stirling_table_is_the_text_of_its_triangle_values(capsys, lam, family, r, k_max):
+    # the table writes each cell's text from its ints; the rows of
+    # build_triangle, wrapped values, rendered by str and json.dumps, must
+    # read the same, with --k-max below and above n
+    n_max = 8
+    mode = None if lam == "symbolic" else F(lam)
+    argv = ("table", family, "--n-max", str(n_max), "--k-max", str(k_max), "--r", str(r),
+            "--lambda=" + lam)
+    field.domain(mode).memo.clear()
+    got = {fmt: run_cli(capsys, *argv, "--format", fmt) for fmt in ("csv", "json")}
+    rows = build_triangle(family, n_max, k_max, r, mode)
+    assert got["csv"] == (0, "n,k,value\n" + "".join(
+        "%d,%d,%s\n" % (n, k, v) for n, k, v in rows), "")
+    entries = [{"n": n, "k": k, "value": str(v)} for n, k, v in rows]
+    assert got["json"] == (0, json.dumps(
+        {"family": family, "lambda": lam, "entries": entries}, indent=2) + "\n", "")
+
+
+def test_a_cold_symbolic_table_keeps_no_wrapped_copy_of_its_cells():
+    # the table renders each cell from its ints and keeps no element of it:
+    # a cold table to n = 80 leaves its triangle traced, about 6 MiB, where
+    # keeping every cell's element too left about 12 MiB
+    field.SYMBOLIC.memo.clear()
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert cli.main(["table", "stirling2", "--n-max", "80"]) == 0
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    field.SYMBOLIC.memo.clear()
+    assert left <= 8 * 2 ** 20, left
 
 
 _TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\U0001f600'),

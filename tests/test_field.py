@@ -4,7 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degenstir import (
@@ -25,7 +25,8 @@ from degenstir import (
     poly_str,
     trunc_degen_bernoulli,
 )
-from degenstir.field import domain, int_add, int_add_mul, int_mul, int_scale
+from degenstir.field import (domain, int_add, int_add_mul, int_mul, int_poly, int_poly_str,
+                             int_scale, ratio_str, rational_str)
 from oracles import poly_divmod, poly_gcd_monic, poly_mul, poly_text, quotient_text, rational_text
 
 LAM = lam_elem()
@@ -333,6 +334,36 @@ def test_poly_text_matches_the_coefficient_oracle(cs, q):
         p = LambdaPoly(cs) * scale
         want = poly_text([F(c) * scale for c in cs])
         assert poly_str(p) == str(p) == poly_text(p.coeffs) == want
+
+
+# an integer cell: zeros, both signs and coefficients past 2^200, which the
+# text route writes straight from its ints
+cell_ints = st.lists(st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2 ** 210, 2 ** 210)),
+                     max_size=10).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell_ints)
+@example(())
+@example((0, 0, 5))
+@example((-3, 0, 6, -9))
+@example((2 ** 201 * 35, 0, -(2 ** 205) * 35))
+def test_an_int_polys_text_is_that_of_its_canonical_element(cell):
+    # content times primitive part gives the ints back, so no coefficient
+    # text differs
+    assert int_poly_str(cell) == str(int_poly(cell)) == poly_text(cell)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6), st.integers(-2 ** 210, 2 ** 210)),
+       st.integers(1, 7), st.integers(0, 40))
+@example(0, 7, 5)
+@example(-2384640 * 7, 7, 6)
+@example(-(2 ** 205), 1, 9)
+@example(12, 2, 3)
+def test_a_scaled_int_over_a_power_texts_as_its_reduced_fraction(t, q, s):
+    # a pinned cell T over q^s, reduced by one gcd with no Fraction built
+    assert ratio_str(t, q ** s) == rational_str(F(t, q ** s)) == rational_text(F(t, q ** s))
 
 
 @settings(max_examples=100, deadline=None)

@@ -116,6 +116,44 @@ def test_thm3_and_thm5_refuse_arguments_outside_their_domain(verify, args, name)
         verify(*args)
 
 
+@pytest.mark.parametrize("verify, args, name", [
+    (verify_thm4, (-1,), "n"),
+    (verify_thm7, (-1, 1), "n"),
+    (verify_thm7, (1, -1), "k"),
+    (verify_thm8, (-1, 1), "n"),
+    (verify_thm8, (1, -1), "k"),
+    (verify_expansion, (-1, 1, 0), "n"),
+    (verify_expansion, (2, 0, 0), "r"),
+    (verify_expansion, (2, -1, 1), "r"),
+    (verify_delta, (-1, 1, 0), "alpha"),
+    (verify_delta, (1, 0, 1), "r"),
+    (verify_beta_closed, (1, 0, 0), "r"),
+])
+@pytest.mark.parametrize("lam", [None, F(1, 3)])
+def test_verifiers_name_the_argument_outside_their_domain(verify, args, name, lam):
+    # refused before any work, not left to fail inside a Bernoulli row, the
+    # descending products or an index into a list
+    with pytest.raises(DomainViolation, match=r"^%s must be at least \d+\Z" % name):
+        verify(*args, lam=lam)
+
+
+@pytest.mark.parametrize("lam", [None, F(0), F(-2, 7)])
+def test_a_single_thm3_call_makes_one_report(monkeypatch, lam):
+    # one power ladder, and the one report the call returns, not the
+    # reports of its whole column n = 0..60
+    made = []
+    report = identities._report
+
+    def counted(identity, params, *rest, **kwargs):
+        made.append(params)
+        return report(identity, params, *rest, **kwargs)
+
+    monkeypatch.setattr(identities, "_report", counted)
+    rep = verify_thm3(60, 3, 3, lam)
+    assert made == [{"n": 60, "k": 3, "r": 3}] and rep.equal
+    assert rep == sweep("thm3", n_max=60, k_max=3, r_max=3, lam=lam)[-1]
+
+
 def test_thm4_desk_cases():
     first, second = verify_thm4(0)
     assert first.equal and first.lhs == 1
