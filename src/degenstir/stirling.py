@@ -134,23 +134,35 @@ class _Triangle:
             self.factors[j] = f
 
 
-def stirling_entry(kind: int, n: int, k: int, r: int, dom, keep=True):
-    """Entry (n, k), k being the power, of the truncated Stirling triangle of
-    the kind (1 or 2) and r, as a value of ``dom``: n! [t^n] block^k / k!.
-    With ``keep`` false the triangle keeps no wrap of the cell."""
+def _grown(kind: int, n: int, k: int, r: int, dom, tri=None):
+    """The triangle of the kind and r, grown for entry (n, k): ``tri`` if the
+    caller holds one, else the domain's table; None, with nothing made, for
+    an entry below the staircase (k*r > n), which is 0.  A warm read takes
+    no lock and writes nothing; a cold one makes or grows the triangle under
+    the domain's lock."""
     if kind not in (1, 2):
         raise ValueError("Stirling numbers are of kind 1 or 2, got kind=%r" % (kind,))
     if n < 0 or k < 0 or r < 1:
         raise ValueError("Stirling entries need n, k >= 0 and r >= 1, got "
                          "n=%d, k=%d, r=%d" % (n, k, r))
     if k * r > n:
-        return dom.zero
-    key, i = ("tri", kind, r), n - k * r
-    tri = dom.memo.get(key)
-    if tri is None or k >= len(tri.cols) or i >= len(tri.cols[k]):
+        return None
+    found = tri or dom.memo.get(("tri", kind, r))
+    if found is None or k >= len(found.cols) or n - k * r >= len(found.cols[k]):
         with dom.lock:
-            tri = table(dom, key, _Triangle, kind, r, dom)
-            tri.fill(n, k)
+            found = tri or table(dom, ("tri", kind, r), _Triangle, kind, r, dom)
+            found.fill(n, k)
+    return found
+
+
+def stirling_entry(kind: int, n: int, k: int, r: int, dom, keep=True):
+    """Entry (n, k), k being the power, of the truncated Stirling triangle of
+    the kind (1 or 2) and r, as a value of ``dom``: n! [t^n] block^k / k!.
+    With ``keep`` false the triangle keeps no wrap of the cell."""
+    tri = _grown(kind, n, k, r, dom)
+    if tri is None:
+        return dom.zero
+    i = n - k * r
     # read without the lock: two threads that both make a cell's first read
     # store equal values
     value = tri.values.get((k, i))
@@ -245,20 +257,18 @@ def _table_walk(family: str, n_max: int, k_max, r: int, lam):
     the classical region k <= n; truncated kinds emit every power up to
     k_max, so the vanishing cells below the staircase (n < k*r) appear as
     explicit zeros.  Every column the table reads is grown down to row n_max
-    here, so the reads in row order fill nothing.  Returns (kind, r, dom,
-    tri, cells), tri the triangle filled, cells the lazy (n, k) in order."""
+    here, in the one triangle held from its first read on, so the reads in
+    row order fill nothing.  Returns (kind, r, dom, tri, cells), tri the
+    triangle grown, cells the lazy (n, k) in order."""
     kind, truncated = _family(family)
     if not truncated:
         r = 1
     k_max = n_max if k_max is None else k_max
-    dom, key, top = domain(lam), ("tri", kind, r), min(k_max, n_max // r)
-    tri = dom.memo.get(key)
-    if tri is None or any(k >= len(tri.cols) or len(tri.cols[k]) <= n_max - k * r
-                          for k in range(top + 1)):
-        with dom.lock:
-            tri = table(dom, key, _Triangle, kind, r, dom)
-            for k in range(top + 1):
-                tri.fill(n_max, k)
+    dom = domain(lam)
+    # the corner entry refuses what the entries refuse, before r divides
+    tri = _grown(kind, n_max, k_max, r, dom)
+    for k in range(min(k_max, n_max // r) + 1):
+        tri = _grown(kind, n_max, k, r, dom, tri)
     cells = ((n, k) for n in range(n_max + 1)
              for k in range(k_max + 1 if truncated else min(k_max, n) + 1))
     return kind, r, dom, tri, cells

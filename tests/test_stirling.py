@@ -252,6 +252,39 @@ def test_entries_refuse_negative_indices_and_r_below_one():
 
 
 @pytest.mark.parametrize("lam", [None, F(2, 7)])
+@pytest.mark.parametrize("n_max, k_max, r", [(4, None, 0), (4, None, -1), (4, 2, 0),
+                                              (-1, None, 2), (4, -1, 2)])
+def test_tables_refuse_what_the_entries_refuse_before_any_triangle(lam, n_max, k_max, r):
+    # r < 1 or a negative bound raises the entries' ValueError when the table
+    # is asked for, not a ZeroDivisionError or an IndexError mid-output, and
+    # puts no triangle in the domain's tables
+    memo = dict(domain(lam).memo)
+    for family in ("stirling2r", "stirling1r"):
+        with pytest.raises(ValueError, match="r >= 1"):
+            build_triangle(family, n_max, k_max, r, lam)
+        with pytest.raises(ValueError, match="r >= 1"):
+            stirling.table_text(family, n_max, k_max, r, lam)
+    assert domain(lam).memo == memo
+
+
+@pytest.mark.parametrize("lam", [None, F(2, 7)])
+def test_a_table_holds_the_triangle_it_grew_when_the_domain_drops_it(monkeypatch, lam):
+    # past TABLES_KEPT another thread can drop the triangle between the
+    # table's column fills; the table keeps growing the one it holds
+    dom, fill = domain(lam), stirling._Triangle.fill
+
+    def fill_then_drop(tri, n, k):
+        fill(tri, n, k)
+        dom.memo.clear()
+
+    dom.memo.clear()
+    monkeypatch.setattr(stirling._Triangle, "fill", fill_then_drop)
+    rows = list(stirling.table_text("stirling1r", 12, 5, 2, lam))
+    monkeypatch.undo()
+    assert rows == [(n, m, str(v)) for n, m, v in build_triangle("stirling1r", 12, 5, 2, lam)]
+
+
+@pytest.mark.parametrize("lam", [None, F(2, 7)])
 def test_triangle_makes_about_one_product_per_cell(monkeypatch, lam):
     # measured for the 153 cells: 136 products of coefficient tuples in
     # either mode, one per cell below the top of its column; the ladder route
