@@ -53,7 +53,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .core import descending
-from .errors import InputTooShort, RouteDisagreement, ZeroDivisorSeries
+from .errors import InputTooShort, PoleAtLambda, RouteDisagreement
 from .field import FieldElem, as_elem, domain, table
 from .series import product, quotient, valuation
 from .stirling import stirling_entry
@@ -105,7 +105,7 @@ def _reciprocal(row: _Row, n: int, r: int, alpha: int, dom):
     lead = math.factorial(r) ** alpha
     if not row.den:
         # at a pinned zero of E every coefficient of the block vanishes
-        raise ZeroDivisorSeries("division by a series with no known nonzero coefficient")
+        raise PoleAtLambda("E = (1)_{r,lambda} vanishes at r=%d, lambda=%s" % (r, dom.mode))
     while len(quots) <= n:
         quots.append(_exact_div(stirling_entry(2, len(quots) + lo, alpha, r, dom, False),
                                 row.den, dom))

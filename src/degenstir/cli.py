@@ -6,11 +6,11 @@ Output is deterministic byte for byte: fixed row order (n ascending, then
 the column index ascending), canonical value strings, and JSON laid out as
 ``json.dumps(obj, indent=2)`` lays it out.  One JSON writer serves tables
 and ``verify`` reports: it writes one record at a time, each from a literal
-template, so a document is never held whole as dicts or as text.  Every row
-or report is computed before the first byte is written, so a command that
-fails prints nothing on stdout.  A Stirling table's triangle is likewise
-filled before the first byte, and each cell's text is rendered from its int
-coefficients while the rows are written: that rendering cannot fail.
+template, so a document is never held whole as dicts or as text.  Every
+row or report but a Stirling table's is computed before the first byte, so
+a command that fails prints nothing on stdout.  A Stirling table checks its
+arguments and ``--precision`` first; then each row is computed while it is
+written, on ints, and each cell's text rendered from them: neither can fail.
 
 Exit codes: 0 on success (for ``verify``: every as-derived report holds),
 1 when an as-derived report fails, 2 on usage or computation errors.

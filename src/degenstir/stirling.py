@@ -7,30 +7,27 @@ base series without its first r coefficients, which pushes the valuation of
 the k-th power up to k*r.  The plain kinds are the r = 1 case.
 
 Every entry is read from one triangle per (kind, r), a table of the
-parameter's domain (see ``field.table``) filled by the triangle
-recurrence in n (see ``_Triangle``), column by column: entry (n, k) grows
-only the columns 0..k, and column j only down to row n - (k - j) r, the rows
-that entry reads.  Column k of the second kind, read as
-k! sum_n S(n, k) t^n / n!, is the k-th power of the block, so the truncated
-Bernoulli values read the denominator of their quotient off the same
-triangle.  The tests check the triangle against the block's powers, the
-defining series.  Every entry is exact and needs no working precision:
+parameter's domain (see ``field.table``) grown under the domain's lock by the
+triangle recurrence in n (see ``_Triangle``): entry (n, k) grows only the
+columns 0..k, and column j only down to row n - (k - j) r, the rows it reads.
+Column k of the second kind, read as k! sum_n S(n, k) t^n / n!, is the k-th
+power of the block, so the truncated Bernoulli values read the denominator
+of their quotient off the same triangle.  The tests check the triangle
+against the block's powers, the defining series.  Every entry is exact:
 coefficient n is fixed by the orders up to n.
 
-``stirling_entry`` returns a value of the mode's domain (see ``field``), and
-the public entries wrap it.  Both modes fill the triangle of the scaled
-cells q^(m-j) S(m, j), l being p/q (q = 1 in the symbolic mode), which are
-integer polynomials in l because the recurrence's factors and its start
-S(0, 0) = 1 are: the triangle stores their int coefficients, a single
-integer when pinned, and fills them with ``field``'s int arithmetic alone,
-with no element, polynomial or Fraction built.  A cell becomes the mode's
-value on its first read through ``stirling_entry``, not when it is filled:
+Both modes fill the triangle of the scaled cells q^(m-j) S(m, j), l being
+p/q (q = 1 in the symbolic mode), which are integer polynomials in l because
+the recurrence's factors and its start S(0, 0) = 1 are: the triangle stores
+their int coefficients, a single integer when pinned, and fills them with
+``field``'s int arithmetic alone, with no element, polynomial or Fraction
+built.  ``stirling_entry`` makes a cell the mode's value on its first read:
 its canonical element (``field.int_poly``) when symbolic, the reduced
-Fraction when pinned.  So an entry that reads one cell deep in a column wraps
-that cell alone.  A table needs no value, only text: ``table_text`` writes
-each cell's canonical text straight from its ints (``field.int_poly_str``
-symbolic, ``field.ratio_str`` of T / q^(m-j) pinned), so it builds and keeps
-no wrap.  The wrap and that text are the two places where the modes differ.
+Fraction when pinned; the public entries wrap it.  A table is not shared
+state: ``table_text`` fills a triangle of its own row by row while the rows
+are written, keeps about r rows of it, and writes each cell's canonical text
+straight from its ints (``field.int_poly_str`` symbolic, ``field.ratio_str``
+of T / q^(m-j) pinned).  The wrap and that text are where the modes differ.
 
 For the truncated second kind two independent routes are implemented:
 
@@ -52,10 +49,9 @@ from .field import (FieldElem, const, domain, int_add, int_add_mul, int_mul, int
 
 
 class _Triangle:
-    """The truncated Stirling numbers S(m, j) of one kind and r, kept as the
-    table ("tri", kind, r) of its domain and filled by the triangle
-    recurrence in n.  With the parameter written as l = p/q (p = l, q = 1 in
-    the symbolic mode) the scaled cell T(m, j) = q^(m-j) S(m, j) obeys
+    """The truncated Stirling numbers S(m, j) of one kind and r: the
+    domain's table ("tri", kind, r), or a table's own.  With l = p/q (p = l,
+    q = 1 in the symbolic mode) the scaled cell T(m, j) = q^(m-j) S(m, j) obeys
 
         T(m+1, j) = (j*a - m*b) T(m, j) + C(m, r-1) c T(m-r+1, j-1),
 
@@ -68,17 +64,14 @@ class _Triangle:
     the constant (T(m, j),).  Column j lists T(j*r..m, j), the rows above j*r
     being zero, so cell (m, j) is ``cols[j][m - j*r]`` and the j - 1
     neighbour of a cell sits at the same index in the column before it.
-    Columns grow downward; ``fill`` grows only the columns an entry needs,
-    and at r > 1 adds the left term's product into the cell in one pass,
-    its factor C(m, r-1) c made for that cell.
+    Columns grow downward, by ``fill``, and at r > 1 a cell adds the left
+    term's product in one pass, its factor C(m, r-1) c made for that cell.
 
-    ``stirling_entry`` wraps a cell into the domain's value on the cell's
+    ``stirling_entry`` wraps a cell of the domain's triangle on the cell's
     first read and keeps it in ``values`` (unless the reader keeps its own,
     as the truncated Bernoulli rows do), which it reads without the lock:
     ``int_poly`` of the coefficients when symbolic, T(m, j) / q^(m-j) when
-    pinned (``den`` is q, None in the symbolic mode).  ``table_text``
-    renders a table's text from the cells' ints instead, and keeps nothing
-    in ``values``."""
+    pinned (``den`` is q, None in the symbolic mode)."""
 
     __slots__ = ("r", "den", "a", "c", "step", "cols", "factors", "values")
 
@@ -101,25 +94,27 @@ class _Triangle:
         self.factors = []  # column j: j*a - m*b, the factor of its next row
         self.values = {}   # (j, i) -> the value of cell i of column j
 
-    def fill(self, n: int, k: int):
+    def fill(self, n: int, k: int, whole: bool = False):
         """Grow each column j <= k down to row n - (k - j) r, the rows that
-        entry (n, k) reads; the caller holds the domain's lock.  Every fill
-        grows its columns to one index, so no column is longer than the one
-        before it, and the walk starts at the first column too short."""
+        entry (n, k) reads, or with ``whole`` down to row n; the caller holds
+        the domain's lock unless the triangle is its own.  An entry grows
+        every column to one index, so the walk starts at the first column
+        too short; a whole row grows them all."""
         r, cols, step = self.r, self.cols, self.step
-        last = n - k * r  # the same index in every column
+        last = n - k * r  # the same index in every column of an entry
         while len(cols) <= k:
             # T(0, 0) = 1; rows 0..j*r-1 of column j >= 1 are 0, unstored
             j = len(cols)
             cols.append([(1,)] if j == 0 else [])
             m = j * r + len(cols[j]) - 1  # j*a - m*b
             self.factors.append(int_add(int_scale(self.a, j), int_scale(step, m)))
-        first = k
+        first = 0 if whole else k
         while first and len(cols[first - 1]) <= last:
             first -= 1
         for j in range(first, k + 1):
             col, f = cols[j], self.factors[j]
-            while len(col) <= last:
+            stop = n - j * r if whole else last
+            while len(col) <= stop:
                 i = len(col)
                 m = j * r + i - 1
                 v = int_mul(f, col[-1]) if i else ()
@@ -134,23 +129,26 @@ class _Triangle:
             self.factors[j] = f
 
 
-def _grown(kind: int, n: int, k: int, r: int, dom, tri=None):
-    """The triangle of the kind and r, grown for entry (n, k): ``tri`` if the
-    caller holds one, else the domain's table; None, with nothing made, for
-    an entry below the staircase (k*r > n), which is 0.  A warm read takes
-    no lock and writes nothing; a cold one makes or grows the triangle under
-    the domain's lock."""
+def _checked(kind: int, n: int, k: int, r: int):
+    """Refuse a kind other than 1 or 2, a negative index, or r < 1."""
     if kind not in (1, 2):
         raise ValueError("Stirling numbers are of kind 1 or 2, got kind=%r" % (kind,))
     if n < 0 or k < 0 or r < 1:
         raise ValueError("Stirling entries need n, k >= 0 and r >= 1, got "
                          "n=%d, k=%d, r=%d" % (n, k, r))
+
+
+def _grown(kind: int, n: int, k: int, r: int, dom):
+    """The domain's triangle of the kind and r grown for entry (n, k), or
+    None for an entry below the staircase (k*r > n), which is 0: a warm read
+    takes no lock and writes nothing, a cold one grows it under the lock."""
+    _checked(kind, n, k, r)
     if k * r > n:
         return None
-    found = tri or dom.memo.get(("tri", kind, r))
+    found = dom.memo.get(("tri", kind, r))
     if found is None or k >= len(found.cols) or n - k * r >= len(found.cols[k]):
         with dom.lock:
-            found = tri or table(dom, ("tri", kind, r), _Triangle, kind, r, dom)
+            found = table(dom, ("tri", kind, r), _Triangle, kind, r, dom)
             found.fill(n, k)
     return found
 
@@ -250,45 +248,39 @@ def family_entry(family: str, n: int, k: int, r: int = 1, lam=None) -> FieldElem
     return entry(n, k, r if truncated else 1, lam)
 
 
-def _table_walk(family: str, n_max: int, k_max, r: int, lam):
-    """The cells of a Stirling family's table, in row order: n ascending,
-    then m ascending, where m is the second index of the quantity itself, k
-    for the plain kinds and k*r for the truncated kinds.  Plain kinds emit
-    the classical region k <= n; truncated kinds emit every power up to
-    k_max, so the vanishing cells below the staircase (n < k*r) appear as
-    explicit zeros.  Every column the table reads is grown down to row n_max
-    here, in the one triangle held from its first read on, so the reads in
-    row order fill nothing.  Returns (kind, r, dom, tri, cells), tri the
-    triangle grown, cells the lazy (n, k) in order."""
+def _region(family: str, n_max: int, k_max, r: int):
+    """(kind, r, rows) of a Stirling family's table, r = 1 for the plain
+    kinds: rows are the lazy (n, powers k) in row order, m being k*r, k <= n
+    for the plain kinds and k <= k_max for the truncated, zero below the
+    staircase (n < k*r).  The corner is refused as the entries refuse it."""
     kind, truncated = _family(family)
     if not truncated:
         r = 1
     k_max = n_max if k_max is None else k_max
-    dom = domain(lam)
-    # the corner entry refuses what the entries refuse, before r divides
-    tri = _grown(kind, n_max, k_max, r, dom)
-    for k in range(min(k_max, n_max // r) + 1):
-        tri = _grown(kind, n_max, k, r, dom, tri)
-    cells = ((n, k) for n in range(n_max + 1)
-             for k in range(k_max + 1 if truncated else min(k_max, n) + 1))
-    return kind, r, dom, tri, cells
+    _checked(kind, n_max, k_max, r)
+    rows = ((n, range(k_max + 1 if truncated else min(k_max, n) + 1))
+            for n in range(n_max + 1))
+    return kind, r, rows
 
 
 def build_triangle(family: str, n_max: int, k_max=None, r: int = 1, lam=None):
     """Rows (n, m, value) of a Stirling family, in the order and region of
-    ``_table_walk``, each value read through ``stirling_entry``."""
-    kind, r, dom, _, cells = _table_walk(family, n_max, k_max, r, lam)
-    return [(n, k * r, dom.wrap(stirling_entry(kind, n, k, r, dom))) for n, k in cells]
+    ``_region``, each value read through ``stirling_entry``: the reference
+    route of ``table_text``."""
+    kind, r, rows = _region(family, n_max, k_max, r)
+    dom = domain(lam)
+    return [(n, k * r, dom.wrap(stirling_entry(kind, n, k, r, dom))) for n, ks in rows for k in ks]
 
 
 def table_text(family: str, n_max: int, k_max=None, r: int = 1, lam=None):
-    """Rows (n, m, text) of a Stirling family, those of ``build_triangle``
-    with each value's canonical text in place of the value.  The triangle is
-    filled before this returns; the rows are a generator that writes each
-    cell's text from its ints when it is read, held by the triangle the fill
-    made, and builds no element, Fraction or kept wrap: symbolic, the text of
-    the integer polynomial; pinned at l = p/q, T(n, k) / q^(n-k) reduced."""
-    _, r, _, tri, cells = _table_walk(family, n_max, k_max, r, lam)
+    """The rows of ``build_triangle``, (n, m, text) with each value's
+    canonical text.  The arguments are checked on the call; the rows are a
+    generator that fills a triangle of its own, a whole row as it is read,
+    and drops row n - r once row n is filled: it holds about r rows, and no
+    domain table or lock.  A cell's text is written from its ints: symbolic,
+    the integer polynomial's; pinned at l = p/q, T(n, k) / q^(n-k) reduced."""
+    kind, r, rows = _region(family, n_max, k_max, r)
+    tri = _Triangle(kind, r, domain(lam))
     cols, den = tri.cols, tri.den
 
     def text(n, k):
@@ -300,4 +292,12 @@ def table_text(family: str, n_max: int, k_max=None, r: int = 1, lam=None):
             return int_poly_str(cell)
         return ratio_str(cell[0] if cell else 0, den ** (n - k))
 
-    return ((n, k * r, text(n, k)) for n, k in cells)
+    def texts():
+        for n, ks in rows:
+            tri.fill(n, min(len(ks) - 1, n // r), True)
+            for j in range(min(len(cols), n // r)):
+                cols[j][n - (j + 1) * r] = None  # row n - r
+            for k in ks:
+                yield n, k * r, text(n, k)
+
+    return texts()

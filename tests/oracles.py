@@ -13,7 +13,8 @@ right side of thm3 as printed, one product per weak composition, where the
 library reads it off a power of one series.  ``bell_enum`` and
 ``k_lambda_series`` are the partial Bell and reciprocal-series polynomials
 by the partition enumeration and by one ``Series.div``, where the library
-reads both off one Bell triangle.  ``report_json_obj`` is a report as the
+reads the first off one Bell triangle and the second off one series
+reciprocal.  ``report_json_obj`` is a report as the
 dict that ``json.dumps`` writes, the reference of the CLI's JSON writer.
 """
 

@@ -501,4 +501,4 @@ def test_a_pole_in_row_zero_is_reported_before_the_precision(capsys):
     assert run_cli(capsys, "table", "trunc-bernoulli", "--n-max", "5", "--r", "2",
                    "--lambda", "1", "--precision", "3") == (
         2, "", "warning: --precision 3 is below the derived safe bound 5\n"
-               "error: division by a series with no known nonzero coefficient\n")
+               "error: E = (1)_{r,lambda} vanishes at r=2, lambda=1\n")

@@ -57,9 +57,9 @@ GOLDEN = (
     ("verify --identity all", 0, "c357b08bb2fec3f6c0edc9661eabb06acc1db7c945188bbc1c7fc56df94a20f3", EMPTY),
     ("verify --identity all --lambda=2/3", 0, "a40eb40468348ed5d6096c07d3f1d678745c9b4d4ffc5d7aa1af7ea1bfbc4cdc", EMPTY),
     ("eval stirling2 --n 3 --k 2 --precision 2", 2, EMPTY, "c49af50ec6f540a342bab788bea6ac265dfc32d0d15726819639c6f5f1b859e3"),
-    ("eval trunc-bernoulli --n 1 --r 2 --lambda=1", 2, EMPTY, "436ece22a685627dc8cf16ff11c6dbc69a26a5024eaad4e3054df329ee1f7fd0"),
+    ("eval trunc-bernoulli --n 1 --r 2 --lambda=1", 2, EMPTY, "00277951d40d402e3f6da602d3b949ffeecd9329c98bb283d3a5cf93fb66b70b"),
     ("verify --identity all --lambda=0", 0, "b79c0051e88d0b2c9c302138b67a4feb27e153bff81cc7bb3707b5b084f461cc", EMPTY),
-    ("verify --identity all --lambda=1/2", 2, EMPTY, "436ece22a685627dc8cf16ff11c6dbc69a26a5024eaad4e3054df329ee1f7fd0"),
+    ("verify --identity all --lambda=1/2", 2, EMPTY, "5976b8c0cfe2267dc7b4e56ea98dfc64566b56bb9c1c231276915c3f877ec181"),
     ("table bernoulli --n-max 17 --alpha 2 --x 1/2", 0, "810414fcc4ada993db401dc377bd052b10730658f87eca1d10b6c4338f5b0310", EMPTY),
     ("table bernoulli --n-max 17 --alpha 2 --x 1/2 --lambda=-2/5", 0, "a8df6024402ba5539b48f173cb7264c46a942535cbdff7ec33b0c1e9bf6bffb4", EMPTY),
     ("table trunc-bernoulli --n-max 17 --r 2 --alpha 3 --x=-1/3", 0, "6c3ea2e0ad9ae0b0255b820a25d5a8323e75f1901e631b90f05967c61a1b55db", EMPTY),

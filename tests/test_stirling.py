@@ -1,6 +1,8 @@
 """Stirling triangles: both kinds, truncation, and the three-route check."""
 
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -268,20 +270,22 @@ def test_tables_refuse_what_the_entries_refuse_before_any_triangle(lam, n_max, k
 
 
 @pytest.mark.parametrize("lam", [None, F(2, 7)])
-def test_a_table_holds_the_triangle_it_grew_when_the_domain_drops_it(monkeypatch, lam):
-    # past TABLES_KEPT another thread can drop the triangle between the
-    # table's column fills; the table keeps growing the one it holds
-    dom, fill = domain(lam), stirling._Triangle.fill
-
-    def fill_then_drop(tri, n, k):
-        fill(tri, n, k)
-        dom.memo.clear()
-
-    dom.memo.clear()
-    monkeypatch.setattr(stirling._Triangle, "fill", fill_then_drop)
-    rows = list(stirling.table_text("stirling1r", 12, 5, 2, lam))
-    monkeypatch.undo()
-    assert rows == [(n, m, str(v)) for n, m, v in build_triangle("stirling1r", 12, 5, 2, lam)]
+@pytest.mark.parametrize("args", [("stirling2", 80), ("stirling1r", 80, 26, 3)])
+def test_a_table_holds_about_r_rows_and_leaves_the_domain_as_it_found_it(lam, args):
+    # a table fills a triangle of its own and drops each row its next fill
+    # no longer reads: symbolic, keeping the whole triangle in the domain
+    # traced 6.2 MB and 3.5 MB here, holding about r rows 0.61 and 0.66 MB
+    dom = domain(lam)
+    memo = list(dom.memo.items())
+    tracemalloc.start()
+    try:
+        rows = sum(1 for _ in stirling.table_text(*args, lam=lam))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == (81 * 82 // 2 if len(args) == 2 else 81 * 27)
+    assert peak < 1.5e6
+    assert list(dom.memo.items()) == memo
 
 
 @pytest.mark.parametrize("lam", [None, F(2, 7)])
@@ -495,6 +499,25 @@ def test_threads_making_the_first_reads_of_a_triangle_agree_with_one_thread(lam)
         lambda: [stirling_entry(kind, n, k, r, dom)
                  for n in range(n_max + 1) for k in range(n // r + 1)],
         check)
+
+
+@pytest.mark.parametrize("lam", [None, F(2, 7)])
+def test_threads_reading_table_rows_agree_with_threads_reading_entries(lam):
+    # a table takes no lock and shares no triangle: its rows are read in
+    # every other thread while the rest grow the domain's triangle of the
+    # same kind and r, entry by entry, and every thread gets the same text
+    dom = domain(lam)
+    turns = itertools.count()
+
+    def work():
+        if next(turns) % 2:
+            return [(n, m, str(v)) for n, m, v in build_triangle("stirling1r", 24, 8, 2, lam)]
+        return list(stirling.table_text("stirling1r", 24, 8, 2, lam))
+
+    def check():
+        assert list(dom.memo) == [("tri", 1, 2)]
+
+    threads_agree_with_one_thread(dom.memo.clear, work, check)
 
 
 def test_threads_reading_bell_cells_agree_with_one_thread():
