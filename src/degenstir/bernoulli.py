@@ -15,12 +15,14 @@ therefore kept as numerators over E^alpha, polynomials when x is a
 rational, in one row per (r, alpha, x), a table of the domain (see
 ``field.table``) that grows on demand: at x = 0 by the reciprocal
 recurrence over the column divided by E^alpha, an exact division, at
-x != 0 by the Appell form over the x = 0 row, each numerator one
-``sum_products`` of the domain (see ``field``), reduced once.  So a row
-runs no polynomial gcd; a value is its numerator divided by E^alpha on its
-first read and kept, and the verifiers that sum values of one row sum its
-numerators instead.  The plain values are the r = 1 case, where E = 1 and
-the numerators are the values, and are computed as such.
+x != 0 by the Appell form over the numerators of the x = 0 row, whose
+E^alpha it shares; ``numerator_row`` grows both in one block under the
+domain's lock.  Each numerator is one ``sum_products`` of the domain (see
+``field``), reduced once, so a row runs no polynomial gcd; a value is its
+numerator divided by E^alpha on its first read and kept, and the verifiers
+that sum values of one row sum its numerators instead.  The plain values
+are the r = 1 case, where E = 1 and the numerators are the values, and are
+computed as such.
 
 Partial Bell polynomials are read off a triangle that each call builds
 for itself and the domain does not keep, stored by columns, column k
@@ -67,21 +69,17 @@ class _Row:
     keeps column alpha of the Stirling triangle over E^alpha, ``quots[i]`` =
     S_r(i + alpha r, alpha) / E^alpha, and a row at x != 0 the descending
     products of x, ``prods``.  ``values`` keeps each value N_m / E^alpha
-    read at r > 1, by m, from its first read on.  Only a cold row checks r
-    and alpha, and one at x != 0 shares the denominator of its x = 0 row."""
+    read at r > 1, by m, from its first read on.  A row at x != 0 is given
+    ``den`` by its x = 0 row, which checks r and alpha when it is made."""
 
     __slots__ = ("nums", "den", "quots", "prods", "values")
 
-    def __init__(self, n, r, alpha, x, dom):
+    def __init__(self, n, r, alpha, x, dom, den=None):
         if r < 1 or alpha < 0:
             raise ValueError("truncated Bernoulli values need r >= 1 and alpha >= 0, "
                              "got n=%d, r=%d, alpha=%d" % (n, r, alpha))
         self.nums = []
-        if x:
-            zero = dom.zero
-            self.den = table(dom, ("row", r, alpha, zero), _Row, n, r, alpha, zero, dom).den
-        else:
-            self.den = descending(dom.one, r, dom.lam, dom)[-1] ** alpha
+        self.den = descending(dom.one, r, dom.lam, dom)[-1] ** alpha if den is None else den
         self.values = {}
         self.quots = None if x else []
         self.prods = [dom.one] if x else None
@@ -134,19 +132,23 @@ def numerator_row(n: int, r: int, alpha: int, x, dom) -> _Row:
     """The row of the truncated order-alpha values at the ``dom`` value x,
     grown to numerator n: ``nums[m]`` is E^alpha times value m, ``den`` is
     E^alpha, and ``quots`` (at x = 0) or ``prods`` (at x != 0) is at least
-    as long.  The row grows under the domain's lock, so that threads never
-    append one value twice, and is read without it."""
+    as long.  The one maker of the rows: a cold read takes the domain's lock
+    once, grows the x = 0 row of (r, alpha), keyed by the int 0 so that its
+    reads hash no domain value, only when it is too short, and at x != 0
+    makes the x row over its E^alpha and grows it over its numerators; so
+    threads never append one value twice.  A warm read takes no lock."""
     if n < 0:
         raise IndexError("negative coefficient index")
-    key = ("row", r, alpha, x)
+    key = ("row", r, alpha, x or 0)
     row = dom.memo.get(key)
     if row is None or n >= len(row.nums):
         with dom.lock:
-            row = table(dom, key, _Row, n, r, alpha, x, dom)
+            row = base = table(dom, ("row", r, alpha, 0), _Row, n, r, alpha, 0, dom)
+            if n >= len(base.nums):
+                _reciprocal(base, n, r, alpha, dom)
             if x:
-                _appell(row, n, x, numerator_row(n, r, alpha, dom.zero, dom).nums, dom)
-            else:
-                _reciprocal(row, n, r, alpha, dom)
+                row = table(dom, key, _Row, n, r, alpha, x, dom, base.den)
+                _appell(row, n, x, base.nums, dom)
     return row
 
 
@@ -307,7 +309,7 @@ def bell_rows(n_max: int, k_max: int, xs, lam=None) -> list:
     k_max) ascending, read off one triangle of xs, each cell checked as by
     ``bell_partial``.  A sequence too short for a cell fails at the first
     such cell, before any work."""
-    xs, dom = _prepare_xs(xs, lam, 0, 0, 0)
+    xs, dom = _prepare_xs(xs, lam, n_max, k_max, 0)
     k_top = min(n_max, k_max)
     if k_top > 0 and n_max > len(xs):
         _need(xs, len(xs) + 1)  # cell (len(xs) + 1, 1)
@@ -355,7 +357,7 @@ def k_lambda_rows(n_max: int, xs, lam=None) -> list:
     """The rows (n, 0, K(n)) of a table, n <= n_max ascending, on one
     series reciprocal, each value checked as by ``k_lambda``.  A sequence
     too short for a row fails at the first such row, before any work."""
-    xs, dom = _prepare_xs(xs, lam, 0, 0, 0)
+    xs, dom = _prepare_xs(xs, lam, n_max, 0, 0)
     if n_max > len(xs):
         _need(xs, len(xs) + 1)  # row len(xs) + 1
     return [(n, 0, dom.wrap(value)) for n, value in enumerate(_k_lambda(n_max, xs, dom))]

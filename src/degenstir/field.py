@@ -47,8 +47,8 @@ quotient among its factors as elements.
 
 A domain keeps the tables the kernels grow for its parameter in its
 ``memo`` by one rule, ``table``, the one place that makes and drops them:
-past ``TABLES_KEPT`` the table least recently made, grown or read by a
-table being made, whatever its kind, is dropped.
+past ``TABLES_KEPT`` the table least recently made, grown or read while
+another is being made or grown, whatever its kind, is dropped.
 
 The parameter prints as ``l`` in the canonical text form, for example
 ``(-1/2)*l^1 + 1/2``.  One term loop, ``int_poly_str``, writes it from
@@ -716,10 +716,11 @@ def table(dom, key, make, *args):
     """The table under ``key`` in the domain's ``memo``, ``make(*args)`` if
     the domain holds none, moved to the back of the memo.  The caller holds
     the domain's lock and calls it to make or grow the table, or to read it
-    while making another, so that past ``TABLES_KEPT`` the table dropped is
-    the one least recently made, grown or read by a table being made.  A
-    warm read is ``memo.get(key)`` without the lock, and writes nothing.  A
-    dropped table is made afresh on its next read, equal to before."""
+    while another is being made or grown, so that past ``TABLES_KEPT`` the
+    table dropped is the one least recently made, grown or read while
+    another was being made or grown.  A warm read is ``memo.get(key)``
+    without the lock, and writes nothing.  A dropped table is made afresh
+    on its next read, equal to before."""
     memo = dom.memo
     found = memo.pop(key, None)
     memo[key] = found = make(*args) if found is None else found

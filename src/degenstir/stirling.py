@@ -138,29 +138,21 @@ def _checked(kind: int, n: int, k: int, r: int):
                          "n=%d, k=%d, r=%d" % (n, k, r))
 
 
-def _grown(kind: int, n: int, k: int, r: int, dom):
-    """The domain's triangle of the kind and r grown for entry (n, k), or
-    None for an entry below the staircase (k*r > n), which is 0: a warm read
-    takes no lock and writes nothing, a cold one grows it under the lock."""
-    _checked(kind, n, k, r)
-    if k * r > n:
-        return None
-    found = dom.memo.get(("tri", kind, r))
-    if found is None or k >= len(found.cols) or n - k * r >= len(found.cols[k]):
-        with dom.lock:
-            found = table(dom, ("tri", kind, r), _Triangle, kind, r, dom)
-            found.fill(n, k)
-    return found
-
-
 def stirling_entry(kind: int, n: int, k: int, r: int, dom, keep=True):
     """Entry (n, k), k being the power, of the truncated Stirling triangle of
-    the kind (1 or 2) and r, as a value of ``dom``: n! [t^n] block^k / k!.
-    With ``keep`` false the triangle keeps no wrap of the cell."""
-    tri = _grown(kind, n, k, r, dom)
-    if tri is None:
-        return dom.zero
+    the kind (1 or 2) and r, as a value of ``dom``: n! [t^n] block^k / k!,
+    0 below the staircase (k*r > n).  A warm read takes no lock and writes
+    nothing; a cold one grows the domain's triangle of the kind and r under
+    the lock.  With ``keep`` false the triangle keeps no wrap of the cell."""
+    _checked(kind, n, k, r)
     i = n - k * r
+    if i < 0:
+        return dom.zero
+    tri = dom.memo.get(("tri", kind, r))
+    if tri is None or k >= len(tri.cols) or i >= len(tri.cols[k]):
+        with dom.lock:
+            tri = table(dom, ("tri", kind, r), _Triangle, kind, r, dom)
+            tri.fill(n, k)
     # read without the lock: two threads that both make a cell's first read
     # store equal values
     value = tri.values.get((k, i))

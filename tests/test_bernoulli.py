@@ -203,9 +203,9 @@ def test_threads_growing_one_cold_row_agree_with_one_thread(monkeypatch, lam, x)
 
 @pytest.mark.parametrize("lam", [None, "-2/5"])
 def test_a_cold_table_grows_every_table_under_its_own_domains_lock(monkeypatch, capsys, lam):
-    # the x = 1/2 row grows its x = 0 row, which fills the Stirling column it
-    # reads, all under the one reentrant lock of the table's domain; no other
-    # domain's lock is taken
+    # the x = 1/2 row and its x = 0 row grow in one block under the one
+    # reentrant lock of the table's domain, and the Stirling column that the
+    # x = 0 row reads fills inside it; no other domain's lock is taken
     doms = {"symbolic": domain(), "-2/5": domain(F(-2, 5)), "1/3": domain(F(1, 3))}
     assert len({id(dom.lock) for dom in doms.values()}) == len(doms)
     depths, taken = [], []
@@ -232,8 +232,60 @@ def test_a_cold_table_grows_every_table_under_its_own_domains_lock(monkeypatch, 
     assert cli.main(argv + ([] if lam is None else ["--lambda=" + lam])) == 0
     capsys.readouterr()
     assert set(taken) == {own}
-    # the x = 1/2 row, its x = 0 row and the Stirling column, one inside the other
-    assert max(depths) == 3
+    # the rows' block and the Stirling column inside it
+    assert max(depths) == 2
+
+
+@pytest.mark.parametrize("lam", [None, F(-2, 7)])
+def test_a_cold_row_at_x_reads_no_table_while_a_row_is_made(monkeypatch, lam):
+    # a row at x != 0 is given the denominator of its x = 0 row, which
+    # numerator_row reads first: no row reads a table while it is made
+    dom = domain(lam)
+    dom.memo.clear()
+    x = dom.unwrap(const(F(1, 2), lam))
+    want = bernoulli.bernoulli_entry(6, 2, 2, x, dom)
+    dom.memo.clear()
+    table, row = bernoulli.table, bernoulli._Row
+    making, made, nested = [], [], []
+
+    def read(*args):
+        if making:
+            nested.append(args[1])
+        return table(*args)
+
+    def make(*args):
+        made.append(args[3])
+        making.append(args[3])
+        try:
+            return row(*args)
+        finally:
+            making.pop()
+
+    monkeypatch.setattr(bernoulli, "table", read)
+    monkeypatch.setattr(bernoulli, "_Row", make)
+    assert bernoulli.bernoulli_entry(6, 2, 2, x, dom) == want
+    assert made == [0, x] and nested == []
+
+
+@pytest.mark.parametrize("lam", [None, F(1, 3)])
+def test_a_warm_read_of_the_plain_numbers_hashes_no_fraction(monkeypatch, lam):
+    # the x = 0 row is keyed by the int 0, so the reads of the plain numbers
+    # that the verifiers make hash no Fraction, nor an element whose hash is
+    # its constant's
+    dom = domain(lam)
+    dom.memo.clear()
+    want = [bernoulli.bernoulli_entry(n, 1, 2, dom.zero, dom) for n in range(13)]
+    hashes = []
+    fraction_hash = F.__hash__
+
+    def counted(self):
+        hashes.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(F, "__hash__", counted)
+    got = [bernoulli.bernoulli_entry(n, 1, 2, dom.zero, dom) for n in range(13)]
+    monkeypatch.undo()
+    assert len(hashes) == 0 and got == want
 
 
 def test_an_expansion_sweep_makes_each_row_once(monkeypatch):
@@ -245,9 +297,9 @@ def test_an_expansion_sweep_makes_each_row_once(monkeypatch):
     made = []
     row = bernoulli._Row
 
-    def recorded(n, r, alpha, x, dom):
+    def recorded(n, r, alpha, x, dom, den=None):
         made.append((r, x))
-        return row(n, r, alpha, x, dom)
+        return row(n, r, alpha, x, dom, den)
 
     monkeypatch.setattr(bernoulli, "_Row", recorded)
     reports = identities.sweep("expansion", n_max=24, lam=F(-2, 7))
@@ -596,3 +648,17 @@ def test_bell_and_reciprocal_polynomials_refuse_negative_indices(entry, args, la
     n, k = args[0], args[1] if len(args) == 3 else 0
     with pytest.raises(ValueError, match=r"need n, k >= 0, got n=%d, k=%d\Z" % (n, k)):
         entry(*args, lam=lam)
+
+
+@pytest.mark.parametrize("rows, args, n, k", [
+    (bernoulli.bell_rows, (-1, 2), -1, 2),
+    (bernoulli.bell_rows, (3, -1), 3, -1),
+    (bernoulli.bell_rows, (-1, -1), -1, -1),
+    (bernoulli.k_lambda_rows, (-1,), -1, 0),
+])
+@pytest.mark.parametrize("lam", [None, F(-5, 3)])
+def test_bell_and_reciprocal_tables_refuse_negative_bounds(rows, args, n, k, lam):
+    # as their entries do, before any work: k_lambda_rows(-1, ...) read
+    # xs[:-1] and returned row 0, and bell_rows returned no rows
+    with pytest.raises(ValueError, match=r"need n, k >= 0, got n=%d, k=%d\Z" % (n, k)):
+        rows(*args, [1, 2], lam=lam)

@@ -163,7 +163,7 @@ def _made(monkeypatch):
         make = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args: made.update([key(*args)]) or make(*args))
 
-    counted(bernoulli, "_Row", lambda n, r, alpha, x, dom: ("row", r, alpha, x))
+    counted(bernoulli, "_Row", lambda n, r, alpha, x, dom, den=None: ("row", r, alpha, x))
     counted(stirling, "_Triangle", lambda kind, r, dom: ("tri", kind, r))
     return made
 

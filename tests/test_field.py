@@ -475,3 +475,40 @@ def test_sum_products_of_no_terms_is_the_domain_zero():
         for terms in ([], [(0, dom.lam)], [(F(1, 2), dom.zero, dom.lam)]):
             got = dom.sum_products(terms)
             assert got == dom.zero and hash(got) == hash(dom.zero) and not got
+
+
+def test_polynomial_repr_and_the_refusals_on_zero():
+    p = LambdaPoly((F(1, 2), 0, F(-3, 4)))
+    assert repr(p) == "LambdaPoly((-3/4)*l^2 + 1/2)" and p.leading == F(-3, 4)
+    with pytest.raises(ValueError, match="the zero polynomial has no leading coefficient"):
+        LambdaPoly().leading
+    with pytest.raises(DivisionByZero, match="polynomial division by zero"):
+        p.exact_div(LambdaPoly())
+    with pytest.raises(DivisionByZero, match="zero denominator polynomial"):
+        FieldElem.from_polys(p, LambdaPoly())
+
+
+def test_equality_across_modes_and_with_other_types():
+    sym, pinned = const(F(1, 2)), const(F(1, 2), F(1, 3))
+    # equal rationals in two modes are unequal elements, either way round
+    assert (sym == pinned) is False and (pinned == sym) is False
+    assert sym.__eq__("1/2") is NotImplemented and sym != "1/2"
+    assert pinned.__eq__(0.5) is NotImplemented
+
+
+def test_a_constant_unwraps_to_its_fraction_and_a_function_of_l_does_not():
+    assert const(F(2, 3)).as_fraction() == F(2, 3)
+    assert const(F(2, 3), F(1, 3)).as_fraction() == F(2, 3)
+    for value in (LAM, 1 / (LAM + 1)):
+        with pytest.raises(ValueError, match="element is not a rational constant"):
+            value.as_fraction()
+
+
+def test_the_domains_refuse_a_zero_inverse_and_another_modes_element():
+    pinned = domain(F(1, 3))
+    assert pinned.inverse(F(-2, 5)) == F(-5, 2)
+    with pytest.raises(DivisionByZero, match="inverse of zero"):
+        pinned.inverse(F(0))
+    assert domain().unwrap(F(1, 2)) == const(F(1, 2))
+    with pytest.raises(ModeMismatch, match="cannot combine mode Fraction\\(1, 3\\) with mode None"):
+        domain().unwrap(const(1, F(1, 3)))

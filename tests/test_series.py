@@ -228,3 +228,37 @@ def test_derivative_is_linear_and_leibniz(f, g):
 @given(small_series, val1_series, val1_series)
 def test_compose_is_associative(f, g, h):
     assert prefix_equal(f.compose(g).compose(h), f.compose(g.compose(h)))
+
+
+@pytest.mark.parametrize("lam", [None, F(1, 3)])
+def test_negation_reflected_subtraction_and_hash_follow_the_coefficients(lam):
+    cs = [F(1, 2), F(-3), F(0), F(5, 7)]
+    s = Series(tuple(const(c, lam) for c in cs))
+    assert (-s).coeffs == tuple(const(-c, lam) for c in cs)
+    assert (2 - s).coeffs == tuple(const(c, lam) for c in [2 - cs[0]] + [-c for c in cs[1:]])
+    same = Series(tuple(const(c, lam) for c in cs))
+    assert hash(s) == hash(same) and {s, same} == {s}
+    # a plain number is not a series: the comparison is left to the other side
+    assert s.__eq__(1) is NotImplemented and s != 1 and s != cs
+
+
+def test_repr_shows_the_first_four_coefficients():
+    assert repr(poly_series(1, F(1, 2))) == "Series([1, 1/2], precision=1)"
+    assert repr(poly_series(1, F(1, 2), 0, -3, 4)) == "Series([1, 1/2, 0, -3, ...], precision=4)"
+
+
+def test_malformed_series_and_out_of_range_requests_are_refused():
+    with pytest.raises(ValueError, match="needs at least its constant coefficient"):
+        Series(())
+    with pytest.raises(ModeMismatch):
+        Series((const(1), const(1, F(1, 2))))
+    f = poly_series(1, 2, 3)
+    with pytest.raises(IndexError, match="negative coefficient index"):
+        f.coeff(-1)
+    with pytest.raises(PrecisionExceeded, match="cannot extend precision 2 to 3"):
+        f.truncate(3)
+    with pytest.raises(ValueError, match="negative series power"):
+        f.pow(-1)
+    # the divisor's valuation 2 is above the dividend's one known order
+    with pytest.raises(PrecisionExceeded, match="no quotient coefficients are determined"):
+        poly_series(0, 0).div(poly_series(0, 0, 1))
