@@ -11,6 +11,8 @@ row or report but a Stirling table's is computed before the first byte, so
 a command that fails prints nothing on stdout.  A Stirling table checks its
 arguments and ``--precision`` first; then each row is computed while it is
 written, on ints, and each cell's text rendered from them: neither can fail.
+A CSV table is one ``write`` per row, through ``sys.stdout.write`` bound
+once per table.
 
 Exit codes: 0 on success (for ``verify``: every as-derived report holds),
 1 when an as-derived report fails, 2 on usage or computation errors.
@@ -250,9 +252,10 @@ def _run_table(args) -> int:
         raise _exceeded(args, top + 1)
     lam_label = "symbolic" if args.lam is None else rational_str(args.lam)
     if args.format == "csv":
-        print("n,k,value")
-        for n, k, v in rows:
-            print("%d,%d,%s" % (n, k, v))
+        write = sys.stdout.write
+        write("n,k,value\n")
+        for row in rows:
+            write("%d,%d,%s\n" % row)
     else:
         _write_table(sys.stdout.write, args.family, lam_label, rows)
     return 0

@@ -53,8 +53,10 @@ another is being made or grown, whatever its kind, is dropped.
 The parameter prints as ``l`` in the canonical text form, for example
 ``(-1/2)*l^1 + 1/2``.  One term loop, ``int_poly_str``, writes it from
 the integer form, for a polynomial and, with no element built, for an
-integer polynomial given by its ints; ``ratio_str`` writes an int quotient,
-reduced once.
+integer polynomial given by its ints; an ``int_poly_writer`` writes the
+same text of a dense integer polynomial (no zero coefficient) by one ``%``
+on the template of its degree, which it keeps, and hands any other to
+``int_poly_str``; ``ratio_str`` writes an int quotient, reduced once.
 """
 
 from __future__ import annotations
@@ -325,6 +327,26 @@ def int_poly_str(ints, num: int = 1, den: int = 1) -> str:
                 text = "%d" % (c if num == 1 else num * c)
             parts.append("(%s)*l^%d" % (text, k) if k else text)
     return " + ".join(parts) or "0"
+
+
+def int_poly_writer():
+    """A writer of ``int_poly_str(ints)`` for int tuples, which keeps one
+    template per degree it has written: a dense tuple (no zero coefficient)
+    of degree d is one ``%`` on ``(%d)*l^d + ... + (%d)*l^1 + %d``, made
+    from the template of degree d - 1 on first need; any other goes through
+    ``int_poly_str``.  A table keeps its own writer and drops it with its
+    rows, so no template outlives the table."""
+    templates = ["%d"]
+
+    def write(ints):
+        if not ints or 0 in ints:
+            return int_poly_str(ints)
+        d = len(ints) - 1
+        while len(templates) <= d:
+            templates.append("(%%d)*l^%d + %s" % (len(templates), templates[-1]))
+        return templates[d] % ints[::-1]
+
+    return write
 
 
 def _int_prem(f, g):

@@ -26,8 +26,11 @@ its canonical element (``field.int_poly``) when symbolic, the reduced
 Fraction when pinned; the public entries wrap it.  A table is not shared
 state: ``table_text`` fills a triangle of its own row by row while the rows
 are written, keeps about r rows of it, and writes each cell's canonical text
-straight from its ints (``field.int_poly_str`` symbolic, ``field.ratio_str``
-of T / q^(m-j) pinned).  The wrap and that text are where the modes differ.
+straight from its ints: symbolic, by a ``field.int_poly_writer`` of its own,
+one ``%`` on the template of the cell's degree for a cell with no zero
+coefficient and ``field.int_poly_str`` for any other; pinned,
+``field.ratio_str`` of T / q^(m-j).  The wrap and that text are where the
+modes differ.
 
 For the truncated second kind two independent routes are implemented:
 
@@ -45,7 +48,7 @@ from fractions import Fraction
 
 from .core import int_falling, one_falling
 from .field import (FieldElem, const, domain, int_add, int_add_mul, int_mul, int_poly,
-                    int_poly_str, int_scale, ratio_str, table)
+                    int_poly_writer, int_scale, ratio_str, table)
 
 
 class _Triangle:
@@ -64,8 +67,10 @@ class _Triangle:
     the constant (T(m, j),).  Column j lists T(j*r..m, j), the rows above j*r
     being zero, so cell (m, j) is ``cols[j][m - j*r]`` and the j - 1
     neighbour of a cell sits at the same index in the column before it.
-    Columns grow downward, by ``fill``, and at r > 1 a cell adds the left
-    term's product in one pass, its factor C(m, r-1) c made for that cell.
+    Columns grow downward, by ``fill``, one ``int_add_mul`` per cell: the
+    left term plus the factor times the cell above, the left term at r > 1
+    first multiplied by C(m, r-1) c, made for that cell.  Pinned, c is one
+    int product, made with no tuple arithmetic.
 
     ``stirling_entry`` wraps a cell of the domain's triangle on the cell's
     first read and keeps it in ``values`` (unless the reader keeps its own,
@@ -78,18 +83,21 @@ class _Triangle:
     def __init__(self, kind: int, r: int, dom):
         self.r = r
         lam = dom.mode
-        if lam is None:
-            self.den, p, q = None, (0, 1), (1,)
-        else:
-            self.den = lam.denominator
-            p, q = int_scale((1,), lam.numerator), (lam.denominator,)
-        a, b = (q, p) if kind == 2 else (p, q)
-        self.step = int_scale(b, -1)  # a factor's change from one row to the next
         # c is the descending product (a - b)(a - 2b)... of r - 1 factors
-        x, c = int_add(a, self.step), (1,)
-        for _ in range(r - 1):
-            c, x = int_mul(c, x), int_add(x, self.step)
+        if lam is None:
+            self.den = None
+            a, b = ((1,), (0, 1)) if kind == 2 else ((0, 1), (1,))
+            step = int_scale(b, -1)
+            x, c = int_add(a, step), (1,)
+            for _ in range(r - 1):
+                c, x = int_mul(c, x), int_add(x, step)
+        else:
+            p, q = lam.numerator, lam.denominator
+            a, b = (q, p) if kind == 2 else (p, q)
+            c = math.prod(a - i * b for i in range(1, r))  # one int product
+            self.den, a, c, step = q, int_scale((1,), a), int_scale((1,), c), int_scale((1,), -b)
         self.a, self.c = a, c
+        self.step = step  # a factor's change from one row to the next
         self.cols = []     # column j: T(j*r..m, j)
         self.factors = []  # column j: j*a - m*b, the factor of its next row
         self.values = {}   # (j, i) -> the value of cell i of column j
@@ -100,7 +108,7 @@ class _Triangle:
         the domain's lock unless the triangle is its own.  An entry grows
         every column to one index, so the walk starts at the first column
         too short; a whole row grows them all."""
-        r, cols, step = self.r, self.cols, self.step
+        r, cols, step, c = self.r, self.cols, self.step, self.c
         last = n - k * r  # the same index in every column of an entry
         while len(cols) <= k:
             # T(0, 0) = 1; rows 0..j*r-1 of column j >= 1 are 0, unstored
@@ -116,15 +124,10 @@ class _Triangle:
             stop = n - j * r if whole else last
             while len(col) <= stop:
                 i = len(col)
-                m = j * r + i - 1
-                v = int_mul(f, col[-1]) if i else ()
                 left = cols[j - 1][i] if j else ()
-                if left:
-                    if r == 1:
-                        v = int_add(v, left)
-                    else:
-                        v = int_add_mul(v, int_scale(self.c, math.comb(m, r - 1)), left)
-                col.append(v)
+                if left and r > 1:
+                    left = int_mul(int_scale(c, math.comb(j * r + i - 1, r - 1)), left)
+                col.append(int_add_mul(left, f, col[-1]) if i else left)
                 f = int_add(f, step)
             self.factors[j] = f
 
@@ -274,6 +277,7 @@ def table_text(family: str, n_max: int, k_max=None, r: int = 1, lam=None):
     kind, r, rows = _region(family, n_max, k_max, r)
     tri = _Triangle(kind, r, domain(lam))
     cols, den = tri.cols, tri.den
+    poly_text = int_poly_writer()
 
     def text(n, k):
         i = n - k * r
@@ -281,7 +285,7 @@ def table_text(family: str, n_max: int, k_max=None, r: int = 1, lam=None):
             return "0"
         cell = cols[k][i]
         if den is None:
-            return int_poly_str(cell)
+            return poly_text(cell)
         return ratio_str(cell[0] if cell else 0, den ** (n - k))
 
     def texts():

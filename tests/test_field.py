@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,8 +26,9 @@ from degenstir import (
     poly_str,
     trunc_degen_bernoulli,
 )
+from degenstir import field
 from degenstir.field import (domain, int_add, int_add_mul, int_mul, int_poly, int_poly_str,
-                             int_scale, ratio_str, rational_str)
+                             int_poly_writer, int_scale, ratio_str, rational_str)
 from oracles import poly_divmod, poly_gcd_monic, poly_mul, poly_text, quotient_text, rational_text
 
 LAM = lam_elem()
@@ -352,6 +354,36 @@ def test_an_int_polys_text_is_that_of_its_canonical_element(cell):
     # content times primitive part gives the ints back, so no coefficient
     # text differs
     assert int_poly_str(cell) == str(int_poly(cell)) == poly_text(cell)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2 ** 210, 2 ** 210)),
+                min_size=1, max_size=60).map(tuple))
+@example((5,))
+@example((-1, 1))
+@example((0, 7))
+@example((7, 0))
+@example((3025, -34776, 164346, -408240, 561225, -403704, 118124))
+@example(tuple(range(1, 61)))
+@example(tuple(2 ** 201 + i for i in range(60)))
+def test_an_int_poly_writer_writes_the_text_of_int_poly_str(cell):
+    # a dense tuple is one % on the template of its degree; a tuple with a
+    # zero goes to int_poly_str.  One writer writes the tuple, a shorter
+    # prefix from a template it already holds, then the whole tuple again
+    write = int_poly_writer()
+    with mock.patch.object(field, "int_poly_str", wraps=int_poly_str) as fallback:
+        for ints in (cell, cell[:(len(cell) + 1) // 2], cell):
+            before = fallback.call_count
+            assert write(ints) == int_poly_str(ints) == poly_text(ints)
+            assert fallback.call_count - before == (0 in ints)
+
+
+def test_an_int_poly_writer_writes_a_degree_6_stirling_cell():
+    # S(9, 3) of the second kind, whose value at l = 0 is the classical 3025
+    cell = (3025, -34776, 164346, -408240, 561225, -403704, 118124)
+    assert int_poly_writer()(cell) == ("(118124)*l^6 + (-403704)*l^5 + (561225)*l^4 + "
+                                       "(-408240)*l^3 + (164346)*l^2 + (-34776)*l^1 + 3025")
+    assert int_poly_writer()(()) == "0"
 
 
 @settings(max_examples=200, deadline=None)

@@ -291,18 +291,17 @@ def test_a_table_holds_about_r_rows_and_leaves_the_domain_as_it_found_it(lam, ar
 @pytest.mark.parametrize("lam", [None, F(2, 7)])
 def test_triangle_makes_about_one_product_per_cell(monkeypatch, lam):
     # measured for the 153 cells: 136 products of coefficient tuples in
-    # either mode, one per cell below the top of its column; the ladder route
-    # makes 866
+    # either mode, one per cell below the top of its column, each fused with
+    # its sum (int_add_mul); the ladder route makes 866
     n_max = 16
     domain(lam).memo.clear()
     calls = []
-    product = stirling.int_mul
+    for name in ("int_mul", "int_add_mul"):
+        def counted(*args, product=getattr(stirling, name)):
+            calls.append(1)
+            return product(*args)
 
-    def counted(x, y):
-        calls.append(1)
-        return product(x, y)
-
-    monkeypatch.setattr(stirling, "int_mul", counted)
+        monkeypatch.setattr(stirling, name, counted)
     assert len(build_triangle("stirling2", n_max, lam=lam)) == 153
     assert len(calls) <= 156
 
@@ -434,6 +433,50 @@ def test_a_wrapped_cell_is_the_canonical_element_of_its_coefficients(cell, lam0)
     assert type(kept) is F and kept == F(scaled, lam0.denominator ** (n - k))
     assert stirling_entry(kind, n, k, r, pinned) is kept
     assert value.instantiate(lam0) == kept
+
+
+def _at(coeffs, lam0):
+    # the integer polynomial of an int coefficient tuple, at l = lam0
+    return sum(c * lam0 ** i for i, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("lam0", [F(0), F(1, 2), F(1), F(-2, 7), F(5, 3)])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_a_pinned_triangle_is_the_symbolic_triangle_at_its_lambda(kind, lam0):
+    # pinned at l = p/q, c is q^(r-1) times the symbolic c at l, stored as
+    # () where it vanishes (the second kind at l = 1/2 from r = 3 on, both
+    # kinds at l = 1 from r = 2 on), and every scaled cell T(m, j) is
+    # q^(m-j) times the symbolic cell at l
+    q, n_max = lam0.denominator, 14
+    for r in range(1, 7):
+        symbolic, pinned = (stirling._Triangle(kind, r, dom) for dom in (SYMBOLIC, domain(lam0)))
+        c = _at(symbolic.c, lam0) * q ** (r - 1)
+        assert c.denominator == 1 and pinned.c == ((c,) if c else ()), r
+        for tri in (symbolic, pinned):
+            tri.fill(n_max, n_max // r, True)
+        assert list(map(len, pinned.cols)) == list(map(len, symbolic.cols))
+        for j, (col, want) in enumerate(zip(pinned.cols, symbolic.cols)):
+            for i, (cell, coeffs) in enumerate(zip(col, want)):
+                value = _at(coeffs, lam0) * q ** (j * r + i - j)
+                assert value.denominator == 1 and cell == ((value,) if value else ()), (r, j, i)
+    if (kind, lam0) == (2, F(1, 2)):
+        assert stirling._Triangle(2, 3, domain(lam0)).c == ()
+
+
+def test_a_deep_pinned_triangle_makes_its_c_with_no_tuple_product(monkeypatch):
+    # pinned, c = (a - b)(a - 2b)...(a - (r-1)b) is one int product, where a
+    # loop of r - 1 tuple products and sums made each triangle cost O(r)
+    # before its first cell; the symbolic c keeps that loop
+    calls = []
+    product = stirling.int_mul
+    monkeypatch.setattr(stirling, "int_mul", lambda x, y: calls.append(1) or product(x, y))
+    lam = domain(F(1, 3))
+    # second kind: (3 - 1)(3 - 2)(3 - 3)... vanishes; first kind: (1 - 3)(1 - 6)...
+    assert stirling._Triangle(2, 1000, lam).c == ()
+    assert stirling._Triangle(1, 1000, lam).c == (math.prod(1 - 3 * i for i in range(1, 1000)),)
+    assert calls == []
+    stirling._Triangle(2, 5, SYMBOLIC)
+    assert len(calls) == 4
 
 
 def test_threads_filling_one_cold_triangle_agree_with_one_thread(monkeypatch):
