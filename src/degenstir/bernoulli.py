@@ -18,11 +18,11 @@ recurrence over the column divided by E^alpha, an exact division, at
 x != 0 by the Appell form over the numerators of the x = 0 row, whose
 E^alpha it shares; ``numerator_row`` grows both in one block under the
 domain's lock.  Each numerator is one ``sum_products`` of the domain (see
-``field``), reduced once, so a row runs no polynomial gcd; a value is its
-numerator divided by E^alpha on its first read and kept, and the verifiers
-that sum values of one row sum its numerators instead.  The plain values
-are the r = 1 case, where E = 1 and the numerators are the values, and are
-computed as such.
+``field``), reduced once, at x = 0 on int binomial coefficients and scaled
+once, so a row runs no polynomial gcd; a value is its numerator divided by
+E^alpha on its first read and kept, and the verifiers that sum values of
+one row sum its numerators instead.  The plain values are the r = 1 case,
+where E = 1 and the numerators are the values, and are computed as such.
 
 Partial Bell polynomials are read off a triangle that each call builds
 for itself and the domain does not keep, stored by columns, column k
@@ -96,7 +96,9 @@ def _exact_div(value, den, dom):
 def _reciprocal(row: _Row, n: int, r: int, alpha: int, dom):
     # N_m = -(r!)^alpha sum_{i=1..m} C(m, i) d_i N_{m-i} and N_0 = (r!)^alpha,
     # where d_i = i! alpha! q_i / (i + alpha r)! and q_i, the column
-    # S_r(i + alpha r, alpha) over E^alpha, is a polynomial the row keeps
+    # S_r(i + alpha r, alpha) over E^alpha, is a polynomial the row keeps.
+    # As m!/((m-i)! (i + alpha r)!) = m!/(m + alpha r)! C(m + alpha r, i + alpha r),
+    # each N_m is a sum on int binomials, scaled once
     stirling_entry(2, n + alpha * r, alpha, r, dom, False)  # so that the reads below fill nothing
     nums, quots = row.nums, row.quots
     lo, scale = alpha * r, math.factorial(alpha)
@@ -111,10 +113,9 @@ def _reciprocal(row: _Row, n: int, r: int, alpha: int, dom):
         nums.append(dom.const(lead))
     while len(nums) <= n:
         m = len(nums)
-        top = -math.factorial(m) * scale * lead
-        nums.append(dom.sum_products(
-            (Fraction(top, math.factorial(m - i) * math.factorial(i + lo)), quots[i], nums[m - i])
-            for i in range(1, m + 1)))
+        total = dom.sum_products((math.comb(m + lo, i + lo), quots[i], nums[m - i])
+                                 for i in range(1, m + 1))
+        nums.append(total * Fraction(-math.factorial(m) * scale * lead, math.factorial(m + lo)))
 
 
 def _appell(row: _Row, n: int, x, base: list, dom):

@@ -6,7 +6,10 @@ Output is deterministic byte for byte: fixed row order (n ascending, then
 the column index ascending), canonical value strings, and JSON laid out as
 ``json.dumps(obj, indent=2)`` lays it out.  One JSON writer serves tables
 and ``verify`` reports: it writes one record at a time, each from a literal
-template, so a document is never held whole as dicts or as text.  Every
+template, so a document is never held whole as dicts or as text.  A report
+is written from one template per (identity, variant, parameter names),
+made on its first use in the call with those parts filled in and escaped
+for ``%``; a side that is the other side's object is rendered once.  Every
 row or report but a Stirling table's is computed before the first byte, so
 a command that fails prints nothing on stdout.  A Stirling table checks its
 arguments and ``--precision`` first; then each row is computed while it is
@@ -213,11 +216,16 @@ def _json_scalar(value) -> str:
     raise TypeError("no JSON text for %r" % (value,))
 
 
-def _json_params(params) -> str:
-    if not params:
-        return "{}"
-    return "{\n%s\n    }" % ",\n".join(
-        "      %s: %s" % (_json_str(key), _json_scalar(value)) for key, value in params.items())
+def _report_template(identity, variant, names) -> str:
+    # _REPORT with the identity, the variant and the parameter names filled
+    # in, their text escaped for %, and a %s left for each parameter value,
+    # lhs, rhs and equal
+    def literal(text):
+        return _json_str(text).replace("%", "%%")
+
+    params = "{\n%s\n    }" % ",\n".join(
+        "      %s: %%s" % literal(name) for name in names) if names else "{}"
+    return _REPORT % (literal(identity), literal(variant), params, "%s", "%s", "%s")
 
 
 def _write_array(write, records, pad: str):
@@ -238,10 +246,22 @@ def _write_table(write, family: str, lam_label: str, rows):
 
 
 def _write_reports(write, reports):
-    _write_array(write, (_REPORT % (
-        _json_str(rep.identity), _json_str(rep.variant), _json_params(rep.params),
-        _json_str(str(rep.lhs)), _json_str(str(rep.rhs)), _json_scalar(rep.equal))
-        for rep in reports), "  ")
+    # one template per (identity, variant, parameter names) for the call; a
+    # side that is the other side's object is rendered once
+    templates = {}
+
+    def record(rep):
+        params = rep.params
+        key = rep.identity, rep.variant, tuple(params)
+        template = templates.get(key)
+        if template is None:
+            template = templates[key] = _report_template(*key)
+        lhs = _json_str(str(rep.lhs))
+        rhs = lhs if rep.rhs is rep.lhs else _json_str(str(rep.rhs))
+        return template % (*map(_json_scalar, params.values()), lhs, rhs,
+                           _json_scalar(rep.equal))
+
+    _write_array(write, map(record, reports), "  ")
     write("\n")
 
 

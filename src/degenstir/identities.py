@@ -19,7 +19,18 @@ numerators over E^alpha of ``bernoulli.numerator_row`` instead of values:
 ``delta`` pairs them with the Stirling column over E^alpha and
 ``expansion`` with the unit products over E, so both sum polynomials, and
 ``beta-closed`` compares numerators and divides each side by E once, to
-wrap it.  No equality there needs a polynomial gcd.
+wrap it.  No equality there needs a polynomial gcd.  ``expansion`` sums on
+int binomials, C(n, j) j!/(j + r)! being n!/(n + r)! C(n + r, j + r), and
+scales the sum once.  A report whose sides are equal holds one object as
+both, which the report writer renders once.
+
+``sweep`` evaluates a grid from its last point back and returns the reports
+in grid order.  Every grid ascends in each table index (the Stirling
+triangles, the Bernoulli rows), so from the last point back the first point
+that reads a table reads its largest index, and the table grows there, not
+by one index per point; only reads within one point may grow it in steps.
+If any point raises, the grid is run forward once more, so that the error
+raised is the one of the first failing point in grid order.
 """
 
 from __future__ import annotations
@@ -50,14 +61,17 @@ class IdentityReport(namedtuple("IdentityReport", "identity variant params lhs r
 
 
 def _report(identity, params, lhs, rhs, dom, variant=AS_DERIVED, den=None):
+    # equal sides are one object, divided and wrapped once, which the report
+    # writer renders once
     equal = lhs == rhs
     if den is not None:
-        # the sides are numerators over den, decided on as such: each is
-        # divided once, the rhs not at all when it is the lhs
+        # the sides are numerators over den, decided on as such
         lhs = lhs / den
-        rhs = lhs if equal else rhs / den
+        rhs = rhs if equal else rhs / den
+    lhs = dom.wrap(lhs)
+    rhs = lhs if equal else dom.wrap(rhs)
     return IdentityReport(identity=identity, variant=variant, params=params,
-                          lhs=dom.wrap(lhs), rhs=dom.wrap(rhs), equal=equal)
+                          lhs=lhs, rhs=rhs, equal=equal)
 
 
 def _beta(n, alpha, dom):  # the plain order-alpha value at x = 0
@@ -254,9 +268,10 @@ def verify_expansion(n: int, r: int, x, lam=None) -> IdentityReport:
     row = numerator_row(n, r, 1, xv, dom)
     units = numerator_row(n, r, 1, dom.zero, dom).quots
     lhs = row.prods[n] if xv else (dom.zero if n else dom.one)  # (0)_n at x = 0
-    rhs = dom.sum_products(
-        (Fraction(math.comb(n, j) * math.factorial(j), math.factorial(j + r)),
-         units[j], row.nums[n - j]) for j in range(n + 1))
+    # C(n, j) j!/(j + r)! = n!/(n + r)! C(n + r, j + r): int terms, scaled once
+    total = dom.sum_products((math.comb(n + r, j + r), units[j], row.nums[n - j])
+                             for j in range(n + 1))
+    rhs = total * Fraction(math.factorial(n), math.factorial(n + r))
     return _report("expansion", {"n": n, "r": r, "x": str(dom.wrap(xv))}, lhs, rhs, dom)
 
 
@@ -300,7 +315,8 @@ def _n_by_k(b):
 
 
 # tag -> (verifier, default bounds, grid).  A grid maps the bounds to the
-# verifier's positional arguments, in report order; a verifier returns one
+# verifier's positional arguments, in report order, ascending in each index
+# of the tables the verifier reads (see ``sweep``); a verifier returns one
 # report, or a sequence of them: its variants, or a whole thm3 column.
 IDENTITIES = {
     "thm3": (_thm3_column, {"n_max": 6, "k_max": 3, "r_max": 3},
@@ -333,18 +349,31 @@ IDENTITY_TAGS = tuple(IDENTITIES)
 
 def sweep(identity: str, n_max=None, k_max=None, r_max=None, alpha_max=None,
           lam=None):
-    """Run one identity over a parameter grid and return the report list.
+    """Run one identity over a parameter grid and return the report list,
+    in grid order.
 
-    Unset bounds fall back to the per-identity defaults.
+    Unset bounds fall back to the per-identity defaults.  The points are
+    evaluated from the last back; a sweep that fails raises the error of
+    its first failing point in grid order.
     """
     if identity not in IDENTITIES:
         raise ValueError("unknown identity %r" % (identity,))
     verify, bounds, grid = IDENTITIES[identity]
     given = {"n_max": n_max, "k_max": k_max, "r_max": r_max, "alpha_max": alpha_max}
     bounds = dict(bounds, **{key: v for key, v in given.items() if v is not None})
+    points = list(grid(bounds))
+    try:
+        # each grid ascends in every table index, so from the last point
+        # back a table grows to its largest read at the first point reading it
+        outs = [verify(*args, lam=lam) for args in reversed(points)]
+    except Exception:
+        # a later point may fail first; forward, the error raised is the
+        # one of the first failing point in grid order
+        outs = [verify(*args, lam=lam) for args in points]
+    else:
+        outs.reverse()
     reports = []
-    for args in grid(bounds):
-        out = verify(*args, lam=lam)
+    for out in outs:
         reports.extend((out,) if isinstance(out, IdentityReport) else out)
     return reports
 

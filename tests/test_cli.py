@@ -407,6 +407,32 @@ def test_the_report_writer_is_json_dumps_with_indent_two(reports):
     assert out.getvalue() == json.dumps([report_json_obj(rep) for rep in reports], indent=2) + "\n"
 
 
+def test_the_report_writer_renders_a_shared_side_once_and_escapes_its_templates():
+    # reports of one (identity, variant, parameter names) share a template
+    # whose literal text may hold %; a side that is the other side's object
+    # is rendered once, and a side only equal to the other is rendered too
+    rendered = []
+
+    class Side:
+        def __init__(self, text):
+            self.text = text
+
+        def __str__(self):
+            rendered.append(self.text)
+            return self.text
+
+    a, b = Side("100%"), Side("100%")
+    reports = [IdentityReport("%s%d%%", "as-%", {"%(n)s": 1, "x": "%s"}, a, a, True),
+               IdentityReport("%s%d%%", "as-%", {"%(n)s": -2, "x": "%%"}, a, b, True),
+               IdentityReport("%s%d%%", "as-%", {"%(n)s": True, "x": 3}, b, a, False)]
+    want = json.dumps([report_json_obj(rep) for rep in reports], indent=2) + "\n"
+    rendered.clear()
+    out = io.StringIO()
+    cli._write_reports(out.write, reports)
+    assert out.getvalue() == want
+    assert len(rendered) == 5
+
+
 def test_computation_errors_exit_two(capsys):
     # truncation depth 2 at the pinned value 1 hits a genuine pole
     code, _, err = run_cli(capsys, "eval", "trunc-bernoulli",

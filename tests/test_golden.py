@@ -10,9 +10,11 @@ mixed signs, both Bernoulli families once more to n = 17, past the values
 r = 3 and r = 4 to n = 24, where the recurrence's factor c has degree 2 and
 3; tables of both sequence families whose sequence runs out, which exit 2
 before any row is printed; ``eval`` for every family; ``verify --identity
-all`` in both modes, at the parameter 0, at a negative parameter and at a
-pole; a low ``--precision`` warning; and a pole in ``eval``.  Any change to
-a value, its canonical text, the row order or the JSON layout shows here.
+all`` in both modes, at the parameter 0, at a negative parameter and at two
+poles, one of which (lambda = 1) fails at r = 2 and at r = 3, so that its
+error must be the first failing point's in grid order; a low
+``--precision`` warning; and a pole in ``eval``.  Any change to a value,
+its canonical text, the row order or the JSON layout shows here.
 """
 
 import hashlib
@@ -60,6 +62,7 @@ GOLDEN = (
     ("eval trunc-bernoulli --n 1 --r 2 --lambda=1", 2, EMPTY, "00277951d40d402e3f6da602d3b949ffeecd9329c98bb283d3a5cf93fb66b70b"),
     ("verify --identity all --lambda=0", 0, "b79c0051e88d0b2c9c302138b67a4feb27e153bff81cc7bb3707b5b084f461cc", EMPTY),
     ("verify --identity all --lambda=1/2", 2, EMPTY, "5976b8c0cfe2267dc7b4e56ea98dfc64566b56bb9c1c231276915c3f877ec181"),
+    ("verify --identity all --lambda=1", 2, EMPTY, "00277951d40d402e3f6da602d3b949ffeecd9329c98bb283d3a5cf93fb66b70b"),
     ("table bernoulli --n-max 17 --alpha 2 --x 1/2", 0, "810414fcc4ada993db401dc377bd052b10730658f87eca1d10b6c4338f5b0310", EMPTY),
     ("table bernoulli --n-max 17 --alpha 2 --x 1/2 --lambda=-2/5", 0, "a8df6024402ba5539b48f173cb7264c46a942535cbdff7ec33b0c1e9bf6bffb4", EMPTY),
     ("table trunc-bernoulli --n-max 17 --r 2 --alpha 3 --x=-1/3", 0, "6c3ea2e0ad9ae0b0255b820a25d5a8323e75f1901e631b90f05967c61a1b55db", EMPTY),

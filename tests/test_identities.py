@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +15,7 @@ from degenstir import (
     AS_PRINTED,
     DomainViolation,
     IdentityReport,
+    PoleAtLambda,
     all_derived_equal,
     const,
     lam_elem,
@@ -317,6 +319,88 @@ def test_a_cold_pinned_sweep_sums_its_terms_on_ints(monkeypatch):
     for tag in IDENTITY_TAGS:
         assert all_derived_equal(sweep(tag, lam=lam)), tag
     assert len(calls) <= 4000
+
+
+@pytest.mark.parametrize("lam", [None, F(-2, 7)])
+def test_a_cold_delta_sweep_makes_each_row_with_one_reciprocal_step(monkeypatch, lam):
+    # the grid is evaluated from its last point back, so each (alpha, r)
+    # row's first read is its longest: one _reciprocal call per row, where a
+    # forward sweep makes one per report (63)
+    made = []
+    step = bernoulli._reciprocal
+
+    def recorded(row, n, r, alpha, dom):
+        made.append((alpha, r))
+        return step(row, n, r, alpha, dom)
+
+    monkeypatch.setattr(bernoulli, "_reciprocal", recorded)
+    field.domain(lam).memo.clear()
+    assert all_derived_equal(sweep("delta", lam=lam))
+    assert sorted(made) == [(alpha, r) for alpha in (1, 2, 3) for r in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("lam", [None, F(-2, 7)])
+def test_a_cold_expansion_sweep_makes_each_x_row_with_one_appell_step(monkeypatch, lam):
+    # x = 1..6 at r = 1..3: one _appell call per x row, to its last
+    # numerator, where a forward sweep makes one per report at x != 0 (63);
+    # and one _reciprocal call per r
+    reciprocal, appell = bernoulli._reciprocal, bernoulli._appell
+    grown = []
+
+    def recorded_reciprocal(row, n, r, alpha, dom):
+        grown.append(("reciprocal", n, r))
+        return reciprocal(row, n, r, alpha, dom)
+
+    def recorded_appell(row, n, x, base, dom):
+        grown.append(("appell", n, str(x)))
+        return appell(row, n, x, base, dom)
+
+    monkeypatch.setattr(bernoulli, "_reciprocal", recorded_reciprocal)
+    monkeypatch.setattr(bernoulli, "_appell", recorded_appell)
+    field.domain(lam).memo.clear()
+    assert all_derived_equal(sweep("expansion", lam=lam))
+    assert sorted(grown) == ([("appell", 6, str(x)) for x in range(1, 7) for _ in range(3)]
+                             + [("reciprocal", 6, r) for r in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("lam", [None, F(-2, 7)])
+def test_the_reciprocal_and_expansion_sums_have_int_coefficients(monkeypatch, lam):
+    # each sum of _reciprocal and verify_expansion is one sum on int
+    # binomials, scaled once: no term carries a Fraction coefficient
+    dom = field.domain(lam)
+    kernel = type(dom).sum_products
+    seen = set()
+
+    def spy(terms):
+        caller = sys._getframe(1).f_code.co_name
+        terms = list(terms)
+        if caller in ("_reciprocal", "verify_expansion"):
+            seen.add(caller)
+            assert all(term[0].denominator == 1 for term in terms), caller
+        return kernel(terms)
+
+    monkeypatch.setattr(type(dom), "sum_products", staticmethod(spy))
+    dom.memo.clear()
+    for tag in ("delta", "expansion"):
+        assert all_derived_equal(sweep(tag, lam=lam)), tag
+    assert seen == {"_reciprocal", "verify_expansion"}
+
+
+@pytest.mark.parametrize("tag", ["delta", "expansion"])
+def test_a_failing_sweep_raises_the_error_of_its_first_failing_point(tag):
+    # at lambda = 1, E = (1)_{r,lambda} vanishes at every r >= 2; the grid's
+    # last point has r = 3, its first failing point r = 2
+    field.domain(1).memo.clear()
+    with pytest.raises(PoleAtLambda, match=r"vanishes at r=2, lambda=1\Z"):
+        sweep(tag, lam=1)
+
+
+@pytest.mark.parametrize("lam", [None, F(-2, 7)])
+def test_equal_sides_are_one_object(lam):
+    # the report writer renders a side that is the other side's object once
+    for tag in IDENTITY_TAGS:
+        for rep in sweep(tag, n_max=3, lam=lam):
+            assert (rep.rhs is rep.lhs) == rep.equal, (tag, rep)
 
 
 def test_sweep_and_report_shape():
