@@ -17,12 +17,13 @@ rational, in one row per (r, alpha, x), a table of the domain (see
 recurrence over the column divided by E^alpha, an exact division, at
 x != 0 by the Appell form over the numerators of the x = 0 row, whose
 E^alpha it shares; ``numerator_row`` grows both in one block under the
-domain's lock.  Each numerator is one ``sum_products`` of the domain (see
-``field``), reduced once, at x = 0 on int binomial coefficients and scaled
-once, so a row runs no polynomial gcd; a value is its numerator divided by
-E^alpha on its first read and kept, and the verifiers that sum values of
-one row sum its numerators instead.  The plain values are the r = 1 case,
-where E = 1 and the numerators are the values, and are computed as such.
+domain's lock, and is the one reader of the values.  Each numerator is one
+``sum_products`` of the domain (see ``field``), reduced once, at x = 0 on
+int binomial coefficients and scaled once, so a row runs no polynomial
+gcd; a value is its numerator divided by E^alpha on each read, and the
+verifiers that sum values of one row sum its numerators instead.  The
+plain values are the r = 1 case, where E = 1 and the numerators are the
+values, and are computed and read as such.
 
 Partial Bell polynomials are read off a triangle that each call builds
 for itself and the domain does not keep, stored by columns, column k
@@ -68,11 +69,10 @@ class _Row:
     rational, and at r = 1, where E = 1, it is the value.  The x = 0 row
     keeps column alpha of the Stirling triangle over E^alpha, ``quots[i]`` =
     S_r(i + alpha r, alpha) / E^alpha, and a row at x != 0 the descending
-    products of x, ``prods``.  ``values`` keeps each value N_m / E^alpha
-    read at r > 1, by m, from its first read on.  A row at x != 0 is given
-    ``den`` by its x = 0 row, which checks r and alpha when it is made."""
+    products of x, ``prods``.  A row at x != 0 is given ``den`` by its
+    x = 0 row, which checks r and alpha when it is made."""
 
-    __slots__ = ("nums", "den", "quots", "prods", "values")
+    __slots__ = ("nums", "den", "quots", "prods")
 
     def __init__(self, n, r, alpha, x, dom, den=None):
         if r < 1 or alpha < 0:
@@ -80,7 +80,6 @@ class _Row:
                              "got n=%d, r=%d, alpha=%d" % (n, r, alpha))
         self.nums = []
         self.den = descending(dom.one, r, dom.lam, dom)[-1] ** alpha if den is None else den
-        self.values = {}
         self.quots = None if x else []
         self.prods = [dom.one] if x else None
 
@@ -153,25 +152,13 @@ def numerator_row(n: int, r: int, alpha: int, x, dom) -> _Row:
     return row
 
 
-def bernoulli_entry(n: int, r: int, alpha: int, x, dom):
-    """Truncated order-alpha value at the ``dom`` value x, as a ``dom`` value:
-    its numerator over E^alpha, which is 1 at r = 1, divided on its first
-    read and kept."""
-    row = numerator_row(n, r, alpha, x, dom)
-    if r == 1:
-        return row.nums[n]
-    # read without the lock: two threads that both make a value's first read
-    # store equal values
-    value = row.values.get(n)
-    if value is None:
-        value = row.values[n] = row.nums[n] / row.den
-    return value
-
-
 def trunc_degen_bernoulli(n: int, r: int, alpha: int, x=0, lam=None) -> FieldElem:
-    """Truncated order-alpha value; r = 1 gives ``degen_bernoulli``."""
+    """Truncated order-alpha value; r = 1 gives ``degen_bernoulli``.  Its
+    numerator over E^alpha, divided on each read, or at r = 1, where E = 1,
+    the numerator itself."""
     dom = domain(as_elem(x, lam).lam)
-    return dom.wrap(bernoulli_entry(n, r, alpha, dom.unwrap(x), dom))
+    row = numerator_row(n, r, alpha, dom.unwrap(x), dom)
+    return dom.wrap(row.nums[n] if r == 1 else row.nums[n] / row.den)
 
 
 def degen_bernoulli(n: int, alpha: int, x=0, lam=None) -> FieldElem:

@@ -13,9 +13,11 @@ domain (see ``field``) and wraps them once, into the report.  Each sum of
 a side is one ``sum_products`` of the domain, reduced once: thm3 reads the
 composition sums of a column n = 0..n_max as the coefficients of the k-th
 power of the single-block series, k - 1 ``series.product`` calls, and thm6
-reads its two nested sums off one Horner recurrence.  The truncated
-Bernoulli verifiers (``delta``, ``expansion``, ``beta-closed``) read the
-numerators over E^alpha of ``bernoulli.numerator_row`` instead of values:
+reads its two nested sums off one Horner recurrence.  Every Bernoulli
+value is read off a row of ``bernoulli.numerator_row``, each row once per
+point, to its last index.  thm4-thm8 read the rows at r = 1 and x = 0,
+whose numerators are the plain values; the truncated Bernoulli verifiers
+(``delta``, ``expansion``, ``beta-closed``) read numerators over E^alpha:
 ``delta`` pairs them with the Stirling column over E^alpha and
 ``expansion`` with the unit products over E, so both sum polynomials, and
 ``beta-closed`` compares numerators and divides each side by E once, to
@@ -28,9 +30,10 @@ both, which the report writer renders once.
 in grid order.  Every grid ascends in each table index (the Stirling
 triangles, the Bernoulli rows), so from the last point back the first point
 that reads a table reads its largest index, and the table grows there, not
-by one index per point; only reads within one point may grow it in steps.
-If any point raises, the grid is run forward once more, so that the error
-raised is the one of the first failing point in grid order.
+by one index per point.  Within one point a verifier reads each Bernoulli
+row once and thm3 its largest triangle cell first, so neither grows in
+steps.  If any point raises, the grid is run forward once more, so that
+the error raised is the one of the first failing point in grid order.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .bernoulli import bernoulli_entry, numerator_row
+from .bernoulli import numerator_row
 from .core import descending
 from .errors import DomainViolation
 from .field import as_elem, domain
@@ -74,10 +77,6 @@ def _report(identity, params, lhs, rhs, dom, variant=AS_DERIVED, den=None):
                           lhs=lhs, rhs=rhs, equal=equal)
 
 
-def _beta(n, alpha, dom):  # the plain order-alpha value at x = 0
-    return bernoulli_entry(n, 1, alpha, dom.zero, dom)
-
-
 def _at_least(**floors):  # name=(value, least value of the stated domain)
     for name, (value, least) in floors.items():
         if value < least:
@@ -88,9 +87,10 @@ def _thm3_power(n_max: int, k: int, r: int, dom):
     """The thm3 right sides for n = 0..n_max at one k and r: the t^n
     coefficients of the k-th power of the single-block series, read off one
     ladder, the unit or the singles and k - 1 products."""
-    singles = [stirling_entry(2, j + r, 1, r, dom) / math.factorial(j + r)
-               for j in range(n_max + 1)]
-    power = singles if k else [dom.one] + [dom.zero] * n_max
+    if not k:
+        return [dom.one] + [dom.zero] * n_max
+    power = singles = [stirling_entry(2, j + r, 1, r, dom) / math.factorial(j + r)
+                       for j in range(n_max + 1)]
     for _ in range(k - 1):
         power = product(power, singles, dom)
     return power
@@ -105,7 +105,12 @@ def _thm3_report(n: int, k: int, r: int, rhs, dom) -> IdentityReport:
 def _thm3_column(n_max: int, k: int, r: int, lam=None):
     """The thm3 reports for n = 0..n_max (none if n_max < 0) at one k and r,
     their right sides read off one ladder."""
+    if n_max < 0:
+        return []
     dom = domain(lam)
+    # the largest cell read first: it fills columns 0..k down to index
+    # n_max, so the reads below, the singles too, fill nothing
+    stirling_entry(2, n_max + k * r, k, r, dom)
     power = _thm3_power(n_max, k, r, dom)
     return [_thm3_report(n, k, r, power[n], dom) for n in range(n_max + 1)]
 
@@ -124,7 +129,7 @@ def verify_thm4(n: int, lam=None):
     triangles of both kinds; returns a report pair."""
     _at_least(n=(n, 0))
     dom = domain(lam)
-    betas = [_beta(j, 1, dom) for j in range(n + 1)]
+    betas = numerator_row(n, 1, 1, 0, dom).nums
     # the closed product for k = 0..n: parameter^k times the (k+1)-step
     # descending product of 1 with the reciprocal parameter as step, over k+1.
     # Clearing denominators term by term shows this equals
@@ -148,7 +153,8 @@ def verify_thm5(n: int, k: int, lam=None):
     the report pair, the derived one first."""
     _at_least(n=(n, 0), k=(k, 0))
     dom = domain(lam)
-    cells = [(stirling_entry(2, n - j + k, k, 2, dom), _beta(j, 1, dom)) for j in range(n + 1)]
+    betas = numerator_row(n, 1, 1, 0, dom).nums
+    cells = [(stirling_entry(2, n - j + k, k, 2, dom), betas[j]) for j in range(n + 1)]
     big = math.factorial(n + k)
     tail = dom.sum_products(
         (Fraction((-1) ** (k - j) * big, j * math.factorial(k - j) * math.factorial(n + j - 1)),
@@ -169,8 +175,9 @@ def verify_thm6(n: int, k: int, lam=None) -> IdentityReport:
     if n < k:
         raise DomainViolation("stated domain requires n >= k")
     dom = domain(lam)
+    betas = numerator_row(n, 1, 1, 0, dom).nums
     lhs = dom.sum_products(
-        (math.comb(n + k - 1, j), stirling_entry(2, n - j + k, k, 2, dom), _beta(j, 1, dom))
+        (math.comb(n + k - 1, j), stirling_entry(2, n - j + k, k, 2, dom), betas[j])
         for j in range(n + 1))
     # the statement's sums, with s_l = S_2(l+k-2, k-1)/(l+k-2)!, are
     # sum_{l=k..n} s_l (-lambda)^(n-l) and, per j = k..n, beta_{n-j}/(n-j)!
@@ -186,7 +193,7 @@ def verify_thm6(n: int, k: int, lam=None) -> IdentityReport:
         h.append(dom.sum_products(((1, neg, h[-1]), (Fraction(1, math.factorial(m)), s_j))))
     big = math.factorial(n + k - 1)
     rhs = dom.sum_products(
-        [(big, h[-1])] + [(big // math.factorial(n - j), _beta(n - j, 1, dom), neg, h[j - k + 1])
+        [(big, h[-1])] + [(big // math.factorial(n - j), betas[n - j], neg, h[j - k + 1])
                           for j in range(k, n + 1)])
     return _report("thm6", {"n": n, "k": k}, lhs, rhs, dom)
 
@@ -196,11 +203,13 @@ def verify_thm7(n: int, k: int, lam=None) -> IdentityReport:
     alternating sum over lower orders on the other side."""
     _at_least(n=(n, 0), k=(k, 0))
     dom = domain(lam)
+    # the highest order first: its row fills the Stirling columns of the others
+    betas = {order: numerator_row(n, 1, order, 0, dom).nums for order in range(k, -1, -1)}
     lhs = dom.sum_products(
-        (math.comb(n + k, j), stirling_entry(2, n - j + k, k, 2, dom), _beta(j, k, dom))
+        (math.comb(n + k, j), stirling_entry(2, n - j + k, k, 2, dom), betas[k][j])
         for j in range(n + 1))
     rhs = dom.sum_products(
-        ((-1) ** (k - j) * math.comb(k, j) * math.comb(n + k, k), _beta(n, k - j, dom))
+        ((-1) ** (k - j) * math.comb(k, j) * math.comb(n + k, k), betas[k - j][n])
         for j in range(k + 1))
     return _report("thm7", {"n": n, "k": k}, lhs, rhs, dom)
 
@@ -211,8 +220,9 @@ def verify_thm8(n: int, k: int, lam=None):
     drops; both variants are reported, the corrected one first."""
     _at_least(n=(n, 0), k=(k, 0))
     dom = domain(lam)
+    betas = numerator_row(n, 1, 1, 0, dom).nums
     lhs = dom.sum_products(
-        (math.comb(n + k, j + k), stirling_entry(2, j + k, k, 3, dom), _beta(n - j, 1, dom))
+        (math.comb(n + k, j + k), stirling_entry(2, j + k, k, 3, dom), betas[n - j])
         for j in range(n + 1))
     top = min(n, k)
     half = (dom.one - dom.lam) / 2
@@ -220,7 +230,7 @@ def verify_thm8(n: int, k: int, lam=None):
     big = math.factorial(n + k)
     # the first sum, with its sign, and the terms of the second sum, by l
     first = [(Fraction((-1) ** k * math.comb(k, j) * big,
-                       math.factorial(n - j) * math.factorial(k)), halves[j], _beta(n - j, 1, dom))
+                       math.factorial(n - j) * math.factorial(k)), halves[j], betas[n - j])
              for j in range(top + 1)]
     second = [[] for _ in range(top + 1)]
     for j in range(1, k + 1):

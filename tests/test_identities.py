@@ -30,7 +30,7 @@ from degenstir import (
     verify_thm7,
     verify_thm8,
 )
-from degenstir import bernoulli, core, field, identities
+from degenstir import bernoulli, core, field, identities, stirling
 from oracles import report_json_obj, thm3_composition_sum
 
 LAM = lam_elem()
@@ -337,6 +337,41 @@ def test_a_cold_delta_sweep_makes_each_row_with_one_reciprocal_step(monkeypatch,
     field.domain(lam).memo.clear()
     assert all_derived_equal(sweep("delta", lam=lam))
     assert sorted(made) == [(alpha, r) for alpha in (1, 2, 3) for r in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("lam", [None, F(-2, 7)])
+@pytest.mark.parametrize("tag, orders", [
+    ("thm3", []), ("thm4", [1]), ("thm5", [1]), ("thm6", [1]), ("thm7", [0, 1, 2, 3]),
+    ("thm8", [1]),
+])
+def test_a_cold_sweep_grows_each_table_once_within_its_first_point(monkeypatch, lam, tag,
+                                                                   orders):
+    # the first point a sweep evaluates reads each table to its largest
+    # index at once: thm3 its largest triangle cell, one fill per r, and
+    # thm4-thm8 each order's Bernoulli row, one _reciprocal call per order,
+    # where reading one index at a time makes 42 fills in thm3 and 11, 7, 7
+    # and 10 calls in thm4-thm7
+    fills = _counted(monkeypatch, stirling._Triangle, "fill")
+    made = []
+    step = bernoulli._reciprocal
+
+    def recorded(row, n, r, alpha, dom):
+        made.append(alpha)
+        return step(row, n, r, alpha, dom)
+
+    monkeypatch.setattr(bernoulli, "_reciprocal", recorded)
+    field.domain(lam).memo.clear()
+    assert all_derived_equal(sweep(tag, lam=lam))
+    assert sorted(made) == orders
+    if tag == "thm3":
+        assert len(fills) <= 3
+
+
+@pytest.mark.parametrize("lam", [None, F(-2, 7)])
+@pytest.mark.parametrize("tag", ["thm3", "thm4", "thm5", "thm6", "thm7", "thm8"])
+def test_a_sweep_below_the_first_n_has_no_reports(lam, tag):
+    # a thm3 column reads its largest cell first, which needs n_max >= 0
+    assert sweep(tag, n_max=-1, lam=lam) == []
 
 
 @pytest.mark.parametrize("lam", [None, F(-2, 7)])
