@@ -27,7 +27,6 @@ from .errors import (
     NonzeroConstantTerm,
     PoleAtLambda,
     PrecisionExceeded,
-    RouteDisagreement,
     ValuationTooHigh,
     ZeroDivisorSeries,
 )

@@ -30,19 +30,15 @@ for itself and the domain does not keep, stored by columns, column k
 holding B(k + d, k) for d = 0, 1, ..., and filled by the recurrence
 B(n, k) = sum_{i=1..n-k+1} C(n-1, i-1) x_i B(n-i, k-1), one
 ``sum_products`` per cell: a value (n, k) builds the band it reads, columns
-0..k down to index n - k, and a table its rows n <= n_max.  Every cell is
-checked against the power form B(n, k) = n!/k! [t^(n-k)] g^k, where
-g = sum_i x_i t^(i-1)/i! (Comtet, Advanced Combinatorics, 1974, ch. 3), its
-powers climbed one ``series.product`` per column.  The reciprocal-series
-polynomials are n! times the coefficients of one reciprocal, to the last
-order, of 1 + sum_l (1)_l x_l t^l / l!, whose coefficient n reads the first
-n coefficients alone; it is checked by multiplying it back by the series,
-which must give 1 to that order: O(n^2) sums, and no Bell triangle.  The
-per-value entries (``bell_partial``, ``k_lambda``) and the table rows
-(``bell_rows``, ``k_lambda_rows``) prepare their sequence once and build
-one triangle or one reciprocal.  The enumeration of the partitions of n
-into k parts (``partitions_exact``, ``bell_partial_enum``) costs more than
-any polynomial in n, and no production path calls it.
+0..k down to index n - k, and a table its rows n <= n_max.  The
+reciprocal-series polynomials are n! times the coefficients of one
+reciprocal, to the last order, of 1 + sum_l (1)_l x_l t^l / l!, whose
+coefficient n reads the first n coefficients alone: O(n^2) sums, and no
+Bell triangle.  The per-value entries (``bell_partial``, ``k_lambda``) and
+the table rows (``bell_rows``, ``k_lambda_rows``) prepare their sequence
+once and build one triangle or one reciprocal.  The enumeration of the
+partitions of n into k parts (``partitions_exact``, ``bell_partial_enum``)
+costs more than any polynomial in n, and no production path calls it.
 Every route computes on domain values (see ``field``); the public entry
 points unwrap their arguments and wrap their result.  The rows grow under
 the domain's lock and are read without it; a row the domain dropped is
@@ -56,9 +52,9 @@ from collections import Counter
 from fractions import Fraction
 
 from .core import descending
-from .errors import InputTooShort, PoleAtLambda, RouteDisagreement
+from .errors import InputTooShort, PoleAtLambda
 from .field import FieldElem, as_elem, domain, table
-from .series import product, quotient, valuation
+from .series import quotient
 from .stirling import stirling_entry
 
 
@@ -263,45 +259,24 @@ def _bell_columns(k: int, last, xs: tuple, dom) -> list:
     return cols
 
 
-def _checked_columns(k: int, last, xs: tuple, dom) -> list:
-    """``_bell_columns``, every cell checked against the power route
-    B(j + d, j) = (j + d)!/j! [t^d] g^j, g = sum_i x_i t^(i-1)/i!, whose
-    powers climb one ``series.product`` per column, each cut to the
-    column's last(j) + 1 cells."""
-    cols = _bell_columns(k, last, xs, dom)
-    top = last(0) + 1
-    g = [x / math.factorial(i) for i, x in enumerate(xs[:top], 1)]
-    g += [dom.zero] * (top - len(g))
-    power = cols[0]  # g^0
-    for j in range(1, k + 1):
-        power = product(power[:last(j) + 1], g, dom)
-        for d, coeff in enumerate(power):
-            if cols[j][d] != coeff * math.perm(j + d, d):
-                raise RouteDisagreement(
-                    "internal error: Bell routes disagree at (%d, %d)" % (j + d, j))
-    return cols
-
-
 def bell_partial(n: int, k: int, xs, lam=None) -> FieldElem:
     """Partial Bell polynomial, read off the band of the triangle that it
-    reads, columns 0..k down to index n - k, each cell checked against the
-    power route."""
+    reads, columns 0..k down to index n - k."""
     xs, dom = _prepare_xs(xs, lam, n, k, _bell_needs(n, k))
     if k > n:
         return dom.wrap(dom.zero)
-    return dom.wrap(_checked_columns(k, lambda j: n - k, xs, dom)[k][n - k])
+    return dom.wrap(_bell_columns(k, lambda j: n - k, xs, dom)[k][n - k])
 
 
 def bell_rows(n_max: int, k_max: int, xs, lam=None) -> list:
     """The rows (n, k, B(n, k)) of a table, n <= n_max and k <= min(n,
-    k_max) ascending, read off one triangle of xs, each cell checked as by
-    ``bell_partial``.  A sequence too short for a cell fails at the first
-    such cell, before any work."""
+    k_max) ascending, read off one triangle of xs.  A sequence too short for
+    a cell fails at the first such cell, before any work."""
     xs, dom = _prepare_xs(xs, lam, n_max, k_max, 0)
     k_top = min(n_max, k_max)
     if k_top > 0 and n_max > len(xs):
         _need(xs, len(xs) + 1)  # cell (len(xs) + 1, 1)
-    cols = _checked_columns(k_top, lambda j: n_max - j, xs, dom)
+    cols = _bell_columns(k_top, lambda j: n_max - j, xs, dom)
     return [(n, k, dom.wrap(cols[k][n - k]))
             for n in range(n_max + 1) for k in range(min(n, k_max) + 1)]
 
@@ -312,39 +287,27 @@ def _series(xs: tuple, dom) -> tuple:
     return (dom.one,) + tuple(x * units[l] / math.factorial(l) for l, x in enumerate(xs, 1))
 
 
-def _series_reciprocal(n: int, series: tuple, dom) -> tuple:
-    # the coefficients 0..n of the reciprocal of the series; coefficient m
-    # depends on the series' coefficients 0..m alone, so one quotient to the
-    # last order serves every lower one
-    return quotient((dom.one,) + (dom.zero,) * n, series, dom)
-
-
 def _k_lambda(n_max: int, xs: tuple, dom) -> list:
     # K(0..n_max) of prepared values xs, at least n_max of them: n! times
-    # the coefficients of one series reciprocal, multiplied back to check
-    # it.  The series' constant term is 1, so the first coefficient of the
-    # product that is not the unit's is the first wrong one of the reciprocal
-    series = _series(xs[:n_max], dom)
-    rec = _series_reciprocal(n_max, series, dom)
-    unit = product(rec, series, dom)
-    bad = valuation((unit[0] - dom.one,) + unit[1:])
-    if bad is not None:
-        raise RouteDisagreement("internal error: reciprocal routes disagree at n=%d" % (bad,))
+    # the coefficients of the series' reciprocal; coefficient m depends on
+    # the series' coefficients 0..m alone, so one quotient to the last order
+    # serves every lower one
+    rec = quotient((dom.one,) + (dom.zero,) * n_max, _series(xs[:n_max], dom), dom)
     return [c * math.factorial(n) for n, c in enumerate(rec)]
 
 
 def k_lambda(n: int, xs, lam=None) -> FieldElem:
     """Reciprocal-series polynomial: n! [t^n] of the reciprocal of the series
     with coefficients (1)_l x_l / l! (constant term fixed at 1), read off
-    the series reciprocal and checked by multiplying it back."""
+    the series reciprocal."""
     xs, dom = _prepare_xs(xs, lam, n, 0, n)
     return dom.wrap(_k_lambda(n, xs, dom)[n])
 
 
 def k_lambda_rows(n_max: int, xs, lam=None) -> list:
     """The rows (n, 0, K(n)) of a table, n <= n_max ascending, on one
-    series reciprocal, each value checked as by ``k_lambda``.  A sequence
-    too short for a row fails at the first such row, before any work."""
+    series reciprocal.  A sequence too short for a row fails at the first
+    such row, before any work."""
     xs, dom = _prepare_xs(xs, lam, n_max, 0, 0)
     if n_max > len(xs):
         _need(xs, len(xs) + 1)  # row len(xs) + 1

@@ -43,7 +43,3 @@ class InputTooShort(DegenstirError):
 
 class DomainViolation(DegenstirError):
     """Identity parameters fall outside the stated domain."""
-
-
-class RouteDisagreement(DegenstirError):
-    """Two independent routes to the same value returned different results."""

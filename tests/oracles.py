@@ -11,17 +11,19 @@ values as values of a domain, quotients in the symbolic mode, where the
 library grows numerators over E^alpha.  ``thm3_composition_sum`` is the
 right side of thm3 as printed, one product per weak composition, where the
 library reads it off a power of one series.  ``bell_enum`` and
-``k_lambda_series`` are the partial Bell and reciprocal-series polynomials
-by the partition enumeration and by one ``Series.div``, where the library
-reads the first off one Bell triangle and the second off one series
-reciprocal.  ``report_json_obj`` is a report as the
-dict that ``json.dumps`` writes, the reference of the CLI's JSON writer.
+``bell_power`` are the partial Bell polynomials by the partition
+enumeration and by the power form, one ``Series.mul`` per power, and
+``k_lambda_series`` the reciprocal-series polynomials by one
+``Series.div``, where the library reads the first off one Bell triangle and
+the second off one series reciprocal, and checks neither against a second
+route.  ``report_json_obj`` is a report as the dict that ``json.dumps``
+writes, the reference of the CLI's JSON writer.
 """
 
 import math
 from fractions import Fraction
 
-from degenstir import Series, const, degen_exp, degen_log, gen_falling
+from degenstir import Series, as_elem, const, degen_exp, degen_log, gen_falling
 from degenstir.stirling import stirling_entry
 
 
@@ -256,6 +258,21 @@ def bell_enum(n, k, xs, lam=None):
             term = term * xs[j - 1] ** m / (math.factorial(j) ** m * math.factorial(m))
         total = total + term
     return total
+
+
+def bell_power(n, k, xs, lam=None):
+    """The partial Bell polynomial B(n, k) of xs by the power form
+    n!/k! [t^(n-k)] g^k, g = sum_i x_i t^(i-1)/i!, x_i read as 0 past the
+    end of xs (Comtet, Advanced Combinatorics, 1974, ch. 3), the power
+    climbed one ``Series.mul`` at a time."""
+    if k > n:
+        return const(0, lam)
+    g = Series([as_elem(xs[i - 1] if i <= len(xs) else 0, lam) / math.factorial(i)
+                for i in range(1, n - k + 2)])
+    power = Series.one(n - k, lam)
+    for _ in range(k):
+        power = power.mul(g)
+    return power.coeff(n - k) * Fraction(math.factorial(n), math.factorial(k))
 
 
 def k_lambda_series(n, xs, lam=None):

@@ -13,11 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degenstir import bernoulli, cli, field
+from degenstir import cli, field
 from degenstir.field import const
 from degenstir.identities import IdentityReport
 from degenstir.stirling import build_triangle
-from oracles import report_json_obj
+from oracles import bell_enum, bell_power, k_lambda_series, report_json_obj
 
 
 def run_cli(capsys, *argv):
@@ -229,89 +229,31 @@ def test_split_negative_rationals_parse_like_the_joined_form(capsys, command, fl
     assert split[0] == 0 and split[1].startswith("n,k,value")
 
 
-def _corrupt_bell_route(monkeypatch, route, cell):
-    # add 1 to cell (n, k) of the triangle, or to coefficient n - k of the
-    # k-th power of the series that checks it
-    n, k = cell
-    if route == "triangle":
-        columns = bernoulli._bell_columns
-
-        def corrupted(*args):
-            cols = columns(*args)
-            cols[k][n - k] = cols[k][n - k] + 1
-            return cols
-
-        monkeypatch.setattr(bernoulli, "_bell_columns", corrupted)
-    else:
-        product, calls = bernoulli.product, []
-
-        def corrupted(a, b, dom):
-            power = list(product(a, b, dom))
-            calls.append(1)
-            if len(calls) == k:
-                power[n - k] = power[n - k] + 1
-            return tuple(power)
-
-        monkeypatch.setattr(bernoulli, "product", corrupted)
-
-
-@pytest.mark.parametrize("route", ["triangle", "power"])
-def test_route_disagreement_exits_two(capsys, monkeypatch, route):
-    _corrupt_bell_route(monkeypatch, route, (3, 2))
-    got = run_cli(capsys, "eval", "bell", "--n", "3", "--k", "2")
-    assert got == (2, "", "error: internal error: Bell routes disagree at (3, 2)\n")
-
-
-def test_reciprocal_route_disagreement_exits_two(capsys, monkeypatch):
-    monkeypatch.setattr(bernoulli, "_series_reciprocal",
-                        lambda n, scaled, dom: (const(7),) * (n + 1))
-    code, out, err = run_cli(capsys, "eval", "klambda", "--n", "3")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "reciprocal routes disagree" in err
-
-
 @pytest.mark.parametrize("lam", ["symbolic", "-2/7"])
-@pytest.mark.parametrize("cell", [(1, 1), (4, 2), (6, 6)])
-@pytest.mark.parametrize("route", ["triangle", "power"])
-def test_a_bell_table_checks_every_cell_against_the_series_power(
-        capsys, monkeypatch, route, cell, lam):
-    # a table builds one triangle, and each of its cells still meets both routes
-    _corrupt_bell_route(monkeypatch, route, cell)
-    got = run_cli(capsys, "table", "bell", "--n-max", "6", "--lambda=" + lam)
-    assert got == (2, "", "error: internal error: Bell routes disagree at %s\n" % (cell,))
-
-
-@pytest.mark.parametrize("lam", ["symbolic", "-2/7"])
-@pytest.mark.parametrize("bad", [0, 4, 6])
-def test_a_reciprocal_table_checks_every_value_against_the_series(capsys, monkeypatch, lam, bad):
-    # one series reciprocal serves the table, and each row is checked against it
-    reciprocal = bernoulli._series_reciprocal
-
-    def corrupted(n, scaled, dom):
-        rec = list(reciprocal(n, scaled, dom))
-        rec[bad] = rec[bad] + 1
-        return tuple(rec)
-
-    monkeypatch.setattr(bernoulli, "_series_reciprocal", corrupted)
-    got = run_cli(capsys, "table", "klambda", "--n-max", "6", "--lambda=" + lam)
-    assert got == (2, "", "error: internal error: reciprocal routes disagree at n=%d\n" % bad)
-
-
-@pytest.mark.parametrize("lam", ["symbolic", "-2/7"])
-@pytest.mark.parametrize("bad", [0, 4, 6])
-def test_a_reciprocal_table_checks_the_product_back_to_the_unit(capsys, monkeypatch, lam, bad):
-    # the reciprocal times the series must be 1 to the last order: a wrong
-    # coefficient of that product fails the table at its index
-    product = bernoulli.product
-
-    def corrupted(a, b, dom):
-        unit = list(product(a, b, dom))
-        unit[bad] = unit[bad] + 1
-        return tuple(unit)
-
-    monkeypatch.setattr(bernoulli, "product", corrupted)
-    got = run_cli(capsys, "table", "klambda", "--n-max", "6", "--lambda=" + lam)
-    assert got == (2, "", "error: internal error: reciprocal routes disagree at n=%d\n" % bad)
+@pytest.mark.parametrize("xs", [None, "0,1/2,-3,2,0,5"])
+@pytest.mark.parametrize("family", ["bell", "klambda"])
+def test_bell_and_reciprocal_tables_equal_their_second_routes(capsys, family, xs, lam):
+    # the library reads each value off one route and checks it against no
+    # other: every printed cell must be the tests' other routes, the power
+    # form and the partition enumeration of a Bell cell, or one series
+    # division per K(n)
+    pinned = None if lam == "symbolic" else F(lam)
+    seq = [F(1)] * 6 if xs is None else [F(x) for x in xs.split(",")]
+    flags = [] if xs is None else ["--xs", xs]
+    code, out, err = run_cli(capsys, "table", family, "--n-max", "6", "--lambda=" + lam, *flags)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "n,k,value"
+    cells = [line.split(",", 2) for line in lines[1:]]
+    assert len(cells) == (28 if family == "bell" else 7)
+    for n, k, text in cells:
+        n, k = int(n), int(k)
+        if family == "bell":
+            want = bell_power(n, k, seq, pinned)
+            assert want == bell_enum(n, k, seq, pinned), (n, k)
+        else:
+            want = k_lambda_series(n, seq, pinned)
+        assert text == str(want), (n, k)
 
 
 def _traced_peak(argv):
