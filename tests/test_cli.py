@@ -256,6 +256,30 @@ def test_bell_and_reciprocal_tables_equal_their_second_routes(capsys, family, xs
         assert text == str(want), (n, k)
 
 
+@pytest.mark.parametrize("lam", ["symbolic", "-2/7"])
+@pytest.mark.parametrize("xs", [None, "0,1/2,-3,2,0,5"])
+@pytest.mark.parametrize("family,index", [
+    ("bell", (1, 1)), ("bell", (4, 2)), ("bell", (6, 6)),
+    ("klambda", (0,)), ("klambda", (4,)), ("klambda", (6,)),
+])
+def test_bell_and_reciprocal_values_equal_their_second_routes(capsys, family, index, xs, lam):
+    # eval reads one value off the band of the triangle it needs, or off the
+    # series reciprocal to its order, not off a table: at a first, a middle
+    # and a last cell it must print the tests' other routes too
+    pinned = None if lam == "symbolic" else F(lam)
+    seq = [F(1)] * 6 if xs is None else [F(x) for x in xs.split(",")]
+    flags = [] if xs is None else ["--xs", xs]
+    if family == "bell":
+        (n, k), index_flags = index, ["--n", str(index[0]), "--k", str(index[1])]
+        want = bell_power(n, k, seq, pinned)
+        assert want == bell_enum(n, k, seq, pinned)
+    else:
+        (n,), index_flags = index, ["--n", str(index[0])]
+        want = k_lambda_series(n, seq, pinned)
+    got = run_cli(capsys, "eval", family, *index_flags, "--lambda=" + lam, *flags)
+    assert got == (0, str(want) + "\n", "")
+
+
 def _traced_peak(argv):
     # the traced peak of one cold command, its output held in memory
     field.SYMBOLIC.memo.clear()
