@@ -39,11 +39,26 @@ Every sum the kernels form is a sum of products, and each domain has one
 kernel for it, ``sum_products``: the sum of c v1 ... vk over tuples
 (c, v1, ..., vk), c an int or Fraction.  It reduces once per sum, not once
 per term.  Pinned, it multiplies numerators and denominators on ints, keeps
-the sum over the lcm of the term denominators and builds one Fraction;
-symbolic, it convolves the primitive parts of polynomial values and adds
-them into one int coefficient list over one int denominator, split into
-content and primitive part at the end, and adds a term with a genuine
-quotient among its factors as elements.
+the sum over the lcm of the term denominators and builds one Fraction.
+Symbolic, a term of polynomial values is one int multiplier (its contents
+over the lcm of the term denominators) times the primitive parts of its
+factors, and the terms are summed by Kronecker substitution: each primitive
+part is evaluated at 2^s, the terms are multiplied and added as big ints,
+one C-level product per factor, and the sum is read back once as balanced
+base-2^s digits.  The slot width s is the widest term's bound on its
+coefficients, bits(multiplier) plus bits(|f|) + bits(len f) per factor
+(|f g| <= min(len f, len g) |f| |g| in the max norm), plus bits of the term
+count and 2 for the sign of the digits, rounded up to a multiple of 64.
+Each polynomial keeps its packing in its ``packed`` slot, one immutable
+(s, int, height) triple replaced whole, height being the bits its
+coefficients and length add to the bound, so the packings kept are bounded
+by the values alive.  A constant factor's primitive part is 1, and it is
+not packed.
+CPython multiplies the packed ints by Karatsuba and every factor is padded
+to the sum's width, so past ``PACKED_WIDTH_MAX`` = 448 bits the sum is
+convolved instead, coefficient by coefficient, into one int list.  Either
+way the ints are split into content and primitive part once, at the end,
+and a term with a genuine quotient among its factors is added as elements.
 
 A domain keeps the tables the kernels grow for its parameter in its
 ``memo`` by one rule, ``table``, the one place that makes and drops them:
@@ -171,15 +186,19 @@ class LambdaPoly:
     Stored as ``content * prim``: ``prim`` is a tuple of ints, lowest degree
     first, with gcd 1 and a positive leading coefficient, and ``content`` is a
     nonzero rational.  The zero polynomial is content 0 with ``prim == ()``.
+    ``packed`` is None or the last packing ``Symbolic.sum_products`` made of
+    ``prim``, the triple (s, prim evaluated at 2^s, ``_height(prim)``); it
+    takes no part in equality or hashing.
     """
 
-    __slots__ = ("content", "prim")
+    __slots__ = ("content", "prim", "packed")
 
     def __init__(self, coeffs=()):
         cs = [as_rational(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in cs))
         g, self.prim = _primitive([c.numerator * (den // c.denominator) for c in cs])
         self.content = Fraction(g, den)
+        self.packed = None
 
     @classmethod
     def const(cls, value):
@@ -295,8 +314,45 @@ class LambdaPoly:
 def _poly(content: Fraction, prim: tuple) -> LambdaPoly:
     # internal: a polynomial already in content * primitive form
     p = LambdaPoly.__new__(LambdaPoly)
-    p.content, p.prim = content, prim
+    p.content, p.prim, p.packed = content, prim, None
     return p
+
+
+# The widest slot, in bits, at which ``Symbolic.sum_products`` packs a sum.
+# Each factor is packed at the width of the sum's widest term, and CPython
+# multiplies the packed ints by Karatsuba, so past this width the padding
+# costs more than the convolution's per-coefficient products.
+PACKED_WIDTH_MAX = 448
+
+
+def _height(prim: tuple) -> int:
+    """bits(max |c|) + bits(len): what a factor adds to the bits of its
+    term's coefficient bound (see ``Symbolic.sum_products``)."""
+    return max(map(abs, prim)).bit_length() + len(prim).bit_length()
+
+
+def _pack(p: LambdaPoly, s: int) -> int:
+    """The primitive part of p evaluated at 2^s, kept on p as its one
+    ``packed`` triple (s, int, height): a reader takes the triple in one
+    read, and a new width replaces it by one attribute store, so that no
+    thread pairs one width with another width's int."""
+    old = p.packed
+    v = 0
+    for c in reversed(p.prim):
+        v = (v << s) + c
+    p.packed = (s, v, _height(p.prim) if old is None else old[2])
+    return v
+
+
+def _unpack(acc: int, s: int, slots: int) -> list:
+    """The balanced base-2^s digits of acc, lowest first, each in
+    [-2^(s-1), 2^(s-1)): acc plus 2^(s-1) in every slot has the digits plus
+    2^(s-1) as its plain base-2^s digits, read off its bytes.  s is a
+    multiple of 8, and acc has ``slots`` digits at most."""
+    k = s >> 3
+    data = (acc + int.from_bytes((bytes(k - 1) + b"\x80") * slots, "little")).to_bytes(slots * k, "little")
+    half = 1 << (s - 1)
+    return [int.from_bytes(data[i:i + k], "little") - half for i in range(0, slots * k, k)]
 
 
 P_ZERO = LambdaPoly()
@@ -680,38 +736,75 @@ class Symbolic:
     @staticmethod
     def sum_products(terms) -> FieldElem:
         """The sum of c v1 ... vk over the tuples (c, v1, ..., vk), c an int
-        or Fraction.  A term of polynomials is its contents multiplied on
-        ints and its primitive parts convolved, added into one int
-        coefficient list over the lcm of the term denominators, which is
-        split into content and primitive part once, at the end.  A term with
-        a genuine quotient among its factors is multiplied and added as
-        elements."""
-        acc, den, rest = (), 1, None
+        or Fraction.  A term of polynomials is one int multiplier, its
+        contents over the lcm of the term denominators, times the primitive
+        parts of its factors; the terms are summed as integers at 2^s, each
+        primitive part packed once per width (``_pack``) and the sum unpacked
+        once (``_unpack``), or, past ``PACKED_WIDTH_MAX``, convolved into one
+        int coefficient list.  Either way the ints are split into content and
+        primitive part once, at the end.  A term with a genuine quotient
+        among its factors is multiplied and added as elements."""
+        # The width: each coefficient of f g sums at most min(len f, len g)
+        # products, so |f g| <= min(len f, len g) |f| |g| in the max norm, and
+        # a term m f1 ... fk has every coefficient below 2^w, w = bits(m) +
+        # the sum over its factors of bits(|f|) + bits(len f).  Its
+        # multiplier m = n den/d, n and d its contents' numerator and
+        # denominator and den the lcm of all the d, has at most bits(n) +
+        # bits(den) - bits(d) + 1 bits.  A sum of N terms has every
+        # coefficient below 2^(w + bits(N)), and s two bits wider keeps each
+        # below 2^(s-2): one balanced base-2^s digit, with room for the
+        # offset that ``_unpack`` adds.  s is rounded up to a multiple of 64
+        # so that the sums of one row share widths, and with them the
+        # packings kept on the factors (and so that ``_unpack`` reads whole
+        # bytes).
+        polys, den, rest = [], 1, None
+        width, slots = 0, 1
         for term in terms:
             c, factors = term[0], term[1:]
-            num, d, prims = c.numerator, c.denominator, []
+            num, d, bits, length, parts = c.numerator, c.denominator, 0, 1, []
             for v in factors:
                 if v.den.prim != (1,):
                     break
-                content = v.num.content
-                num *= content.numerator
-                d *= content.denominator
-                prims.append(v.num.prim)
+                p = v.num
+                num *= p.content.numerator
+                d *= p.content.denominator
+                if len(p.prim) > 1:  # a constant's primitive part is 1
+                    packed = p.packed
+                    bits += _height(p.prim) if packed is None else packed[2]
+                    length += len(p.prim) - 1
+                    parts.append(p)
             else:
                 if num:
-                    g = math.gcd(den, d)
-                    if g != d:
-                        acc = int_scale(acc, d // g)
-                    head = (num * (den // g),)
-                    den = den // g * d
-                    for p in prims[:-1]:
-                        head = int_mul(head, p)
-                    acc = int_add_mul(acc, head, prims[-1]) if prims else int_add(acc, head)
+                    polys.append((num, d, parts))
+                    den = den // math.gcd(den, d) * d
+                    bits += num.bit_length() - d.bit_length()
+                    if bits > width:
+                        width = bits
+                    if length > slots:
+                        slots = length
                 continue
             for v in factors:
                 c = c * v
             rest = c if rest is None else rest + c
-        g, prim = _primitive(list(acc))
+        s = -(-(width + den.bit_length() + 1 + len(polys).bit_length() + 2) // 64) * 64
+        if s <= PACKED_WIDTH_MAX:
+            acc = 0
+            for num, d, factors in polys:
+                num *= den // d
+                for p in factors:
+                    packed = p.packed
+                    num *= packed[1] if packed is not None and packed[0] == s else _pack(p, s)
+                acc += num
+            ints = _unpack(acc, s, slots)
+        else:
+            acc = ()
+            for num, d, factors in polys:
+                head = (num * (den // d),)
+                for p in factors[:-1]:
+                    head = int_mul(head, p.prim)
+                acc = int_add_mul(acc, head, factors[-1].prim) if factors else int_add(acc, head)
+            ints = list(acc)
+        g, prim = _primitive(ints)
         total = FieldElem(lam=None, num=_poly(Fraction(g, den), prim) if g else P_ZERO, den=P_ONE)
         return total if rest is None else total + rest
 

@@ -1,5 +1,6 @@
 """Exact scalar layer: rationals, parameter polynomials, rational functions."""
 
+import gc
 import math
 from fractions import Fraction as F
 from unittest import mock
@@ -26,10 +27,11 @@ from degenstir import (
     poly_str,
     trunc_degen_bernoulli,
 )
-from degenstir import field
+from degenstir import field, identities
 from degenstir.field import (domain, int_add, int_add_mul, int_mul, int_poly, int_poly_str,
                              int_poly_writer, int_scale, ratio_str, rational_str)
 from oracles import poly_divmod, poly_gcd_monic, poly_mul, poly_text, quotient_text, rational_text
+from threads import threads_agree_with_one_thread
 
 LAM = lam_elem()
 
@@ -544,3 +546,130 @@ def test_the_domains_refuse_a_zero_inverse_and_another_modes_element():
     assert domain().unwrap(F(1, 2)) == const(F(1, 2))
     with pytest.raises(ModeMismatch, match="cannot combine mode Fraction\\(1, 3\\) with mode None"):
         domain().unwrap(const(1, F(1, 3)))
+
+
+# The packed sum (``field._pack``, ``field._unpack``) and the convolution must
+# both give the term-by-term sum: kernel limit 0 convolves every sum, and a
+# limit past every width packs every sum, at 2^200 and beyond as well.
+KERNEL_LIMITS = (0, field.PACKED_WIDTH_MAX, 1 << 30)
+wide_ints = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-2 ** 260, 2 ** 260))
+wide_polys = st.tuples(st.lists(wide_ints, min_size=1, max_size=30), st.integers(1, 12)).map(
+    lambda cd: FieldElem.from_polys(LambdaPoly([F(c, cd[1]) for c in cd[0]])))
+wide_values = st.one_of(wide_polys, wide_ints.map(const), elems)
+wide_terms = st.lists(st.tuples(st.one_of(wide_ints, sum_coefs), st.lists(wide_values, max_size=3))
+                      .map(lambda cv: (cv[0], *cv[1])), max_size=8)
+
+
+def _term_by_term(terms):
+    acc = const(0)
+    for c, *factors in terms:
+        term = const(c)
+        for v in factors:
+            term = term * v
+        acc = acc + term
+    return acc
+
+
+def _assert_packing_holds(p):
+    # a polynomial keeps at most one packing: its primitive part at 2^s, and
+    # the bits its coefficients and length add to a coefficient bound
+    s, packed, height = p.packed
+    assert s % 64 == 0 and packed == sum(c << (s * i) for i, c in enumerate(p.prim))
+    assert height == max(map(abs, p.prim)).bit_length() + len(p.prim).bit_length()
+
+
+def _assert_packings_hold(values):
+    for v in values:
+        for p in (v.num, v.den):
+            if p.packed is not None:
+                _assert_packing_holds(p)
+
+
+def _sums_by_every_kernel(terms):
+    sums = []
+    for limit in KERNEL_LIMITS:
+        with mock.patch.object(field, "PACKED_WIDTH_MAX", limit):
+            sums.append(domain().sum_products(iter(terms)))
+    return sums
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_terms, st.booleans(), st.randoms(use_true_random=False))
+def test_a_packed_sum_matches_the_term_by_term_sum(terms, cancel, rnd):
+    if cancel:
+        # the terms again with their coefficients negated: exactly 0
+        terms = terms + [(-c, *factors) for c, *factors in terms]
+        rnd.shuffle(terms)
+    expect = _term_by_term(terms)
+    for got in _sums_by_every_kernel(terms):
+        assert got == expect and (got.num, got.den) == (expect.num, expect.den)
+        _assert_canonical(got.num)
+    if cancel:
+        assert expect.is_zero
+    _assert_packings_hold([v for _, *factors in terms for v in factors])
+
+
+def test_a_packed_sum_at_the_width_bound():
+    # every coefficient and multiplier as wide as its bit count allows (the
+    # magnitudes 2^b - 1 and 2^b - 2 keep each part primitive), the signs
+    # alternating so that the products add up, and b chosen so that the
+    # width each sum asks for, 4b + 15 bits, is one bit short of its slot
+    for bits in (12, 44, 108):
+        top = 2 ** bits - 1
+        f = FieldElem.from_polys(LambdaPoly([(-1) ** i * (top - i % 2) for i in range(31)]))
+        g = FieldElem.from_polys(LambdaPoly([(-1) ** i * (top - i % 2) for i in range(15)]))
+        terms = [(-top, f, g, const(top))] * 3 + [(top, g, f)]
+        expect = _term_by_term(terms)
+        assert max(map(abs, expect.num.prim)) * abs(expect.num.content) > 2 ** (4 * bits)
+        sums = _sums_by_every_kernel(terms)
+        assert sums == [expect] * len(KERNEL_LIMITS)
+        assert all((got.num, got.den) == (expect.num, expect.den) for got in sums)
+        assert f.num.packed[0] == g.num.packed[0] == 4 * bits + 16
+        _assert_packings_hold([f, g])
+
+
+def test_unpacking_reads_balanced_digits_to_the_edge_of_the_slot():
+    for s in (64, 128, 448):
+        half = 1 << (s - 1)
+        for digits in ([half - 1, -half, 0, -1, 1 - half, 1, half - 1],
+                       [-half, half - 1, 1, 0, 1 - half]):
+            acc = sum(d << (s * i) for i, d in enumerate(digits))
+            assert field._unpack(acc, s, len(digits)) == digits
+            assert field._unpack(acc, s, len(digits) + 2) == digits + [0, 0]
+
+
+def test_threads_summing_shared_values_at_two_widths_agree_with_one_thread():
+    # the two sums pack the same polynomials at two widths, so the threads
+    # replace each other's packings in the one slot while they sum
+    values = [FieldElem.from_polys(LambdaPoly([(-1) ** i * (3 * i + 1) ** 9 for i in range(n)]))
+              for n in range(2, 14)]
+    narrow = [(1, a, b) for a in values for b in values]
+    wide = [(2 ** 150 + 1, a, b) for a in values for b in values]
+    sym = domain()
+    widths = set()
+    for terms in (narrow, wide):
+        sym.sum_products(terms)
+        widths |= {v.num.packed[0] for v in values}
+    assert len(widths) == 2
+
+    def clear():
+        for v in values:
+            v.num.packed = None
+
+    def check():
+        _assert_packings_hold(values)
+        assert {v.num.packed[0] for v in values} <= widths
+
+    threads_agree_with_one_thread(
+        clear, lambda: [sym.sum_products(terms) for _ in range(3) for terms in (narrow, wide)], check)
+
+
+def test_a_symbolic_sweep_keeps_one_packing_per_polynomial_and_no_table_of_them():
+    identities.sweep("thm4", n_max=10)
+    identities.sweep("expansion", n_max=6, r_max=3)
+    packed = [p for p in gc.get_objects() if type(p) is LambdaPoly and p.packed is not None]
+    assert packed
+    for p in packed:
+        _assert_packing_holds(p)
+    assert not [name for name, v in vars(field).items()
+                if isinstance(v, (dict, list, set)) and not name.startswith("__")]

@@ -8,7 +8,9 @@ reciprocal polynomials once more to n = 12 on a sequence with zeros and
 mixed signs, both Bernoulli families once more to n = 17, past the values
 8/9 and 16/17, and the symbolic truncated tables of both kinds once more at
 r = 3 and r = 4 to n = 24, where the recurrence's factor c has degree 2 and
-3; tables of both sequence families whose sequence runs out, which exit 2
+3; a symbolic truncated table to n = 40 and a symbolic reciprocal-series
+value at n = 60, whose sums of products are packed at slot widths up to
+384 bits; tables of both sequence families whose sequence runs out, which exit 2
 before any row is printed; ``eval`` for every family; ``verify --identity
 all`` in both modes, at the parameter 0, at a negative parameter and at two
 poles, one of which (lambda = 1) fails at r = 2 and at r = 3, so that its
@@ -75,6 +77,8 @@ GOLDEN = (
     ("table klambda --n-max 8 --xs 1,2,3", 2, EMPTY, "7d7c1d2f7ebda663fdd525f248ef66b984fa43414575a2573f4a601c4e7cfd09"),
     ("verify --identity all --lambda=-2/7", 0, "10c4844bc6c811be476e7e0eb77cf44294b60522bab25048b492ca32aab6fc4a", EMPTY),
     ("table bell --n-max 6 --xs 0,1/2,-3,2,0,5 --lambda=-2/7 --format json", 0, "02b6541901f06a51cf22036b0976b0a5a892385790a8499e98a9229da355f1b3", EMPTY),
+    ("table trunc-bernoulli --n-max 40 --r 3 --alpha 3", 0, "c37ad4a42c1297179c9fd139969a53ad7de50b74a24b87e47229529c5bb61c1c", EMPTY),
+    ("eval klambda --n 60", 0, "7319a1571bea216d5d9f99585ff444c4643883377fba61c32018b43910d517f7", EMPTY),
 )
 
 
